@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the numba-compiled kernels against the pure-numpy fallback.
+"""Time the grid-sweep kernels on representative sizes.
 
 The denominator/indicator sweep over the test grid is the hot loop of the
-greedy driver (one full sweep per iteration), so both code paths are timed
-on representative sizes. Run with GREEDYRAT_NO_NUMBA=1 to confirm the
-package still works, more slowly, without numba.
+greedy driver (one full sweep per iteration); the surrogate-value sweep
+serves eval_grid. Each line reports the best of --repeats calls.
 
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """
@@ -17,7 +16,7 @@ from greedyrat import kernels
 
 
 def timeit(fn, repeats):
-    fn()  # warm-up (triggers JIT compilation on the numba path)
+    fn()  # warm-up
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -34,31 +33,21 @@ def main():
 
     rng = np.random.default_rng(0)
     grid = 1j * np.geomspace(1.0, 1e6, args.grid)
-    print(f"grid size {args.grid}, numba available: {kernels.USE_NUMBA}")
-    print(f"{'kernel':<22}{'S':>4}{'p x m':>8}{'numpy [ms]':>12}{'numba [ms]':>12}{'speedup':>9}")
+    print(f"grid size {args.grid}")
+    print(f"{'kernel':<22}{'S':>4}{'p x m':>8}{'best [ms]':>12}")
     for s in (5, 20, 50):
         support = 1j * np.sort(rng.uniform(1.0, 1e6, s))
         coeffs = rng.standard_normal(s) + 1j * rng.standard_normal(s)
         coeffs /= np.linalg.norm(coeffs)
-        t_np = timeit(lambda: kernels._abs_denominator_numpy(grid, support, coeffs), args.repeats)
-        if kernels.USE_NUMBA:
-            t_nb = timeit(lambda: kernels._abs_denominator_numba(grid, support, coeffs), args.repeats)
-            speed = f"{t_np / t_nb:8.1f}x"
-        else:
-            t_nb, speed = float("nan"), "     n/a"
-        print(f"{'abs_denominator':<22}{s:>4}{'-':>8}{1e3 * t_np:>12.3f}{1e3 * t_nb:>12.3f}{speed:>9}")
+        t = timeit(lambda: kernels.abs_denominator(grid, support, coeffs), args.repeats)
+        print(f"{'abs_denominator':<22}{s:>4}{'-':>8}{1e3 * t:>12.3f}")
     for s, p, m in ((10, 2, 2), (30, 4, 4)):
         support = 1j * np.sort(rng.uniform(1.0, 1e6, s))
         coeffs = rng.standard_normal(s) + 1j * rng.standard_normal(s)
         coeffs /= np.linalg.norm(coeffs)
         values = rng.standard_normal((s, p, m)) + 1j * rng.standard_normal((s, p, m))
-        t_np = timeit(lambda: kernels._eval_numpy(grid, support, coeffs, values), args.repeats)
-        if kernels.USE_NUMBA:
-            t_nb = timeit(lambda: kernels._eval_numba(grid, support, coeffs, values), args.repeats)
-            speed = f"{t_np / t_nb:8.1f}x"
-        else:
-            t_nb, speed = float("nan"), "     n/a"
-        print(f"{'eval_sweep':<22}{s:>4}{f'{p} x {m}':>8}{1e3 * t_np:>12.3f}{1e3 * t_nb:>12.3f}{speed:>9}")
+        t = timeit(lambda: kernels.eval_sweep(grid, support, coeffs, values), args.repeats)
+        print(f"{'eval_sweep':<22}{s:>4}{f'{p} x {m}':>8}{1e3 * t:>12.3f}")
 
 
 if __name__ == "__main__":

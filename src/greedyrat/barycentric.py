@@ -15,8 +15,6 @@ import scipy.linalg
 from . import kernels
 from .errors import SupportCollisionError, SurrogatePoleError
 
-SNAP_TOL = kernels.SNAP_TOL
-
 # Coefficients this small make the node interpolate only through the snap
 # branch; worth a diagnostic but not fatal.
 COEFF_WARN = 1e-14
@@ -68,7 +66,7 @@ class BarycentricSurrogate:
     def _snap_index(self, z):
         d = np.abs(z - self.support)
         j = int(np.argmin(d))
-        if d[j] <= SNAP_TOL * (1.0 + abs(self.support[j])):
+        if d[j] <= kernels.snap_radius(self.support[j]):
             return j
         return None
 
@@ -137,7 +135,7 @@ class BarycentricSurrogate:
         keep = []
         for root in finite:
             d = np.abs(root - self.support)
-            if d.min() > SNAP_TOL * (1.0 + abs(self.support[int(np.argmin(d))])):
+            if d.min() > kernels.snap_radius(self.support[int(np.argmin(d))]):
                 keep.append(complex(root))
         return keep
 

@@ -84,30 +84,37 @@ def parse_config(path):
 
 
 def build_greedy_config(raw):
-    rule_kwargs = {}
-    for src, dst in (
-        ("n_memory", "n_memory"),
-        ("n_batch", "n_batch"),
-        ("n_random", "n_random"),
-        ("min_gap", "min_gap"),
-    ):
-        if src in raw:
-            rule_kwargs[dst] = raw[src]
+    """GreedyConfig from parsed keys; absent keys take the dataclass defaults."""
+    rule_kwargs = {k: raw[k] for k in ("n_memory", "n_batch", "n_random", "min_gap") if k in raw}
+    if "termination" in raw:
+        rule_kwargs["kind"] = raw["termination"]
+    cfg_keys = ("f_min", "f_max", "grid_size", "tol", "delta", "fitter", "max_samples", "seed")
+    cfg_kwargs = {k: raw[k] for k in cfg_keys if k in raw}
     try:
-        rule = TerminationRule(kind=raw.get("termination", "lookahead"), **rule_kwargs)
-        return GreedyConfig(
-            f_min=raw["f_min"],
-            f_max=raw["f_max"],
-            grid_size=raw.get("grid_size", 10_000),
-            tol=raw.get("tol", 1e-3),
-            delta=raw.get("delta", 1e-8),
-            fitter=raw.get("fitter", "loewner"),
-            termination=rule,
-            max_samples=raw.get("max_samples", 200),
-            seed=raw.get("seed", 0),
-        )
+        return GreedyConfig(termination=TerminationRule(**rule_kwargs), **cfg_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _load(loader, path):
+    """loader(path), with a malformed input file reported as a ConfigError."""
+    try:
+        return loader(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from exc
+
+
+def _prepare(args):
+    """The preamble every command shares: config, system, output directory.
+
+    The output directory defaults to the config file's directory.
+    """
+    raw = parse_config(args.config)
+    cfg = build_greedy_config(raw)
+    system = _load(load_matrix_market, raw["system"])
+    outdir = raw.get("output_dir", os.path.dirname(os.path.abspath(args.config)))
+    os.makedirs(outdir, exist_ok=True)
+    return cfg, system, outdir
 
 
 def _timestamp_lines():
@@ -154,11 +161,8 @@ def write_run_artifacts(trace, cfg, outdir):
 
 
 def cmd_run(args):
-    raw = parse_config(args.config)
-    cfg = build_greedy_config(raw)
-    system = load_matrix_market(raw["system"])
+    cfg, system, outdir = _prepare(args)
     trace = run_greedy(system, cfg)
-    outdir = raw.get("output_dir", os.path.dirname(os.path.abspath(args.config)))
     write_run_artifacts(trace, cfg, outdir)
     print(
         f"terminated: {trace.termination_reason} after {trace.n_iterations} iterations, "
@@ -168,11 +172,9 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
-    raw = parse_config(args.config)
-    cfg = build_greedy_config(raw)
-    system = load_matrix_market(raw["system"])
-    sur = BarycentricSurrogate.load(args.surrogate)
-    meta = load_surrogate_metadata(args.surrogate)
+    cfg, system, outdir = _prepare(args)
+    sur = _load(BarycentricSurrogate.load, args.surrogate)
+    meta = _load(load_surrogate_metadata, args.surrogate)
     grid = build_test_grid(cfg)
     approx = sur.eval_grid(grid)
     eta = np.full(grid.size, math.nan)
@@ -180,8 +182,6 @@ def cmd_validate(args):
         anchor = complex(*meta["estimator_anchor"])
         eta = estimator_curve(sur, meta["estimator_value"], anchor, grid)
     p, m = sur.output_shape
-    outdir = raw.get("output_dir", os.path.dirname(os.path.abspath(args.config)))
-    os.makedirs(outdir, exist_ok=True)
     max_eps = 0.0
     with _open_csv(os.path.join(outdir, "validation.csv")) as f:
         w = csv.writer(f)
@@ -205,14 +205,10 @@ def cmd_validate(args):
 
 
 def cmd_verify(args):
-    raw = parse_config(args.config)
-    cfg = build_greedy_config(raw)
-    system = load_matrix_market(raw["system"])
+    cfg, system, outdir = _prepare(args)
     trace = run_greedy(system, cfg)
     sur = trace.surrogate
     zs = verify_mod.draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
-    outdir = raw.get("output_dir", os.path.dirname(os.path.abspath(args.config)))
-    os.makedirs(outdir, exist_ok=True)
     p1, p2 = verify_mod.write_report_csv(
         os.path.join(outdir, "verify.csv"),
         system,
@@ -246,7 +242,7 @@ def main(argv=None):
     handlers = {"run": cmd_run, "validate": cmd_validate, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError, GreedyratError) as exc:
+    except (FileNotFoundError, GreedyratError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -70,17 +70,10 @@ def fit_loewner(part):
     frequency and takes the unit-norm minimizer of the residual, i.e. the
     right singular vector of the smallest singular value.
     """
-    sup = part.support
-    s = len(sup)
-    zsup = np.array([x.z for x in sup])
-    vsup = np.array([x.value for x in sup])
-    p, m = vsup.shape[1], vsup.shape[2]
-    rows = []
-    for t in part.test:
-        block = (t.value[None, :, :] - vsup) / (t.z - zsup)[:, None, None]
-        rows.append(block.reshape(s, p * m).T)
-    L = np.vstack(rows) if rows else np.empty((0, s), dtype=np.complex128)
-    q = _normalize_phase(_smallest_right_singular_vector(L, s))
+    zsup = np.array([x.z for x in part.support])
+    vsup = np.array([x.value for x in part.support])
+    L = loewner_matrix(part)
+    q = _normalize_phase(_smallest_right_singular_vector(L, zsup.size))
     return BarycentricSurrogate(zsup, vsup, q)
 
 

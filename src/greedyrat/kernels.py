@@ -1,103 +1,26 @@
 """Hot numeric kernels: barycentric sweeps over dense frequency grids.
 
-Each kernel has a numba-compiled implementation and a pure-numpy fallback.
-The fallback is selected by setting the environment variable
-``GREEDYRAT_NO_NUMBA=1`` before import, and is also used automatically when
-numba is not installed. Both paths compute identical results (up to the
-usual nondeterminism-free floating-point reassociation; the test suite
-cross-checks them).
+Each sweep is one vectorized numpy pass over a grid-by-support Cauchy
+matrix 1/(z_k - zeta_j). A grid point within ``snap_radius`` of any
+support point counts as a collision, which the sweeps resolve explicitly
+instead of dividing by (nearly) zero.
 """
-import os
-
 import numpy as np
 
 # Relative snap tolerance for "z coincides with a support point".
 SNAP_TOL = 1e-13
 
-USE_NUMBA = os.environ.get("GREEDYRAT_NO_NUMBA", "0") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+
+def snap_radius(zeta):
+    """Collision radius around support point(s) zeta; scalar or array."""
+    return SNAP_TOL * (1.0 + abs(zeta))
 
 
-def _snap_radius(support):
-    return SNAP_TOL * (1.0 + np.abs(support))
-
-
-def _abs_denominator_numpy(grid, support, coeffs):
+def _offsets(grid, support):
+    """Grid-minus-support differences and the grid points that collide."""
     dz = grid[:, None] - support[None, :]
-    collide = np.abs(dz) <= _snap_radius(support)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs((coeffs[None, :] / dz).sum(axis=1))
-    out[collide.any(axis=1)] = np.inf
-    return out
-
-
-def _eval_numpy(grid, support, coeffs, values):
-    npts = grid.shape[0]
-    p, m = values.shape[1], values.shape[2]
-    dz = grid[:, None] - support[None, :]
-    collide = np.abs(dz) <= _snap_radius(support)[None, :]
-    hit = collide.any(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = coeffs[None, :] / dz
-        den = w.sum(axis=1)
-        out = np.einsum("ks,spm->kpm", w, values) / den[:, None, None]
-    for k in np.nonzero(hit)[0]:
-        out[k] = values[np.argmin(np.abs(dz[k]))]
-    out[~hit & (den == 0)] = np.inf
-    return out
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _abs_denominator_numba(grid, support, coeffs):  # pragma: no cover
-        npts = grid.shape[0]
-        s = support.shape[0]
-        out = np.empty(npts)
-        for k in range(npts):
-            acc = 0.0 + 0.0j
-            hit = False
-            for j in range(s):
-                dz = grid[k] - support[j]
-                if abs(dz) <= SNAP_TOL * (1.0 + abs(support[j])):
-                    hit = True
-                    break
-                acc += coeffs[j] / dz
-            out[k] = np.inf if hit else abs(acc)
-        return out
-
-    @njit(cache=True)
-    def _eval_numba(grid, support, coeffs, values):  # pragma: no cover
-        npts = grid.shape[0]
-        s = support.shape[0]
-        p, m = values.shape[1], values.shape[2]
-        out = np.empty((npts, p, m), dtype=np.complex128)
-        num = np.empty((p, m), dtype=np.complex128)
-        for k in range(npts):
-            hit = -1
-            den = 0.0 + 0.0j
-            num[:, :] = 0.0
-            for j in range(s):
-                dz = grid[k] - support[j]
-                if abs(dz) <= SNAP_TOL * (1.0 + abs(support[j])):
-                    hit = j
-                    break
-                w = coeffs[j] / dz
-                den += w
-                for a in range(p):
-                    for b in range(m):
-                        num[a, b] += w * values[j, a, b]
-            if hit >= 0:
-                out[k] = values[hit]
-            elif den == 0:
-                out[k] = np.inf
-            else:
-                out[k] = num / den
-        return out
+    hit = (np.abs(dz) <= snap_radius(support)[None, :]).any(axis=1)
+    return dz, hit
 
 
 def abs_denominator(grid, support, coeffs):
@@ -105,9 +28,11 @@ def abs_denominator(grid, support, coeffs):
     grid = np.ascontiguousarray(grid, dtype=np.complex128)
     support = np.ascontiguousarray(support, dtype=np.complex128)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    if USE_NUMBA:
-        return _abs_denominator_numba(grid, support, coeffs)
-    return _abs_denominator_numpy(grid, support, coeffs)
+    dz, hit = _offsets(grid, support)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.abs((coeffs[None, :] / dz).sum(axis=1))
+    out[hit] = np.inf
+    return out
 
 
 def indicator_sweep(grid, support, coeffs):
@@ -129,6 +54,12 @@ def eval_sweep(grid, support, coeffs, values):
     support = np.ascontiguousarray(support, dtype=np.complex128)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     values = np.ascontiguousarray(values, dtype=np.complex128)
-    if USE_NUMBA:
-        return _eval_numba(grid, support, coeffs, values)
-    return _eval_numpy(grid, support, coeffs, values)
+    dz, hit = _offsets(grid, support)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = coeffs[None, :] / dz
+        den = w.sum(axis=1)
+        out = np.einsum("ks,spm->kpm", w, values) / den[:, None, None]
+    for k in np.nonzero(hit)[0]:
+        out[k] = values[np.argmin(np.abs(dz[k]))]
+    out[~hit & (den == 0)] = np.inf
+    return out

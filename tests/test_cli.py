@@ -32,7 +32,8 @@ def write_config(tmp_path, prefix, name="run.cfg", **overrides):
     }
     values.update(overrides)
     path = tmp_path / name
-    path.write_text("# test configuration\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    lines = "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None)
+    path.write_text("# test configuration\n" + lines)
     return str(path)
 
 
@@ -79,6 +80,49 @@ def test_unknown_config_key_reports_line(tmp_path):
 def test_missing_files_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, str(tmp_path / "nope"))
     assert main(["run", cfg]) == 1
+
+
+NOT_MTX = "not a matrix market file\n"
+
+
+@pytest.mark.parametrize(
+    "command, bad_file, text",
+    [
+        ("run", "sys.A.mtx", NOT_MTX),
+        ("validate", "sys.A.mtx", NOT_MTX),
+        ("verify", "sys.A.mtx", NOT_MTX),
+        ("validate", "surrogate.json", "{not json"),
+        ("validate", "surrogate.json", '{"shape": 3}'),
+    ],
+    ids=["run-matrix", "validate-matrix", "verify-matrix", "validate-json", "validate-shape"],
+)
+def test_malformed_input_file_exits_1(synthetic_setup, capsys, command, bad_file, text):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    (tmp_path / bad_file).write_text(text)
+    sur_path = str(tmp_path / "surrogate.json")
+    args = [command, cfg] + ([sur_path] if command == "validate" else [])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load ")
+    assert (prefix if bad_file.endswith(".mtx") else sur_path) in err
+
+
+@pytest.mark.parametrize("command, artifact", [("run", "samples.csv"), ("verify", "verify.csv")])
+def test_output_dir_defaults_to_config_directory(synthetic_setup, command, artifact):
+    tmp_path, prefix = synthetic_setup
+    (tmp_path / "cfg").mkdir()
+    cfg = write_config(
+        tmp_path,
+        prefix,
+        name="cfg/run.cfg",
+        output_dir=None,
+        termination="max_count",
+        max_samples=7,
+    )
+    assert main([command, cfg]) == 0
+    assert (tmp_path / "cfg" / artifact).exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_is_deterministic(synthetic_setup):
