@@ -50,9 +50,11 @@ def _smallest_right_singular_vector(M, ncols):
         q = np.zeros(ncols, dtype=np.complex128)
         q[0 if ncols == 1 else -1] = 1.0
         return q
-    _, _, Vh = np.linalg.svd(M, full_matrices=True)
-    # Ties between trailing singular values resolve to the last column of
-    # the right-singular basis, which LAPACK returns deterministically.
+    # A tall or square M has a full set of right singular vectors in the
+    # thin SVD; a wide one needs the full basis, whose last row spans part
+    # of the null space. Ties between trailing singular values resolve to
+    # the last row, which LAPACK returns deterministically.
+    _, _, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return Vh[-1].conj()
 
 
@@ -109,8 +111,10 @@ def fit_mri(samples):
     s = len(samples)
     pm = vals.shape[1] * vals.shape[2]
     if pm < s:
+        # Constant text, so the default once-per-location filter shows it
+        # once per run rather than once per greedy iteration.
         warnings.warn(
-            f"MRI with {s} samples but only {pm} value entries per sample: "
+            "MRI with fewer value entries per sample than samples: "
             "the minimizer may be spurious",
             stacklevel=2,
         )

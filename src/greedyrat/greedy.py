@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import GridExhaustedError, ResonanceError
 from .fitters import fit
 from .system_model import DescriptorSystem, FrequencySample
@@ -149,6 +150,33 @@ def _indicator_masked(sur, grid, excluded):
     return ind
 
 
+def _argmax_index(ind):
+    """Index of the largest indicator value; ties break to the lowest index.
+
+    Excluded points carry -1, so a negative maximum means none is left.
+    """
+    if ind.size == 0:
+        raise GridExhaustedError("empty test grid")
+    k = int(np.argmax(ind))
+    if ind[k] < 0:
+        raise GridExhaustedError("all grid points already sampled")
+    return k
+
+
+def _local_maxima_indices(ind, n):
+    """Top-n interior local maxima of an indicator array, by value, descending.
+
+    Falls back to the global argmax when no admissible interior local
+    maximum exists.
+    """
+    interior = np.arange(1, ind.size - 1)
+    is_max = (ind[interior] > ind[interior - 1]) & (ind[interior] > ind[interior + 1])
+    cand = interior[is_max & (ind[interior] >= 0)]
+    if cand.size == 0:
+        return [_argmax_index(ind)]
+    return list(cand[np.argsort(-ind[cand], kind="stable")][:n])
+
+
 def next_point(sur, grid, sampled):
     """Grid point maximizing the indicator, skipping sampled points.
 
@@ -157,13 +185,7 @@ def next_point(sur, grid, sampled):
     partition) need the explicit exclusion.
     """
     grid = np.asarray(grid)
-    if grid.size == 0:
-        raise GridExhaustedError("empty test grid")
-    ind = _indicator_masked(sur, grid, sampled)
-    k = int(np.argmax(ind))
-    if ind[k] < 0:
-        raise GridExhaustedError("all grid points already sampled")
-    return complex(grid[k])
+    return complex(grid[_argmax_index(_indicator_masked(sur, grid, sampled))])
 
 
 def batch_test_points(sur, grid, sampled, n):
@@ -176,13 +198,7 @@ def batch_test_points(sur, grid, sampled, n):
         raise ValueError("n must be >= 1")
     grid = np.asarray(grid)
     ind = _indicator_masked(sur, grid, sampled)
-    interior = np.arange(1, grid.size - 1)
-    is_max = (ind[interior] > ind[interior - 1]) & (ind[interior] > ind[interior + 1])
-    cand = interior[is_max & (ind[interior] >= 0)]
-    if cand.size == 0:
-        return [next_point(sur, grid, sampled)]
-    order = cand[np.argsort(-ind[cand], kind="stable")]
-    return [complex(grid[k]) for k in order[:n]]
+    return [complex(grid[k]) for k in _local_maxima_indices(ind, n)]
 
 
 def random_test_points(cfg):
@@ -218,36 +234,45 @@ def run_greedy(oracle, cfg):
         calls += 1
         return val
 
-    sampled = set()
-    banned = set()
+    cache = kernels.CauchyColumns(grid)
 
     def take(z, value=None):
         value = call(z) if value is None else value
         trace.samples.append(FrequencySample(z, value))
-        sampled.add(complex(z))
+        cache.add(z)
         return value
 
-    def pick(sur):
-        """Next greedy point, skipping resonant grid points."""
+    def ban(k, ind=None):
+        trace.resonances.append(complex(grid[k]))
+        cache.ban(k)
+        if ind is not None:
+            ind[k] = -1.0
+
+    def pick(sur, ind=None):
+        """Next greedy point, skipping resonant grid points.
+
+        ``ind`` is this iteration's indicator if already swept; banning a
+        point only lowers its own entry, so one sweep serves every retry.
+        """
+        if ind is None:
+            ind = cache.indicator(sur)
         while True:
-            z = next_point(sur, grid, sampled | banned)
+            k = _argmax_index(ind)
+            z = complex(grid[k])
             try:
                 return z, call(z)
             except ResonanceError:
-                trace.resonances.append(z)
-                banned.add(z)
+                ban(k, ind)
 
     # First sample: the grid point nearest the geometric midpoint of the
     # range, walking outward on resonance failures.
     f_mid = math.sqrt(cfg.f_min * cfg.f_max)
     for k in np.argsort(np.abs(grid.imag - f_mid)):
-        z1 = complex(grid[k])
         try:
-            take(z1)
+            take(complex(grid[k]))
             break
         except ResonanceError:
-            trace.resonances.append(z1)
-            banned.add(z1)
+            ban(k)
     else:
         raise GridExhaustedError("no non-resonant grid point for the first sample")
 
@@ -311,15 +336,16 @@ def run_greedy(oracle, cfg):
                 n_memory = 0
                 pending = (chosen, value)
         elif rule.kind == "batch":
-            pts = batch_test_points(sur, grid, sampled | banned, rule.n_batch)
-            errs = []
-            for z in pts:
+            ind = cache.indicator(sur)
+            pts, errs = [], []
+            for k in _local_maxima_indices(ind, rule.n_batch):
+                z = complex(grid[k])
                 try:
                     errs.append(adjusted_relative_error(call(z), sur.eval(z), cfg.delta))
+                    pts.append(z)
                     test_calls += 1
                 except ResonanceError:
-                    trace.resonances.append(z)
-                    banned.add(z)
+                    ban(k, ind)
             if errs:
                 j = int(np.argmax(errs))
                 estimator = errs[j]
@@ -328,7 +354,7 @@ def run_greedy(oracle, cfg):
             if flag:
                 reason = "batch"
             else:
-                chosen, value = pick(sur)
+                chosen, value = pick(sur, ind)
                 pending = (chosen, value)
         elif rule.kind == "randomized":
             errs = [

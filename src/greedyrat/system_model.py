@@ -6,7 +6,6 @@ H(z) = C (zE - A)^{-1} B and the state transfer function is
 G(z) = (zE - A)^{-1} B. Evaluations go through a sparse or dense LU
 factorization of the pencil; the explicit inverse is never formed.
 """
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +85,14 @@ class DescriptorSystem:
                 raise ResonanceError(z)
             return lu.solve(np.asarray(rhs, dtype=np.complex128))
         P = z * self.E - self.A
-        with warnings.catch_warnings():
-            # singular pencils are detected below and reported as ResonanceError
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(P, check_finite=False)
+        # LAPACK getrf directly rather than lu_factor: lu_factor warns on an
+        # exactly singular pencil, which the pivot check below reports as a
+        # ResonanceError, and silencing that warning per call would reset
+        # every once-per-location warning filter in the process.
+        getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (P,))
+        lu, piv, info = getrf(P, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
         du = np.abs(np.diag(lu))
         if du.min() <= RCOND_MIN * max(du.max(), 1e-300):
             raise ResonanceError(z)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,22 @@ def test_mri_objective_matches_svd_oracle(seed):
 def test_mri_warns_when_value_block_is_small():
     with pytest.warns(UserWarning, match="spurious"):
         fit_mri(samples_at([1j, 2j, 3j], rational_11))
+
+
+def test_mri_warns_once_per_greedy_run():
+    # 2x2 blocks against eight poles: every fit past four samples is flagged.
+    from greedyrat import GreedyConfig, TerminationRule, make_synthetic, run_greedy
+
+    poles = [-0.05 + 1j * f for f in (1.5, 3.0, 6.0, 12.0, 20.0, 35.0, 60.0, 90.0)]
+    cfg = GreedyConfig(f_min=1.0, f_max=100.0, grid_size=2000, fitter="mri", max_samples=40,
+                       termination=TerminationRule("lookahead"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        trace = run_greedy(make_synthetic(poles, 0, m=2, p=2), cfg)
+    assert len(trace.samples) > 10
+    assert [str(w.message) for w in caught] == [
+        "MRI with fewer value entries per sample than samples: the minimizer may be spurious"
+    ]
 
 
 def test_fit_determinism():

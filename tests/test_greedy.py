@@ -9,6 +9,7 @@ from conftest import random_surrogate, rational_11
 from greedyrat import (
     GreedyConfig,
     GridExhaustedError,
+    ResonanceError,
     TerminationRule,
     adjusted_relative_error,
     batch_test_points,
@@ -19,6 +20,7 @@ from greedyrat import (
     random_test_points,
     run_greedy,
 )
+from greedyrat import kernels
 
 
 def order4_system(seed=0):
@@ -224,17 +226,17 @@ def test_first_sample_at_geometric_midpoint():
     assert trace.samples[0].z == complex(nearest)
 
 
-@pytest.mark.parametrize(
-    "kind,kw",
-    [
-        ("max_count", {"max_samples": 6}),
-        ("density", {"min_gap": 0.2, "max_samples": 40}),
-        ("lookahead", {"max_samples": 40}),
-        ("lookahead_memory", {"n_memory": 2, "max_samples": 40}),
-        ("batch", {"n_batch": 3, "max_samples": 40}),
-        ("randomized", {"n_random": 7, "max_samples": 40}),
-    ],
-)
+RULES = [
+    ("max_count", {"max_samples": 6}),
+    ("density", {"min_gap": 0.2, "max_samples": 40}),
+    ("lookahead", {"max_samples": 40}),
+    ("lookahead_memory", {"n_memory": 2, "max_samples": 40}),
+    ("batch", {"n_batch": 3, "max_samples": 40}),
+    ("randomized", {"n_random": 7, "max_samples": 40}),
+]
+
+
+@pytest.mark.parametrize("kind,kw", RULES)
 def test_cost_ledger(kind, kw):
     cfg = cfg_with(kind, tol=1e-3, **kw)
     trace = run_greedy(order4_system(), cfg)
@@ -283,25 +285,144 @@ def test_memory_semantics_against_flag_history():
             assert not all(flags[k : k + n_memory])
 
 
-def test_resonance_points_are_skipped():
-    sys = order4_system(2)
-
-    failures = []
+def flaky_oracle(sys, failures):
+    """sys's transfer function, resonant at its first three calls near f = 10."""
 
     def flaky(z):
         H = sys.eval_transfer(z)
         if 9.5 < z.imag < 10.5 and len(failures) < 3:
-            from greedyrat import ResonanceError
-
             failures.append(z)
             raise ResonanceError(z)
         return H
 
+    return flaky
+
+
+def test_resonance_points_are_skipped():
+    failures = []
     cfg = cfg_with("lookahead", tol=1e-3, max_samples=30)
-    trace = run_greedy(flaky, cfg)
+    trace = run_greedy(flaky_oracle(order4_system(2), failures), cfg)
     assert trace.termination_reason in ("lookahead", "max_samples")
     assert set(trace.resonances) == set(failures)
     assert not (set(trace.sampled_frequencies) & set(failures))
+    assert_replays_through_next_point(trace, cfg)
+
+
+def assert_replays_through_next_point(trace, cfg):
+    """Each chosen point is next_point's pick on that iteration's surrogate."""
+    grid = build_test_grid(cfg)
+    banned = set(trace.resonances)
+    zs = trace.sampled_frequencies
+    chosen = 0
+    for rec, sur in zip(trace.records, trace.surrogates):
+        if math.isnan(rec.chosen.real):
+            continue
+        assert rec.chosen == next_point(sur, grid, set(zs[: rec.n_samples]) | banned)
+        if rec.n_samples < len(zs):
+            assert zs[rec.n_samples] == rec.chosen
+        chosen += 1
+    assert chosen >= len(zs) - 1
+
+
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+@pytest.mark.parametrize("kind,kw", RULES)
+def test_samples_replay_through_next_point(kind, kw, fitter):
+    cfg = cfg_with(kind, tol=1e-3, fitter=fitter, **kw)
+    assert_replays_through_next_point(run_greedy(order4_system(), cfg), cfg)
+
+
+@pytest.fixture
+def checked_columns(monkeypatch):
+    """Swap the driver's Cauchy cache for one that checks every indicator.
+
+    Each indicator must match the full reference sweep on the rows it
+    keeps, and exclude exactly the grid indices sampled or banned so far.
+    Returns the list of caches the driver builds.
+    """
+    made = []
+
+    class Checked(kernels.CauchyColumns):
+        def __init__(self, grid):
+            super().__init__(grid)
+            self.added, self.banned, self.sweeps = [], [], 0
+            made.append(self)
+
+        def add(self, zeta):
+            super().add(zeta)
+            self.added.append(complex(zeta))
+
+        def ban(self, k):
+            super().ban(k)
+            self.banned.append(k)
+
+        def indicator(self, sur):
+            ind = super().indicator(sur)
+            keep = ~self.excluded
+            grid = self.grid[keep]
+            ref = kernels.indicator_sweep(grid, sur.support, sur.coeffs)
+            # The two sides add the same terms in another order, so |Q|
+            # agrees to rounding of the terms' magnitudes, not of |Q|
+            # itself, which is small where the terms cancel near a root.
+            scale = np.abs(sur.coeffs[None, :] / (grid[:, None] - sur.support[None, :])).sum(axis=1)
+            assert np.all(np.abs(1.0 / ind[keep] - 1.0 / ref) <= 1e-12 * scale)
+            assert np.all(ind[~keep] == -1.0)
+            taken = {int(np.flatnonzero(self.grid == z)[0]) for z in self.added}
+            assert set(np.flatnonzero(self.excluded).tolist()) == taken | set(self.banned)
+            self.sweeps += 1
+            return ind
+
+    monkeypatch.setattr(kernels, "CauchyColumns", Checked)
+    return made
+
+
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("kind", ["lookahead", "batch"])
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+def test_cached_indicator_matches_reference_sweep(checked_columns, fitter, kind):
+    failures = []
+    cfg = cfg_with(kind, n_batch=3, tol=1e-3, fitter=fitter, max_samples=40)
+    trace = run_greedy(flaky_oracle(order4_system(2), failures), cfg)
+    (cache,) = checked_columns
+    grid = build_test_grid(cfg)
+    assert failures and trace.resonances == failures
+    assert cache.added == trace.sampled_frequencies
+    assert [complex(grid[k]) for k in cache.banned] == trace.resonances
+    assert cache.sweeps == trace.n_iterations  # one sweep per iteration
+
+
+def test_cache_memory_follows_samples_not_cap(checked_columns):
+    sizes = []
+    for cap in (40, 400):
+        trace = run_greedy(order4_system(), cfg_with("lookahead", tol=1e-3, max_samples=cap))
+        assert trace.termination_reason == "lookahead"
+        sizes.append(len(trace.samples))
+    assert sizes[0] == sizes[1]
+    assert [c.capacity for c in checked_columns] == [32 * math.ceil(sizes[0] / 32)] * 2
+
+
+def test_batch_anchor_skips_resonant_test_point():
+    sys = order4_system()
+    cfg = cfg_with("batch", n_batch=3, tol=1e-3, max_samples=40)
+    clean = run_greedy(sys, cfg)
+    grid = build_test_grid(cfg)
+    # the first iteration that checks more than one point
+    for i, (rec, sur) in enumerate(zip(clean.records, clean.surrogates)):
+        pts = batch_test_points(sur, grid, set(clean.sampled_frequencies[: rec.n_samples]), 3)
+        if len(pts) > 1:
+            break
+
+    def flaky(z):
+        if z == pts[0]:
+            raise ResonanceError(z)
+        return sys.eval_transfer(z)
+
+    trace = run_greedy(flaky, cfg)
+    rec, sur = trace.records[i], trace.surrogates[i]
+    assert trace.resonances == [pts[0]]
+    assert rec.anchor in pts[1:]
+    err = adjusted_relative_error(sys.eval_transfer(rec.anchor), sur.eval(rec.anchor), cfg.delta)
+    assert rec.estimator == err
 
 
 def test_safety_cap_applies():
@@ -330,3 +451,4 @@ def test_estimator_curve_linear_in_estimate():
     a = estimator_curve(sur, 1e-3, anchor, grid)
     b = estimator_curve(sur, 2e-3, anchor, grid)
     assert np.allclose(b, 2 * a, rtol=1e-13)
+

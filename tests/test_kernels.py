@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_surrogate
-from greedyrat import kernels
+from greedyrat import BarycentricSurrogate, kernels
 
 
 def cases():
@@ -59,3 +61,33 @@ def test_sweeps_match_scalar_reference():
     for k in range(grid.size):
         ref = abs(np.sum(sur.coeffs / (grid[k] - sur.support)))
         assert absq[k] == pytest.approx(ref, rel=1e-13)
+
+
+def test_cauchy_columns_match_sweep_with_test_samples():
+    # Seven samples, alternately support and test, as a Loewner partition
+    # gives them: test samples keep their columns but carry weight 0.
+    grid = 1j * np.geomspace(1.0, 100.0, 300)
+    taken = [150, 20, 280, 75, 210, 5, 120]
+    cache = kernels.CauchyColumns(grid)
+    for k in taken:
+        cache.add(grid[k])
+    support = grid[sorted(taken)[0::2]]
+    rng = np.random.default_rng(0)
+    coeffs = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+    sur = BarycentricSurrogate(support, np.ones((support.size, 1, 1)), coeffs / np.linalg.norm(coeffs))
+    ind = cache.indicator(sur)
+    ref = kernels.indicator_sweep(grid, sur.support, sur.coeffs)
+    assert np.array_equal(np.flatnonzero(cache.excluded), sorted(taken))
+    assert np.all(ind[taken] == -1.0)
+    np.testing.assert_allclose(ind[~cache.excluded], ref[~cache.excluded], rtol=1e-12)
+    cache.ban(7)
+    assert cache.indicator(sur)[7] == -1.0
+
+
+def test_cauchy_columns_allocate_whole_blocks_as_samples_arrive():
+    grid = 1j * np.geomspace(1.0, 100.0, 200)
+    cache = kernels.CauchyColumns(grid)
+    assert cache.capacity == 0
+    for n, z in enumerate(grid[:70], start=1):
+        cache.add(z)
+        assert cache.capacity == 32 * math.ceil(n / 32)
