@@ -18,15 +18,25 @@ indicator. Termination rules:
                      sampled once up front and never added to training
 
 All rules additionally respect the max_samples safety cap.
+
+Every oracle solve of a run goes through one memo keyed on the exact
+frequency, so no frequency is solved twice. The ledger is exact:
+IterationRecord.oracle_calls is the cumulative count of distinct solves,
+and IterationRecord.test_calls counts the solves first made in that
+iteration at frequencies that never joined training. The first sample
+(and the frozen randomized points) belong to iteration 0, so
+
+  oracle_calls == len(samples) + sum(test_calls) (+ n_random)
 """
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import GridExhaustedError, ResonanceError
+from .errors import GreedyratError, GridExhaustedError, ResonanceError
 from .fitters import fit
 from .system_model import DescriptorSystem, FrequencySample
 
@@ -218,29 +228,43 @@ def run_greedy(oracle, cfg):
     """Adaptive sampling loop; returns the full iteration trace.
 
     ``oracle`` is a DescriptorSystem or any callable z -> p-by-m array.
-    Sampling failures at resonant frequencies are recorded and the
-    offending grid point is excluded rather than aborting the run.
+    Every solve goes through one memo, so no frequency is solved twice.
+    Sampling failures at resonant frequencies, and replies with a
+    non-finite entry, are recorded and the offending grid point is
+    excluded rather than aborting the run. A reply whose shape differs
+    from the first one raises GreedyratError.
     """
     rule = cfg.termination
     grid = build_test_grid(cfg)
     eval_oracle = _as_oracle(oracle)
     trace = GreedyTrace()
 
-    calls = 0
+    solved = {}  # z -> (value, iteration of its solve); one entry per oracle call
+    shape = None
+    iteration = 0
 
     def call(z):
-        nonlocal calls
-        val = eval_oracle(z)
-        calls += 1
-        return val
+        nonlocal shape
+        if z in solved:
+            return solved[z][0]
+        value = np.array(eval_oracle(z))  # a copy, in case the oracle reuses its buffer
+        if not np.all(np.isfinite(value)):
+            raise ResonanceError(z, f"oracle reply at z = {z} is not finite")
+        got = np.atleast_2d(value).shape
+        if shape is None:
+            shape = got
+        elif got != shape:
+            raise GreedyratError(
+                f"oracle reply at z = {z} has shape {got}, but the first reply had shape {shape}"
+            )
+        solved[z] = (value, iteration)
+        return value
 
     cache = kernels.CauchyColumns(grid)
 
-    def take(z, value=None):
-        value = call(z) if value is None else value
-        trace.samples.append(FrequencySample(z, value))
+    def take(z):
+        trace.samples.append(FrequencySample(z, call(z)))
         cache.add(z)
-        return value
 
     def ban(k, ind=None):
         trace.resonances.append(complex(grid[k]))
@@ -249,7 +273,7 @@ def run_greedy(oracle, cfg):
             ind[k] = -1.0
 
     def pick(sur, ind=None):
-        """Next greedy point, skipping resonant grid points.
+        """Next greedy point, solved, skipping resonant grid points.
 
         ``ind`` is this iteration's indicator if already swept; banning a
         point only lowers its own entry, so one sweep serves every retry.
@@ -260,7 +284,8 @@ def run_greedy(oracle, cfg):
             k = _argmax_index(ind)
             z = complex(grid[k])
             try:
-                return z, call(z)
+                call(z)
+                return z
             except ResonanceError:
                 ban(k, ind)
 
@@ -286,7 +311,6 @@ def run_greedy(oracle, cfg):
                 trace.resonances.append(z)
 
     n_memory = 0
-    iteration = 0
     while True:
         t0 = time.perf_counter()
         iteration += 1
@@ -298,43 +322,38 @@ def run_greedy(oracle, cfg):
         anchor = complex(math.nan, math.nan)
         chosen = complex(math.nan, math.nan)
         flag = False
-        test_calls = 0
         reason = ""
-        pending = None  # (z, value) to append on continuation
+        pending = None  # the solved point joining training on continuation
 
         if rule.kind == "max_count":
             flag = n_samples >= cfg.max_samples
             if flag:
                 reason = "max_count"
             else:
-                chosen, value = pick(sur)
-                pending = (chosen, value)
+                chosen = pending = pick(sur)
         elif rule.kind == "density":
-            chosen, value = pick(sur)
+            chosen = pick(sur)
             logf = np.log10(np.array([s.z.imag for s in trace.samples]))
             gap = float(np.min(np.abs(np.log10(chosen.imag) - logf)))
             flag = gap < rule.min_gap
             if flag:
-                reason = "density"
-                test_calls = 1  # the probe sample is discarded
+                reason = "density"  # the probe sample is discarded
             else:
-                pending = (chosen, value)
+                pending = chosen
         elif rule.kind in ("lookahead", "lookahead_memory"):
             depth = rule.n_memory if rule.kind == "lookahead_memory" else 1
-            chosen, value = pick(sur)
-            anchor = chosen
-            estimator = adjusted_relative_error(value, sur.eval(chosen), cfg.delta)
+            chosen = anchor = pick(sur)
+            estimator = adjusted_relative_error(call(chosen), sur.eval(chosen), cfg.delta)
             flag = estimator < cfg.tol
             if flag:
                 n_memory += 1
                 if n_memory >= depth:
-                    reason = rule.kind
-                    test_calls = 1  # the only wasted sample of the whole run
+                    reason = rule.kind  # the only wasted sample of the whole run
                 else:
-                    pending = (chosen, value)
+                    pending = chosen
             else:
                 n_memory = 0
-                pending = (chosen, value)
+                pending = chosen
         elif rule.kind == "batch":
             ind = cache.indicator(sur)
             pts, errs = [], []
@@ -343,7 +362,6 @@ def run_greedy(oracle, cfg):
                 try:
                     errs.append(adjusted_relative_error(call(z), sur.eval(z), cfg.delta))
                     pts.append(z)
-                    test_calls += 1
                 except ResonanceError:
                     ban(k, ind)
             if errs:
@@ -354,8 +372,7 @@ def run_greedy(oracle, cfg):
             if flag:
                 reason = "batch"
             else:
-                chosen, value = pick(sur, ind)
-                pending = (chosen, value)
+                chosen = pending = pick(sur, ind)
         elif rule.kind == "randomized":
             errs = [
                 adjusted_relative_error(v, sur.eval(z), cfg.delta)
@@ -368,14 +385,11 @@ def run_greedy(oracle, cfg):
             if flag:
                 reason = "randomized"
             else:
-                chosen, value = pick(sur)
-                pending = (chosen, value)
+                chosen = pending = pick(sur)
 
         if not reason and rule.kind != "max_count" and n_samples >= cfg.max_samples:
-            reason = "max_samples"
-            if pending is not None:
-                test_calls += 1  # the pending probe sample is discarded
-                pending = None
+            reason = "max_samples"  # the pending probe sample is discarded
+            pending = None
 
         trace.records.append(
             IterationRecord(
@@ -386,17 +400,23 @@ def run_greedy(oracle, cfg):
                 estimator=estimator,
                 flag=flag,
                 n_memory=n_memory,
-                test_calls=test_calls,
-                oracle_calls=calls,
+                test_calls=0,  # set when the run ends
+                oracle_calls=len(solved),
                 elapsed=time.perf_counter() - t0,
             )
         )
         if reason:
+            # test_calls of iteration i: the solves first made in iteration i
+            # at frequencies that never joined training
+            training = set(trace.sampled_frequencies)
+            wasted = Counter(it for z, (_, it) in solved.items() if z not in training)
+            for rec in trace.records:
+                rec.test_calls = wasted[rec.iteration]
             trace.termination_reason = reason
-            trace.oracle_calls = calls
+            trace.oracle_calls = len(solved)
             return trace
         if pending is not None:
-            take(*pending)
+            take(pending)
 
 
 def estimator_curve(sur, estimate, anchor, grid):

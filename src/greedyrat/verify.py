@@ -69,6 +69,7 @@ class Prop2Report:
     identity_residuals: list
     delta_max: float
     points: list = field(default_factory=list)
+    eps: list = field(default_factory=list)
 
 
 def _coeff_state_sum(sys, sur, gsur):
@@ -109,6 +110,7 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
     btilde = _coeff_state_sum(sys, sur, gsur)
     deltas = []
     residuals = []
+    errs = []
     for z in zs:
         H = sys.eval_transfer(z)
         phi_btilde = sys.C @ sys.solve_pencil(z, btilde)
@@ -118,11 +120,13 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
         denom = max(abs(d), 1e-300)
         deltas.append(d)
         residuals.append(abs(lhs - d) / denom)
+        errs.append(eps)
     return Prop2Report(
         delta=deltas,
         identity_residuals=residuals,
         delta_max=float(np.max(deltas)),
         points=list(zs),
+        eps=errs,
     )
 
 
@@ -136,9 +140,7 @@ def write_report_csv(path, sys, sur, zs, delta, header_lines=()):
             f.write(f"# {line}\n")
         w = csv.writer(f)
         w.writerow(["f", "rho", "absQ", "rho_absQ", "eps", "Delta"])
-        for z, ra, d in zip(zs, p1.rho_absq, p2.delta):
+        for z, ra, eps, d in zip(zs, p1.rho_absq, p2.eps, p2.delta):
             absq = abs(sur.eval_denominator(z))
-            rho = ra / absq
-            eps = adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), delta)
-            w.writerow([z.imag, rho, absq, ra, eps, d])
+            w.writerow([z.imag, ra / absq, absq, ra, eps, d])
     return p1, p2

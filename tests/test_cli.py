@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from greedyrat import make_synthetic
+from greedyrat import DescriptorSystem, adjusted_relative_error, make_synthetic, run_greedy
 from greedyrat.cli import main, parse_config, ConfigError
 
 
@@ -125,6 +125,24 @@ def test_output_dir_defaults_to_config_directory(synthetic_setup, command, artif
     assert not (tmp_path / "out").exists()
 
 
+def test_reply_shape_change_exits_1(synthetic_setup, monkeypatch, capsys):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    eval_transfer = DescriptorSystem.eval_transfer
+    calls = []
+
+    def shrinking(self, z):
+        calls.append(z)
+        H = eval_transfer(self, z)
+        return H[:1] if len(calls) == 3 else H
+
+    monkeypatch.setattr(DescriptorSystem, "eval_transfer", shrinking)
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: oracle reply at z = {calls[2]} has shape (1, 2)")
+    assert "(2, 2)" in err
+
+
 def test_run_is_deterministic(synthetic_setup):
     tmp_path, prefix = synthetic_setup
     cfg_a = write_config(tmp_path, prefix, name="a.cfg", output_dir=str(tmp_path / "a"))
@@ -162,6 +180,27 @@ def test_validate_ledger_matches_rule(synthetic_setup):
     last = rows[-1].strip().split(",")
     samples, cumulative = int(last[1]), int(last[3])
     assert cumulative == samples + 1  # lookahead wastes exactly the final probe
+
+
+def test_verify_csv_eps_matches_direct_recomputation(synthetic_setup):
+    from greedyrat.cli import build_greedy_config
+    from greedyrat.verify import draw_probe_points
+
+    tmp_path, prefix = synthetic_setup
+    cfg_path = write_config(tmp_path, prefix, termination="max_count", max_samples=5, seed=4)
+    assert main(["verify", cfg_path]) == 0
+    rows = read_csv_body(tmp_path / "out" / "verify.csv")
+    assert rows[0].strip() == "f,rho,absQ,rho_absQ,eps,Delta"
+    cfg = build_greedy_config(parse_config(cfg_path))
+    sys = make_synthetic([2j, 8j, 30j, 70j], 0, m=2, p=2)
+    sur = run_greedy(sys, cfg).surrogate
+    zs = draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
+    assert len(rows) == 1 + len(zs)
+    for row, z in zip(rows[1:], zs):
+        cols = row.strip().split(",")
+        eps = adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), cfg.delta)
+        assert cols[0] == str(z.imag)
+        assert cols[4] == str(eps)
 
 
 def test_verify_subcommand(synthetic_setup, capsys):

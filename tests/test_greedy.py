@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_surrogate, rational_11
 from greedyrat import (
     GreedyConfig,
+    GreedyratError,
     GridExhaustedError,
     ResonanceError,
     TerminationRule,
@@ -423,6 +424,117 @@ def test_batch_anchor_skips_resonant_test_point():
     assert rec.anchor in pts[1:]
     err = adjusted_relative_error(sys.eval_transfer(rec.anchor), sur.eval(rec.anchor), cfg.delta)
     assert rec.estimator == err
+
+
+def recording_oracle(oracle, requests):
+    """oracle, with every z it is asked for appended to requests."""
+
+    def recorded(z):
+        requests.append(z)
+        return oracle(z)
+
+    return recorded
+
+
+def first_sample_candidate(cfg):
+    grid = build_test_grid(cfg)
+    return complex(grid[np.argmin(np.abs(grid.imag - math.sqrt(cfg.f_min * cfg.f_max)))])
+
+
+def assert_ledger(trace, cfg):
+    overhead = sum(r.test_calls for r in trace.records)
+    if cfg.termination.kind == "randomized":
+        overhead += cfg.termination.n_random
+    assert trace.oracle_calls == len(trace.samples) + overhead
+
+
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+@pytest.mark.parametrize("kind,kw", RULES)
+def test_no_frequency_is_solved_twice(kind, kw, fitter):
+    requests = []
+    cfg = cfg_with(kind, tol=1e-3, fitter=fitter, **kw)
+    trace = run_greedy(recording_oracle(order4_system().eval_transfer, requests), cfg)
+    assert trace.termination_reason == kind
+    assert len(requests) == len(set(requests))
+    assert trace.oracle_calls == len(requests)
+    assert_ledger(trace, cfg)
+
+
+@pytest.mark.parametrize("kind", ["lookahead", "batch"])
+def test_no_frequency_is_solved_twice_with_resonances(kind):
+    failures, requests = [], []
+    cfg = cfg_with(kind, n_batch=3, tol=1e-3, max_samples=40)
+    trace = run_greedy(recording_oracle(flaky_oracle(order4_system(2), failures), requests), cfg)
+    assert failures and trace.resonances == failures
+    assert len(requests) == len(set(requests))
+    assert trace.oracle_calls == len(requests) - len(failures)
+    assert_ledger(trace, cfg)
+
+
+def test_batch_ledger_charges_each_test_point_once():
+    # the argmax test point joins training without a second solve, and a
+    # point tested in several iterations is charged to the first of them
+    requests = []
+    cfg = cfg_with("batch", n_batch=3, tol=1e-3, max_samples=40)
+    trace = run_greedy(recording_oracle(order4_system().eval_transfer, requests), cfg)
+    grid = build_test_grid(cfg)
+    training = set(trace.sampled_frequencies)
+    tested = []
+    for rec, sur in zip(trace.records, trace.surrogates):
+        sampled = set(trace.sampled_frequencies[: rec.n_samples])
+        pts = batch_test_points(sur, grid, sampled, 3)
+        fresh = [z for z in dict.fromkeys(pts) if z not in tested and z not in training]
+        assert rec.test_calls == len(fresh)
+        tested += pts
+    assert trace.oracle_calls == len(set(tested) | training)
+
+
+@pytest.mark.parametrize("kind,kw", RULES)
+def test_non_finite_replies_are_banned(kind, kw):
+    cfg = cfg_with(kind, tol=1e-3, **kw)
+    grid = build_test_grid(cfg)
+    sys = order4_system()
+    # the first-sample candidate, the grid end every rule tests or picks
+    # first, and the grid point nearest the pole at f = 30
+    near_pole = complex(grid[np.argmin(np.abs(grid.imag - 30))])
+    bad = {first_sample_candidate(cfg), complex(grid[-1]), near_pole}
+    requests = []
+
+    def nan_oracle(z):
+        H = sys.eval_transfer(z)
+        if z in bad:
+            H = H.copy()
+            H[0, 1] = math.nan
+        return H
+
+    trace = run_greedy(recording_oracle(nan_oracle, requests), cfg)
+    assert trace.termination_reason == kind
+    assert trace.resonances == [z for z in requests if z in bad]
+    assert {first_sample_candidate(cfg), complex(grid[-1])} <= set(trace.resonances)
+    assert not (set(trace.sampled_frequencies) & bad)
+    assert trace.oracle_calls == len(requests) - len(trace.resonances)
+    assert_ledger(trace, cfg)
+    if kind == "batch":
+        # the one test point of the first iteration is the NaN grid end
+        first = trace.surrogates[0]
+        assert batch_test_points(first, grid, {trace.samples[0].z}, 3) == [complex(grid[-1])]
+        assert all(not math.isnan(r.estimator) for r in trace.records[1:])
+
+
+def test_reply_shape_change_is_rejected():
+    sys = order4_system()
+    calls = []
+
+    def shrinking(z):
+        calls.append(z)
+        H = sys.eval_transfer(z)
+        return H[:1] if len(calls) == 3 else H
+
+    shapes = r"shape \(1, 2\), but the first reply had shape \(2, 2\)"
+    with pytest.raises(GreedyratError, match=shapes) as info:
+        run_greedy(shrinking, cfg_with("lookahead", tol=1e-3, max_samples=40))
+    assert f"z = {calls[2]}" in str(info.value)
 
 
 def test_safety_cap_applies():

@@ -161,3 +161,19 @@ def test_report_csv(tmp_path):
     assert lines[0] == "f,rho,absQ,rho_absQ,eps,Delta"
     assert len(lines) == 11
     assert p1.max_relative_spread <= 1e-8
+
+
+def test_report_csv_solves_each_probe_once(tmp_path, monkeypatch):
+    from greedyrat.verify import write_report_csv
+
+    sys = probe_system(31)
+    zs = 1j * np.geomspace(1.0, 100.0, 7)
+    sur, _ = fitted_state(sys, zs)
+    pts = draw_probe_points(sur, 1.0, 100.0, 10, seed=0)
+    solved = []
+    eval_transfer = sys.eval_transfer
+    monkeypatch.setattr(sys, "eval_transfer", lambda z: solved.append(z) or eval_transfer(z))
+    p1, p2 = write_report_csv(tmp_path / "verify.csv", sys, sur, pts, 1e-8)
+    assert solved == pts  # check_prop2's solves only; the CSV reuses its eps
+    rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[4]) for r in rows] == p2.eps
