@@ -7,7 +7,8 @@ indicator. Termination rules:
 
   max_count          stop at a fixed sample budget, no error estimate
   density            stop when the next point gets too close (in log10 f)
-                     to an existing sample
+                     to an existing sample; checked before it is solved,
+                     so this rule wastes no sample
   lookahead          1-point error check at the next greedy point; the
                      test sample is reused as the next training sample on
                      failure, so only the terminal sample is "wasted"
@@ -26,7 +27,10 @@ and IterationRecord.test_calls counts the solves first made in that
 iteration at frequencies that never joined training. The first sample
 (and the frozen randomized points) belong to iteration 0, so
 
-  oracle_calls == len(samples) + sum(test_calls) (+ n_random)
+  oracle_calls == len(samples) + sum(test_calls) (+ n_random_solved)
+
+where GreedyTrace.n_random_solved counts the frozen randomized points that
+were solved; a resonant one is dropped and not charged.
 """
 import math
 import time
@@ -121,6 +125,7 @@ class GreedyTrace:
     termination_reason: str = ""
     oracle_calls: int = 0
     resonances: list = field(default_factory=list)
+    n_random_solved: int = 0  # frozen randomized test points kept, each one solve
 
     @property
     def surrogate(self):
@@ -272,17 +277,20 @@ def run_greedy(oracle, cfg):
         if ind is not None:
             ind[k] = -1.0
 
-    def pick(sur, ind=None):
+    def pick(sur, ind=None, halt=None):
         """Next greedy point, solved, skipping resonant grid points.
 
         ``ind`` is this iteration's indicator if already swept; banning a
         point only lowers its own entry, so one sweep serves every retry.
+        A point for which ``halt(z)`` holds is returned unsolved.
         """
         if ind is None:
             ind = cache.indicator(sur)
         while True:
             k = _argmax_index(ind)
             z = complex(grid[k])
+            if halt is not None and halt(z):
+                return z
             try:
                 call(z)
                 return z
@@ -309,6 +317,7 @@ def run_greedy(oracle, cfg):
                 random_pts.append(z)
             except ResonanceError:
                 trace.resonances.append(z)
+        trace.n_random_solved = len(random_pts)
 
     n_memory = 0
     while True:
@@ -332,12 +341,16 @@ def run_greedy(oracle, cfg):
             else:
                 chosen = pending = pick(sur)
         elif rule.kind == "density":
-            chosen = pick(sur)
             logf = np.log10(np.array([s.z.imag for s in trace.samples]))
-            gap = float(np.min(np.abs(np.log10(chosen.imag) - logf)))
-            flag = gap < rule.min_gap
+
+            def too_close(z):
+                return float(np.min(np.abs(np.log10(z.imag) - logf))) < rule.min_gap
+
+            # the gap needs only z, so a point that fails it is never solved
+            chosen = pick(sur, halt=too_close)
+            flag = too_close(chosen)
             if flag:
-                reason = "density"  # the probe sample is discarded
+                reason = "density"
             else:
                 pending = chosen
         elif rule.kind in ("lookahead", "lookahead_memory"):

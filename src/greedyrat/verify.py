@@ -111,9 +111,11 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
     deltas = []
     residuals = []
     errs = []
+    rhs = np.hstack([sys.B, btilde])
     for z in zs:
-        H = sys.eval_transfer(z)
-        phi_btilde = sys.C @ sys.solve_pencil(z, btilde)
+        # one factorization per point serves both H(z) and the Delta numerator
+        X = sys.solve_pencil(complex(z), rhs)
+        H, phi_btilde = sys.C @ X[:, : sys.m], sys.C @ X[:, sys.m :]
         d = float(np.linalg.norm(phi_btilde) / (np.linalg.norm(H) + delta))
         eps = adjusted_relative_error(H, sur.eval(z), delta)
         lhs = eps * abs(sur.eval_denominator(z))

@@ -143,6 +143,20 @@ def test_reply_shape_change_exits_1(synthetic_setup, monkeypatch, capsys):
     assert "(2, 2)" in err
 
 
+def test_dense_a_without_e_file_runs_as_identity_e(synthetic_setup):
+    tmp_path, prefix = synthetic_setup
+    with open(f"{prefix}.A.mtx") as f:
+        assert "array" in f.readline()  # A is stored dense
+    with_e = write_config(tmp_path, prefix, name="with_e.cfg", output_dir=str(tmp_path / "with_e"))
+    assert main(["run", with_e]) == 0
+    os.remove(f"{prefix}.E.mtx")
+    cfg = write_config(tmp_path, prefix)
+    assert main(["run", cfg]) == 0
+    assert main(["verify", cfg]) == 0
+    for name in ("samples.csv", "ledger.csv"):
+        assert read_csv_body(tmp_path / "out" / name) == read_csv_body(tmp_path / "with_e" / name)
+
+
 def test_run_is_deterministic(synthetic_setup):
     tmp_path, prefix = synthetic_setup
     cfg_a = write_config(tmp_path, prefix, name="a.cfg", output_dir=str(tmp_path / "a"))

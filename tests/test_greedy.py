@@ -244,11 +244,11 @@ def test_cost_ledger(kind, kw):
     assert trace.termination_reason == kind
     wasted = sum(r.test_calls for r in trace.records)
     if kind == "randomized":
-        wasted += cfg.termination.n_random
+        wasted += trace.n_random_solved
     assert trace.oracle_calls == len(trace.samples) + wasted
-    if kind in ("lookahead", "lookahead_memory", "density"):
+    if kind in ("lookahead", "lookahead_memory"):
         assert wasted == 1
-    if kind in ("max_count",):
+    if kind in ("max_count", "density"):
         assert wasted == 0
     if kind == "randomized":
         assert wasted == cfg.termination.n_random
@@ -286,12 +286,12 @@ def test_memory_semantics_against_flag_history():
             assert not all(flags[k : k + n_memory])
 
 
-def flaky_oracle(sys, failures):
-    """sys's transfer function, resonant at its first three calls near f = 10."""
+def flaky_oracle(sys, failures, f=10.0):
+    """sys's transfer function, resonant at its first three calls within 0.5 of f."""
 
     def flaky(z):
         H = sys.eval_transfer(z)
-        if 9.5 < z.imag < 10.5 and len(failures) < 3:
+        if abs(z.imag - f) < 0.5 and len(failures) < 3:
             failures.append(z)
             raise ResonanceError(z)
         return H
@@ -444,7 +444,7 @@ def first_sample_candidate(cfg):
 def assert_ledger(trace, cfg):
     overhead = sum(r.test_calls for r in trace.records)
     if cfg.termination.kind == "randomized":
-        overhead += cfg.termination.n_random
+        overhead += trace.n_random_solved
     assert trace.oracle_calls == len(trace.samples) + overhead
 
 
@@ -470,6 +470,35 @@ def test_no_frequency_is_solved_twice_with_resonances(kind):
     assert len(requests) == len(set(requests))
     assert trace.oracle_calls == len(requests) - len(failures)
     assert_ledger(trace, cfg)
+
+
+def test_randomized_ledger_charges_only_solved_random_points():
+    # the first frozen point resonates: it is dropped and not charged
+    failures, requests = [], []
+    cfg = cfg_with("randomized", n_random=9, tol=1e-3, max_samples=40)
+    first = random_test_points(cfg)[0]
+    assert abs(first.imag - 10.0) > 1.0  # away from the first sample
+    oracle = flaky_oracle(order4_system(), failures, first.imag)
+    trace = run_greedy(recording_oracle(oracle, requests), cfg)
+    assert trace.termination_reason == "randomized"
+    assert failures[0] == first and trace.resonances == failures
+    assert trace.n_random_solved == cfg.termination.n_random - 1
+    recorded = sum(r.test_calls for r in trace.records)
+    assert trace.oracle_calls == len(trace.samples) + recorded + trace.n_random_solved
+    assert trace.oracle_calls == len(requests) - len(failures)
+
+
+def test_density_stops_before_solving_the_close_point():
+    requests = []
+    cfg = cfg_with("density", min_gap=0.2, tol=1e-3, max_samples=40)
+    trace = run_greedy(recording_oracle(order4_system().eval_transfer, requests), cfg)
+    assert trace.termination_reason == "density"
+    last = trace.records[-1]
+    logf = np.log10([z.imag for z in trace.sampled_frequencies])
+    assert np.min(np.abs(np.log10(last.chosen.imag) - logf)) < 0.2
+    assert last.chosen not in requests
+    assert [r.test_calls for r in trace.records] == [0] * trace.n_iterations
+    assert trace.oracle_calls == last.oracle_calls == len(trace.samples) == len(requests)
 
 
 def test_batch_ledger_charges_each_test_point_once():

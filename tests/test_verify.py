@@ -171,9 +171,11 @@ def test_report_csv_solves_each_probe_once(tmp_path, monkeypatch):
     sur, _ = fitted_state(sys, zs)
     pts = draw_probe_points(sur, 1.0, 100.0, 10, seed=0)
     solved = []
-    eval_transfer = sys.eval_transfer
-    monkeypatch.setattr(sys, "eval_transfer", lambda z: solved.append(z) or eval_transfer(z))
+    solve_pencil = sys.solve_pencil
+    monkeypatch.setattr(sys, "solve_pencil", lambda z, b: solved.append(z) or solve_pencil(z, b))
     p1, p2 = write_report_csv(tmp_path / "verify.csv", sys, sur, pts, 1e-8)
-    assert solved == pts  # check_prop2's solves only; the CSV reuses its eps
+    # the state samples at the support, then one factorization per probe
+    # point for both H and the Delta numerator; the CSV reuses check_prop2's eps
+    assert solved == list(sur.support) + pts
     rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[4]) for r in rows] == p2.eps
