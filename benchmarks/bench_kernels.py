@@ -7,10 +7,10 @@ the full sweep abs_denominator rebuilds the grid-by-support matrix and
 serves arbitrary grids. The two are timed side by side at the same S.
 The surrogate-value sweep serves eval_grid. The oracle kernel,
 DescriptorSystem.solve_pencil, is timed in ms per solve on each of its
-three paths (banded, SuperLU, dense), on the test tier's small descriptor
-systems (tests/conftest.py): an RLC line of 200 sections with singular E
-and a mass-spring chain of 100 masses, each also densified and with
-random long-range couplings. Each line reports the best of --repeats
+four paths on the test tier's small descriptor systems (tests/conftest.py):
+an RLC line of 200 sections with singular E (tridiagonal) and a
+mass-spring chain of 100 masses (banded), each also densified (dense) and
+with random long-range couplings (SuperLU). Each line reports the best of --repeats
 calls. Set OPENBLAS_NUM_THREADS=1 to time the kernels as the benchmark
 runs them.
 
@@ -75,7 +75,7 @@ def main():
         t = timeit(lambda: kernels.eval_sweep(grid, support, coeffs, values), args.repeats)
         print(f"{'eval_sweep':<25}{s:>4}{f'{p} x {m}':>8}{1e3 * t:>12.3f}")
 
-    print(f"\n{'solve_pencil':<25}{'path':>8}{'n':>6}{'ms/solve':>12}")
+    print(f"\n{'solve_pencil':<25}{'path':>12}{'n':>6}{'ms/solve':>12}")
     for name, make, z in (("line", rlc_line, 2j * np.pi * 1e9), ("chain", spring_chain, 0.3j)):
         for label, system in (
             (name, make()),
@@ -83,7 +83,7 @@ def main():
             (f"{name}, densified", densified(make())),
         ):
             t = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
-            print(f"{label:<25}{system.pencil_path:>8}{system.n:>6}{1e3 * t:>12.3f}")
+            print(f"{label:<25}{system.pencil_path:>12}{system.n:>6}{1e3 * t:>12.3f}")
 
 
 if __name__ == "__main__":

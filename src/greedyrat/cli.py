@@ -8,8 +8,14 @@ Subcommands:
                                          dense ground-truth sweep; writes
                                          validation.csv (expensive: one
                                          high-fidelity solve per grid point)
-  greedyrat verify <config>              runs the intrusive residual/error
-                                         identity checks; writes verify.csv
+  greedyrat verify <config> [surrogate.json]
+                                         runs the intrusive residual/error
+                                         identity checks; writes verify.csv.
+                                         Given the surrogate that run wrote,
+                                         checks that surrogate (its support
+                                         values must match this system);
+                                         without it, runs the greedy loop
+                                         first
 
 Config files are flat ``key = value`` text; see ``CONFIG_KEYS`` for the
 accepted keys. Frequencies are serialized as the positive real f of
@@ -36,6 +42,14 @@ from .greedy import (
     run_greedy,
 )
 from .system_model import load_matrix_market
+
+# Largest adjusted relative error between a loaded surrogate's support
+# values and C G(z_j) re-solved on the configured system. `run` stored
+# exactly those products, so the same system repeats them up to rounding
+# (solves of the lightly damped n = 3000 chain differ by about 4e-12
+# between factorizer paths), while a surrogate fitted to another system
+# misses by order one.
+SUPPORT_MATCH_TOL = 1e-8
 
 CONFIG_KEYS = {
     "system": str,
@@ -102,6 +116,11 @@ def _load(loader, path):
         return loader(path)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from exc
+
+
+def _load_surrogate(path):
+    """The surrogate and its metadata from a surrogate.json that `run` wrote."""
+    return _load(BarycentricSurrogate.load, path), _load(load_surrogate_metadata, path)
 
 
 def _prepare(args):
@@ -173,8 +192,7 @@ def cmd_run(args):
 
 def cmd_validate(args):
     cfg, system, outdir = _prepare(args)
-    sur = _load(BarycentricSurrogate.load, args.surrogate)
-    meta = _load(load_surrogate_metadata, args.surrogate)
+    sur, meta = _load_surrogate(args.surrogate)
     grid = build_test_grid(cfg)
     approx = sur.eval_grid(grid)
     eta = np.full(grid.size, math.nan)
@@ -204,10 +222,31 @@ def cmd_validate(args):
     return 0
 
 
+def _check_support_values(sur, gsur, system, delta, path):
+    """Reject a loaded surrogate whose support values are not this system's C G(z_j)."""
+    if sur.output_shape != (system.p, system.m):
+        raise ConfigError(
+            f"{path}: surrogate blocks are {sur.output_shape}, the system's are "
+            f"{(system.p, system.m)}"
+        )
+    for z, H, G in zip(sur.support, sur.values, gsur.values):
+        err = adjusted_relative_error(system.C @ G, H, delta)
+        if not err <= SUPPORT_MATCH_TOL:
+            raise ConfigError(
+                f"{path} does not match the system: at f = {z.imag:.6g} its support value "
+                f"differs from C G(z) by {err:.3e} (tolerance {SUPPORT_MATCH_TOL:g})"
+            )
+
+
 def cmd_verify(args):
     cfg, system, outdir = _prepare(args)
-    trace = run_greedy(system, cfg)
-    sur = trace.surrogate
+    if args.surrogate is None:
+        sur = run_greedy(system, cfg).surrogate
+        gsur = None
+    else:
+        sur, _ = _load_surrogate(args.surrogate)
+        gsur = verify_mod.state_surrogate(sur, system)
+        _check_support_values(sur, gsur, system, cfg.delta, args.surrogate)
     zs = verify_mod.draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
     p1, p2 = verify_mod.write_report_csv(
         os.path.join(outdir, "verify.csv"),
@@ -216,6 +255,7 @@ def cmd_verify(args):
         zs,
         cfg.delta,
         header_lines=_timestamp_lines(),
+        gsur=gsur,
     )
     print(
         f"gamma = {p1.gamma_estimate:.6e} (formula {p1.gamma_formula:.6e}), "
@@ -238,6 +278,7 @@ def main(argv=None):
     p_val.add_argument("surrogate")
     p_ver = sub.add_parser("verify", help="intrusive residual/error identity checks")
     p_ver.add_argument("config")
+    p_ver.add_argument("surrogate", nargs="?", help="surrogate.json written by run")
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "validate": cmd_validate, "verify": cmd_verify}
     try:

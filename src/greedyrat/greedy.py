@@ -387,9 +387,9 @@ def run_greedy(oracle, cfg):
             else:
                 chosen = pending = pick(sur, ind)
         elif rule.kind == "randomized":
+            approx = sur.eval_grid(random_pts)
             errs = [
-                adjusted_relative_error(v, sur.eval(z), cfg.delta)
-                for z, v in zip(random_pts, random_vals)
+                adjusted_relative_error(v, a, cfg.delta) for v, a in zip(random_vals, approx)
             ]
             j = int(np.argmax(errs))
             estimator = errs[j]

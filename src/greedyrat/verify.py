@@ -34,11 +34,15 @@ def state_surrogate(sur, sys):
     return BarycentricSurrogate(sur.support, values, sur.coeffs)
 
 
+def _residual(sys, gsur, z):
+    """The residual r = (zE - A) G~(z) - B and rho = ||r||_F / ||B||_F."""
+    r = (z * sys.E - sys.A) @ gsur.eval(z) - sys.B
+    return r, float(np.linalg.norm(r) / np.linalg.norm(sys.B))
+
+
 def residual_norm(sys, gsur, z):
     """rho = ||(zE - A) G~(z) - B||_F / ||B||_F."""
-    G = gsur.eval(z)
-    r = (z * sys.E - sys.A) @ G - sys.B
-    return float(np.linalg.norm(r) / np.linalg.norm(sys.B))
+    return _residual(sys, gsur, z)[1]
 
 
 def draw_probe_points(sur, f_min, f_max, count, seed=0):
@@ -87,9 +91,8 @@ def check_prop1(sys, sur, zs, gsur=None):
     ident = []
     for z in zs:
         q = sur.eval_denominator(z)
-        rho = residual_norm(sys, gsur, z)
+        r, rho = _residual(sys, gsur, z)
         prods.append(rho * abs(q))
-        r = (z * sys.E - sys.A) @ gsur.eval(z) - sys.B
         ident.append(np.linalg.norm(q * r - rhs) / rhs_norm)
     prods = np.array(prods)
     mean = float(prods.mean())
@@ -132,9 +135,9 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
     )
 
 
-def write_report_csv(path, sys, sur, zs, delta, header_lines=()):
+def write_report_csv(path, sys, sur, zs, delta, header_lines=(), gsur=None):
     """Per-point CSV with columns f, rho, absQ, rho_absQ, eps, Delta."""
-    gsur = state_surrogate(sur, sys)
+    gsur = gsur or state_surrogate(sur, sys)
     p1 = check_prop1(sys, sur, zs, gsur=gsur)
     p2 = check_prop2(sys, sur, zs, delta, gsur=gsur)
     with open(path, "w", newline="") as f:

@@ -93,15 +93,24 @@ NOT_MTX = "not a matrix market file\n"
         ("verify", "sys.A.mtx", NOT_MTX),
         ("validate", "surrogate.json", "{not json"),
         ("validate", "surrogate.json", '{"shape": 3}'),
+        ("verify", "surrogate.json", "{not json"),
     ],
-    ids=["run-matrix", "validate-matrix", "verify-matrix", "validate-json", "validate-shape"],
+    ids=[
+        "run-matrix",
+        "validate-matrix",
+        "verify-matrix",
+        "validate-json",
+        "validate-shape",
+        "verify-json",
+    ],
 )
 def test_malformed_input_file_exits_1(synthetic_setup, capsys, command, bad_file, text):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix)
     (tmp_path / bad_file).write_text(text)
     sur_path = str(tmp_path / "surrogate.json")
-    args = [command, cfg] + ([sur_path] if command == "validate" else [])
+    with_surrogate = command == "validate" or bad_file == "surrogate.json"
+    args = [command, cfg] + ([sur_path] if with_surrogate else [])
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load ")
@@ -228,3 +237,39 @@ def test_verify_subcommand(synthetic_setup, capsys):
     assert (tmp_path / "out" / "verify.csv").exists()
     out = capsys.readouterr().out
     assert "gamma" in out and "Delta_max" in out
+
+
+def test_verify_reads_the_surrogate_run_wrote(synthetic_setup, monkeypatch):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=5, seed=4)
+    out = tmp_path / "out"
+    assert main(["run", cfg]) == 0
+    assert main(["verify", cfg]) == 0
+    from_config = read_csv_body(out / "verify.csv")
+
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("verify re-ran the greedy loop")
+
+    monkeypatch.setattr("greedyrat.cli.run_greedy", no_rerun)
+    assert main(["verify", cfg, str(out / "surrogate.json")]) == 0
+    assert read_csv_body(out / "verify.csv") == from_config
+
+
+@pytest.mark.parametrize(
+    "ports, message", [(2, "does not match the system"), (1, "surrogate blocks are (1, 1)")]
+)
+def test_verify_rejects_a_surrogate_of_another_system(synthetic_setup, capsys, ports, message):
+    tmp_path, prefix = synthetic_setup
+    other = make_synthetic([3j, 9j, 31j, 71j], 0, m=ports, p=ports)
+    other_prefix = str(tmp_path / "other")
+    other.save_matrix_market(other_prefix)
+    other_cfg = write_config(
+        tmp_path, other_prefix, name="other.cfg", output_dir=str(tmp_path / "other_out")
+    )
+    assert main(["run", other_cfg]) == 0
+    cfg = write_config(tmp_path, prefix)
+    sur_path = str(tmp_path / "other_out" / "surrogate.json")
+    assert main(["verify", cfg, sur_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out" / "verify.csv").exists()

@@ -1,8 +1,9 @@
 """Sparse descriptor systems: the pencil paths and the paper's identities.
 
-The RLC line (singular E) and the mass-spring chain from conftest are
-banded after a reverse Cuthill-McKee ordering; the same systems densified
-take the dense path, and long-range couplings push one onto SuperLU.
+After a reverse Cuthill-McKee ordering the RLC line (singular E) from
+conftest is tridiagonal and the mass-spring chain is banded; the same
+systems densified take the dense path, and long-range couplings push one
+onto SuperLU.
 """
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ CHAIN = (spring_chain, 1e-2, 1.0)
 
 
 PATH_CASES = {
-    "line-banded": (rlc_line, LINE),
+    "line-tridiagonal": (rlc_line, LINE),
     "chain-banded": (spring_chain, CHAIN),
     "line-dense": (lambda: densified(rlc_line()), LINE),
     "chain-dense": (lambda: densified(spring_chain()), CHAIN),
@@ -79,12 +80,17 @@ def test_banded_path_bandwidth_is_the_structures():
 def triangular_system(n, wide, kind):
     """E = I and upper-triangular A with diagonal 1j*(1..n): exact poles at 1j*k.
 
-    A is bidiagonal, plus entries at random pairs above the diagonal if wide.
+    A is bidiagonal, plus a second superdiagonal for the banded kind (the
+    bidiagonal alone is tridiagonal), and entries at random pairs above the
+    diagonal if wide.
     """
     rng = np.random.default_rng(3)
     A = sp.diags(1j * np.arange(1.0, n + 1), format="csc")
     i = np.arange(n - 1)
     A = A + sp.csc_matrix((rng.uniform(0.5, 2.0, n - 1), (i, i + 1)), shape=(n, n))
+    if kind == "banded":
+        i = np.arange(n - 2)
+        A = A + sp.csc_matrix((rng.uniform(0.5, 2.0, n - 2), (i, i + 2)), shape=(n, n))
     if wide:
         i, j = random_pairs(n, n // 2, rng)
         A = A + sp.csc_matrix((rng.uniform(0.5, 2.0, i.size), (i, j)), shape=(n, n))
@@ -94,7 +100,9 @@ def triangular_system(n, wide, kind):
     return DescriptorSystem(sp.identity(n, format="csc"), A, B, C)
 
 
-@pytest.mark.parametrize("kind,wide", [("banded", False), ("sparse", True), ("dense", True)])
+@pytest.mark.parametrize(
+    "kind,wide", [("tridiagonal", False), ("banded", False), ("sparse", True), ("dense", True)]
+)
 def test_exact_pole_raises_resonance_on_every_path(kind, wide):
     sys = triangular_system(200, wide, kind)
     assert sys.pencil_path == kind
@@ -103,6 +111,27 @@ def test_exact_pole_raises_resonance_on_every_path(kind, wide):
             sys.eval_transfer(1j * k)
         assert err.value.z == 1j * k
     assert np.all(np.isfinite(sys.eval_transfer(17.5j)))
+
+
+@pytest.mark.parametrize("n,path", [(3, "tridiagonal"), (2, "banded")])
+def test_smallest_tridiagonal_pencils(n, path):
+    # scipy's gttrf wrapper needs n >= 3; smaller pencils stay banded
+    rng = np.random.default_rng(4)
+    E = sp.diags(rng.uniform(0.5, 2.0, n), format="csc")
+    A = sp.diags(
+        [rng.uniform(0.5, 2.0, n - 1), -rng.uniform(1.0, 2.0, n), rng.uniform(0.5, 2.0, n - 1)],
+        [-1, 0, 1],
+        format="csc",
+    )
+    sys = DescriptorSystem(E, A, np.ones((n, 2)), np.ones((1, n)))
+    assert sys.pencil_path == path
+    rhs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    z = 0.7j
+    ref = np.linalg.solve(z * E.toarray() - A.toarray(), rhs)
+    assert np.allclose(sys.solve_pencil(z, rhs), ref, rtol=1e-12, atol=0)
+    vec = sys.solve_pencil(z, rhs[:, 1])
+    assert vec.shape == (n,)
+    assert np.allclose(vec, ref[:, 1], rtol=1e-12, atol=0)
 
 
 def test_missing_e_with_dense_a_is_the_identity():

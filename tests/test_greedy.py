@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_surrogate, rational_11
 from greedyrat import (
+    BarycentricSurrogate,
     GreedyConfig,
     GreedyratError,
     GridExhaustedError,
@@ -486,6 +487,35 @@ def test_randomized_ledger_charges_only_solved_random_points():
     recorded = sum(r.test_calls for r in trace.records)
     assert trace.oracle_calls == len(trace.samples) + recorded + trace.n_random_solved
     assert trace.oracle_calls == len(requests) - len(failures)
+
+
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+def test_randomized_sweeps_the_frozen_points_once_per_iteration(monkeypatch, fitter):
+    sys = order4_system()
+    cfg = cfg_with("randomized", n_random=9, tol=1e-3, max_samples=40, fitter=fitter)
+    sweeps = []
+    eval_grid = BarycentricSurrogate.eval_grid
+
+    def counted(self, grid):
+        sweeps.append(len(grid))
+        return eval_grid(self, grid)
+
+    def pointwise(self, z):
+        raise AssertionError("randomized evaluated the surrogate point by point")
+
+    monkeypatch.setattr(BarycentricSurrogate, "eval_grid", counted)
+    monkeypatch.setattr(BarycentricSurrogate, "eval", pointwise)
+    trace = run_greedy(sys, cfg)
+    monkeypatch.undo()
+    assert sweeps == [cfg.termination.n_random] * trace.n_iterations
+    # the sweep sums in another order than eval: agreement to rounding, and
+    # to an absolute 1e-15 where the estimate itself is at rounding level
+    pts = random_test_points(cfg)
+    for rec, sur in zip(trace.records, trace.surrogates):
+        ref = max(
+            adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), cfg.delta) for z in pts
+        )
+        assert rec.estimator == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 def test_density_stops_before_solving_the_close_point():

@@ -179,3 +179,16 @@ def test_report_csv_solves_each_probe_once(tmp_path, monkeypatch):
     assert solved == list(sur.support) + pts
     rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[4]) for r in rows] == p2.eps
+
+
+def test_prop1_forms_each_residual_once(monkeypatch):
+    sys = probe_system(32)
+    zs = 1j * np.geomspace(1.0, 100.0, 7)
+    sur, gsur = fitted_state(sys, zs)
+    pts = draw_probe_points(sur, 1.0, 100.0, 10, seed=0)
+    evaluated = []
+    unpatched = gsur.eval
+    monkeypatch.setattr(gsur, "eval", lambda z: evaluated.append(z) or unpatched(z))
+    p1 = check_prop1(sys, sur, pts, gsur=gsur)
+    assert evaluated == pts
+    assert p1.rho_absq == [residual_norm(sys, gsur, z) * abs(sur.eval_denominator(z)) for z in pts]
