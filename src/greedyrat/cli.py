@@ -10,12 +10,11 @@ Subcommands:
                                          high-fidelity solve per grid point)
   greedyrat verify <config> [surrogate.json]
                                          runs the intrusive residual/error
-                                         identity checks; writes verify.csv.
-                                         Given the surrogate that run wrote,
-                                         checks that surrogate (its support
-                                         values must match this system);
-                                         without it, runs the greedy loop
-                                         first
+                                         identity checks on a surrogate
+                                         (default: <output_dir>/surrogate.json,
+                                         the one run wrote), whose support
+                                         values must match this system;
+                                         writes verify.csv
 
 Config files are flat ``key = value`` text; see ``CONFIG_KEYS`` for the
 accepted keys. Frequencies are serialized as the positive real f of
@@ -147,8 +146,7 @@ def _open_csv(path):
     return f
 
 
-def write_run_artifacts(trace, cfg, outdir):
-    os.makedirs(outdir, exist_ok=True)
+def write_run_artifacts(trace, outdir):
     with _open_csv(os.path.join(outdir, "samples.csv")) as f:
         w = csv.writer(f)
         w.writerow(["iteration", "f", "anchor_re", "anchor_im", "estimator", "flag"])
@@ -182,7 +180,7 @@ def write_run_artifacts(trace, cfg, outdir):
 def cmd_run(args):
     cfg, system, outdir = _prepare(args)
     trace = run_greedy(system, cfg)
-    write_run_artifacts(trace, cfg, outdir)
+    write_run_artifacts(trace, outdir)
     print(
         f"terminated: {trace.termination_reason} after {trace.n_iterations} iterations, "
         f"{len(trace.samples)} samples, {trace.oracle_calls} oracle calls"
@@ -240,13 +238,10 @@ def _check_support_values(sur, gsur, system, delta, path):
 
 def cmd_verify(args):
     cfg, system, outdir = _prepare(args)
-    if args.surrogate is None:
-        sur = run_greedy(system, cfg).surrogate
-        gsur = None
-    else:
-        sur, _ = _load_surrogate(args.surrogate)
-        gsur = verify_mod.state_surrogate(sur, system)
-        _check_support_values(sur, gsur, system, cfg.delta, args.surrogate)
+    path = args.surrogate or os.path.join(outdir, "surrogate.json")
+    sur, _ = _load_surrogate(path)
+    gsur = verify_mod.state_surrogate(sur, system)
+    _check_support_values(sur, gsur, system, cfg.delta, path)
     zs = verify_mod.draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
     p1, p2 = verify_mod.write_report_csv(
         os.path.join(outdir, "verify.csv"),
@@ -278,7 +273,11 @@ def main(argv=None):
     p_val.add_argument("surrogate")
     p_ver = sub.add_parser("verify", help="intrusive residual/error identity checks")
     p_ver.add_argument("config")
-    p_ver.add_argument("surrogate", nargs="?", help="surrogate.json written by run")
+    p_ver.add_argument(
+        "surrogate",
+        nargs="?",
+        help="surrogate.json written by run (default: <output_dir>/surrogate.json)",
+    )
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "validate": cmd_validate, "verify": cmd_verify}
     try:

@@ -72,25 +72,29 @@ def fit_loewner(part):
     frequency and takes the unit-norm minimizer of the residual, i.e. the
     right singular vector of the smallest singular value.
     """
-    zsup = np.array([x.z for x in part.support])
-    vsup = np.array([x.value for x in part.support])
-    L = loewner_matrix(part)
+    zsup, vsup = _stack(part.support)
+    L = _loewner(zsup, vsup, part.test)
     q = _normalize_phase(_smallest_right_singular_vector(L, zsup.size))
     return BarycentricSurrogate(zsup, vsup, q)
 
 
 def loewner_matrix(part):
     """The stacked Loewner system matrix (exposed for diagnostics/tests)."""
-    sup = part.support
-    s = len(sup)
-    zsup = np.array([x.z for x in sup])
-    vsup = np.array([x.value for x in sup])
-    p, m = vsup.shape[1], vsup.shape[2]
-    rows = []
-    for t in part.test:
-        block = (t.value[None, :, :] - vsup) / (t.z - zsup)[:, None, None]
-        rows.append(block.reshape(s, p * m).T)
-    return np.vstack(rows) if rows else np.empty((0, s), dtype=np.complex128)
+    return _loewner(*_stack(part.support), part.test)
+
+
+def _stack(samples):
+    """Frequencies and value blocks of the samples as two arrays."""
+    return np.array([x.z for x in samples]), np.array([x.value for x in samples])
+
+
+def _loewner(zsup, vsup, test):
+    """Block row l holds vec((H(z'_l) - H(z_j)) / (z'_l - z_j)) over the support j."""
+    s, p, m = vsup.shape
+    ztest = np.array([t.z for t in test], dtype=np.complex128)
+    vtest = np.array([t.value for t in test]).reshape(-1, p, m)
+    blocks = (vtest[:, None] - vsup) / (ztest[:, None] - zsup)[:, :, None, None]
+    return blocks.transpose(0, 2, 3, 1).reshape(-1, s)
 
 
 def fit_mri(samples):

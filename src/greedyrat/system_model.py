@@ -26,6 +26,7 @@ solves. The path is fixed by the structure of E and A alone:
 Every path raises ResonanceError when a pivot of U vanishes or falls below
 RCOND_MIN times the largest one.
 """
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,8 +345,6 @@ class DescriptorSystem:
 
 
 def _read_mtx(path):
-    import os
-
     if not os.path.exists(path):
         raise FileNotFoundError(f"matrix file not found: {path}")
     try:
@@ -357,29 +356,14 @@ def _read_mtx(path):
     return np.asarray(M, dtype=np.complex128)
 
 
-def load_matrix_market(prefix=None, *, E=None, A=None, B=None, C=None):
-    """Load a DescriptorSystem from Matrix Market files.
-
-    Either pass a ``prefix`` resolving to ``<prefix>.E.mtx`` etc., or the
-    four paths explicitly. A missing E file means E = identity.
+def load_matrix_market(prefix):
+    """Load a DescriptorSystem from ``<prefix>.E.mtx``, ``.A.mtx``, ``.B.mtx``
+    and ``.C.mtx``. A missing E file means E = identity.
     """
-    if prefix is not None:
-        A = A or f"{prefix}.A.mtx"
-        B = B or f"{prefix}.B.mtx"
-        C = C or f"{prefix}.C.mtx"
-        if E is None:
-            cand = f"{prefix}.E.mtx"
-            import os
-
-            E = cand if os.path.exists(cand) else None
-    if A is None or B is None or C is None:
-        raise ValueError("A, B and C files are all required")
-    Em = _read_mtx(E) if E is not None else None
-    Am, Bm, Cm = _read_mtx(A), _read_mtx(B), _read_mtx(C)
-    if sp.issparse(Bm):
-        Bm = Bm.toarray()
-    if sp.issparse(Cm):
-        Cm = Cm.toarray()
+    e_path = f"{prefix}.E.mtx"
+    Em = _read_mtx(e_path) if os.path.exists(e_path) else None
+    Am, Bm, Cm = (_read_mtx(f"{prefix}.{name}.mtx") for name in "ABC")
+    Bm, Cm = (M.toarray() if sp.issparse(M) else M for M in (Bm, Cm))
     return DescriptorSystem(Em, Am, np.atleast_2d(Bm), np.atleast_2d(Cm))
 
 

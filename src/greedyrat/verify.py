@@ -36,7 +36,9 @@ def state_surrogate(sur, sys):
 
 def _residual(sys, gsur, z):
     """The residual r = (zE - A) G~(z) - B and rho = ||r||_F / ||B||_F."""
-    r = (z * sys.E - sys.A) @ gsur.eval(z) - sys.B
+    # Multiplying E and A by the n-by-m block G skips assembling the n-by-n pencil.
+    G = gsur.eval(z)
+    r = z * (sys.E @ G) - sys.A @ G - sys.B
     return r, float(np.linalg.norm(r) / np.linalg.norm(sys.B))
 
 

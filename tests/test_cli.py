@@ -129,6 +129,8 @@ def test_output_dir_defaults_to_config_directory(synthetic_setup, command, artif
         termination="max_count",
         max_samples=7,
     )
+    if command == "verify":
+        assert main(["run", cfg]) == 0
     assert main([command, cfg]) == 0
     assert (tmp_path / "cfg" / artifact).exists()
     assert not (tmp_path / "out").exists()
@@ -211,6 +213,7 @@ def test_verify_csv_eps_matches_direct_recomputation(synthetic_setup):
 
     tmp_path, prefix = synthetic_setup
     cfg_path = write_config(tmp_path, prefix, termination="max_count", max_samples=5, seed=4)
+    assert main(["run", cfg_path]) == 0
     assert main(["verify", cfg_path]) == 0
     rows = read_csv_body(tmp_path / "out" / "verify.csv")
     assert rows[0].strip() == "f,rho,absQ,rho_absQ,eps,Delta"
@@ -233,6 +236,7 @@ def test_verify_subcommand(synthetic_setup, capsys):
     prefix8 = str(tmp_path / "sys8")
     sys.save_matrix_market(prefix8)
     cfg = write_config(tmp_path, prefix8, termination="max_count", max_samples=7)
+    assert main(["run", cfg]) == 0
     assert main(["verify", cfg]) == 0
     assert (tmp_path / "out" / "verify.csv").exists()
     out = capsys.readouterr().out
@@ -244,15 +248,25 @@ def test_verify_reads_the_surrogate_run_wrote(synthetic_setup, monkeypatch):
     cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=5, seed=4)
     out = tmp_path / "out"
     assert main(["run", cfg]) == 0
-    assert main(["verify", cfg]) == 0
-    from_config = read_csv_body(out / "verify.csv")
 
     def no_rerun(*args, **kwargs):
         raise AssertionError("verify re-ran the greedy loop")
 
     monkeypatch.setattr("greedyrat.cli.run_greedy", no_rerun)
+    assert main(["verify", cfg]) == 0
+    from_config = read_csv_body(out / "verify.csv")
     assert main(["verify", cfg, str(out / "surrogate.json")]) == 0
     assert read_csv_body(out / "verify.csv") == from_config
+
+
+def test_verify_without_a_run_names_the_missing_surrogate(synthetic_setup, capsys):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    assert main(["verify", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(tmp_path / "out" / "surrogate.json") in err
+    assert not (tmp_path / "out" / "verify.csv").exists()
 
 
 @pytest.mark.parametrize(
