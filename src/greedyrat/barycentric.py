@@ -167,15 +167,12 @@ class BarycentricSurrogate:
 
     @classmethod
     def load(cls, path):
+        """The surrogate saved at path, and the extra keys save wrote beside it."""
         with open(path) as f:
-            return cls.from_dict(json.load(f))
-
-
-def load_surrogate_metadata(path):
-    """Non-surrogate keys stored alongside a saved surrogate."""
-    with open(path) as f:
-        d = json.load(f)
-    return {k: v for k, v in d.items() if k not in ("support", "coeffs", "shape", "values")}
+            d = json.load(f)
+        sur = cls.from_dict(d)
+        own = sur.to_dict()
+        return sur, {k: v for k, v in d.items() if k not in own}
 
 
 def _c2pairs(arr):

@@ -4,33 +4,37 @@ Subcommands:
 
   greedyrat run <config>                 adaptive sampling; writes
                                          samples.csv, ledger.csv, surrogate.json
-  greedyrat validate <config> <surrogate.json>
-                                         dense ground-truth sweep; writes
-                                         validation.csv (expensive: one
-                                         high-fidelity solve per grid point)
+  greedyrat validate <config> [surrogate.json]
+                                         dense ground-truth sweep of a
+                                         surrogate; writes validation.csv
+                                         (expensive: one high-fidelity
+                                         solve per grid point)
   greedyrat verify <config> [surrogate.json]
                                          runs the intrusive residual/error
-                                         identity checks on a surrogate
-                                         (default: <output_dir>/surrogate.json,
-                                         the one run wrote), whose support
-                                         values must match this system;
-                                         writes verify.csv
+                                         identity checks on a surrogate,
+                                         whose support values must match
+                                         this system; writes verify.csv
 
-Config files are flat ``key = value`` text; see ``CONFIG_KEYS`` for the
-accepted keys. Frequencies are serialized as the positive real f of
-z = i*f.
+validate and verify read <output_dir>/surrogate.json, the file run wrote,
+unless they are given another path.
+
+Config files are flat ``key = value`` text. The keys are the fields of
+``GreedyConfig`` and of its ``TerminationRule`` (whose ``kind`` is spelled
+``termination``), plus ``system`` and ``output_dir``; see ``CONFIG_KEYS``.
+Frequencies are serialized as the positive real f of z = i*f.
 """
 import argparse
 import csv
 import math
 import os
 import sys as _sys
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import verify as verify_mod
-from .barycentric import BarycentricSurrogate, load_surrogate_metadata
+from .barycentric import BarycentricSurrogate
 from .errors import GreedyratError, ResonanceError
 from .greedy import (
     GreedyConfig,
@@ -50,23 +54,21 @@ from .system_model import load_matrix_market
 # misses by order one.
 SUPPORT_MATCH_TOL = 1e-8
 
+# Each GreedyConfig field but `termination` is the config key of its name;
+# in its place stand the TerminationRule fields, the rule's `kind` under
+# the key `termination`.
+_CFG_FIELDS = {f.name: f for f in fields(GreedyConfig) if f.name != "termination"}
+_RULE_FIELDS = {("termination" if f.name == "kind" else f.name): f for f in fields(TerminationRule)}
+
 CONFIG_KEYS = {
     "system": str,
-    "f_min": float,
-    "f_max": float,
-    "grid_size": int,
-    "tol": float,
-    "delta": float,
-    "fitter": str,
-    "termination": str,
-    "n_memory": int,
-    "n_batch": int,
-    "n_random": int,
-    "min_gap": float,
-    "max_samples": int,
-    "seed": int,
+    **{key: f.type for key, f in {**_CFG_FIELDS, **_RULE_FIELDS}.items()},
     "output_dir": str,
 }
+
+_REQUIRED_KEYS = ["system"] + [
+    key for key, f in _CFG_FIELDS.items() if f.default is MISSING and f.default_factory is MISSING
+]
 
 
 class ConfigError(GreedyratError):
@@ -90,7 +92,7 @@ def parse_config(path):
                 raw[key] = CONFIG_KEYS[key](value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    for key in ("system", "f_min", "f_max"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
     return raw
@@ -98,11 +100,8 @@ def parse_config(path):
 
 def build_greedy_config(raw):
     """GreedyConfig from parsed keys; absent keys take the dataclass defaults."""
-    rule_kwargs = {k: raw[k] for k in ("n_memory", "n_batch", "n_random", "min_gap") if k in raw}
-    if "termination" in raw:
-        rule_kwargs["kind"] = raw["termination"]
-    cfg_keys = ("f_min", "f_max", "grid_size", "tol", "delta", "fitter", "max_samples", "seed")
-    cfg_kwargs = {k: raw[k] for k in cfg_keys if k in raw}
+    rule_kwargs = {f.name: raw[key] for key, f in _RULE_FIELDS.items() if key in raw}
+    cfg_kwargs = {key: raw[key] for key in _CFG_FIELDS if key in raw}
     try:
         return GreedyConfig(termination=TerminationRule(**rule_kwargs), **cfg_kwargs)
     except ValueError as exc:
@@ -117,9 +116,14 @@ def _load(loader, path):
         raise ConfigError(f"cannot load {path}: {exc}") from exc
 
 
-def _load_surrogate(path):
-    """The surrogate and its metadata from a surrogate.json that `run` wrote."""
-    return _load(BarycentricSurrogate.load, path), _load(load_surrogate_metadata, path)
+def _load_surrogate(args, outdir):
+    """(path, surrogate, run metadata) of the surrogate a command works on.
+
+    That is the optional positional path, else <output_dir>/surrogate.json,
+    the file `run` wrote.
+    """
+    path = args.surrogate or os.path.join(outdir, "surrogate.json")
+    return (path, *_load(BarycentricSurrogate.load, path))
 
 
 def _prepare(args):
@@ -190,7 +194,7 @@ def cmd_run(args):
 
 def cmd_validate(args):
     cfg, system, outdir = _prepare(args)
-    sur, meta = _load_surrogate(args.surrogate)
+    _, sur, meta = _load_surrogate(args, outdir)
     grid = build_test_grid(cfg)
     approx = sur.eval_grid(grid)
     eta = np.full(grid.size, math.nan)
@@ -238,8 +242,7 @@ def _check_support_values(sur, gsur, system, delta, path):
 
 def cmd_verify(args):
     cfg, system, outdir = _prepare(args)
-    path = args.surrogate or os.path.join(outdir, "surrogate.json")
-    sur, _ = _load_surrogate(path)
+    path, sur, _ = _load_surrogate(args, outdir)
     gsur = verify_mod.state_surrogate(sur, system)
     _check_support_values(sur, gsur, system, cfg.delta, path)
     zs = verify_mod.draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
@@ -268,16 +271,12 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run the adaptive sampling loop")
     p_run.add_argument("config")
+    surrogate_help = "surrogate.json written by run (default: <output_dir>/surrogate.json)"
     p_val = sub.add_parser("validate", help="dense exact sweep against a saved surrogate")
-    p_val.add_argument("config")
-    p_val.add_argument("surrogate")
     p_ver = sub.add_parser("verify", help="intrusive residual/error identity checks")
-    p_ver.add_argument("config")
-    p_ver.add_argument(
-        "surrogate",
-        nargs="?",
-        help="surrogate.json written by run (default: <output_dir>/surrogate.json)",
-    )
+    for p in (p_val, p_ver):
+        p.add_argument("config")
+        p.add_argument("surrogate", nargs="?", help=surrogate_help)
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "validate": cmd_validate, "verify": cmd_verify}
     try:

@@ -20,8 +20,7 @@ solves. The path is fixed by the structure of E and A alone:
   banded   sparse, with half-bandwidth at most BAND_MAX after the RCM
            ordering: E and A are scattered once into LAPACK band storage,
            and each frequency costs one axpy, gbtrf and gbtrs
-  sparse   sparse with a wider band: SuperLU on the pencil, assembled by one
-           axpy on E's and A's values laid out in their union pattern
+  sparse   sparse with a wider band: SuperLU on the pencil zE - A
 
 Every path raises ResonanceError when a pivot of U vanishes or falls below
 RCOND_MIN times the largest one.
@@ -198,19 +197,16 @@ class _BandedPencil(_OrderedPencil):
 
 
 class _SparsePencil:
-    """SuperLU on the pencil, assembled by one axpy in the union pattern of E and A."""
+    """SuperLU on the pencil zE - A."""
 
     kind = "sparse"
 
-    def __init__(self, E, A, union):
-        self.union = union
-        self.data_e, self.data_a = _scatter(E, union), _scatter(A, union)
+    def __init__(self, E, A):
+        self.E, self.A = E, A
 
     def solve(self, z, rhs):
-        u = self.union
-        P = sp.csc_matrix((z * self.data_e - self.data_a, u.indices, u.indptr), shape=u.shape)
         try:
-            lu = spla.splu(P)
+            lu = spla.splu((z * self.E - self.A).tocsc())
         except RuntimeError as exc:
             raise ResonanceError(z, f"sparse LU failed at z = {z}: {exc}") from exc
         _check_pivots(z, lu.U.diagonal())
@@ -220,13 +216,6 @@ class _SparsePencil:
 def _pattern(M):
     """Structure of a canonical CSC matrix, as a CSC matrix of ones."""
     return sp.csc_matrix((np.ones(M.nnz, dtype=np.int8), M.indices, M.indptr), shape=M.shape)
-
-
-def _keys(M):
-    """col * n + row of each stored entry of a CSC matrix, in storage order."""
-    n = M.shape[0]
-    cols = np.repeat(np.arange(M.shape[1], dtype=np.int64), np.diff(M.indptr))
-    return cols * n + M.indices
 
 
 def _permuted_entries(M, inv):
@@ -246,19 +235,11 @@ def _band(M, inv, rows, diag_row, order):
     return band
 
 
-def _scatter(M, union):
-    """M's values laid out on the (sorted, canonical) union pattern's entries."""
-    data = np.zeros(union.nnz, dtype=np.complex128)
-    data[np.searchsorted(_keys(union), _keys(M))] = M.data
-    return data
-
-
 def _analyse_pencil(E, A):
     """The pencil factorizer for E and A, chosen by their structure alone."""
     if not sp.issparse(A):
         return _DensePencil(E, A)
     union = _pattern(E) + _pattern(A)
-    union.sort_indices()
     perm = reverse_cuthill_mckee((union + union.T).tocsr(), symmetric_mode=True)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
@@ -270,7 +251,7 @@ def _analyse_pencil(E, A):
         return _TridiagonalPencil(E, A, perm, inv)
     if max(kl, ku) <= BAND_MAX:
         return _BandedPencil(E, A, perm, inv, kl, ku)
-    return _SparsePencil(E, A, union)
+    return _SparsePencil(E, A)
 
 
 class DescriptorSystem:
@@ -348,12 +329,9 @@ def _read_mtx(path):
     if not os.path.exists(path):
         raise FileNotFoundError(f"matrix file not found: {path}")
     try:
-        M = mmread(path)
+        return mmread(path)
     except ValueError as exc:
         raise ValueError(f"cannot parse Matrix Market file {path}: {exc}") from exc
-    if sp.issparse(M):
-        return M.tocsc().astype(np.complex128)
-    return np.asarray(M, dtype=np.complex128)
 
 
 def load_matrix_market(prefix):
@@ -364,7 +342,7 @@ def load_matrix_market(prefix):
     Em = _read_mtx(e_path) if os.path.exists(e_path) else None
     Am, Bm, Cm = (_read_mtx(f"{prefix}.{name}.mtx") for name in "ABC")
     Bm, Cm = (M.toarray() if sp.issparse(M) else M for M in (Bm, Cm))
-    return DescriptorSystem(Em, Am, np.atleast_2d(Bm), np.atleast_2d(Cm))
+    return DescriptorSystem(Em, Am, Bm, Cm)
 
 
 def make_synthetic(poles, residue_seed, m=1, p=1):

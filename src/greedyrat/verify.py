@@ -65,7 +65,7 @@ class Prop1Report:
     gamma_formula: float
     max_relative_spread: float
     max_identity_residual: float
-    points: list = field(default_factory=list)
+    absq: list = field(default_factory=list)
     rho_absq: list = field(default_factory=list)
 
 
@@ -74,7 +74,6 @@ class Prop2Report:
     delta: list
     identity_residuals: list
     delta_max: float
-    points: list = field(default_factory=list)
     eps: list = field(default_factory=list)
 
 
@@ -89,12 +88,14 @@ def check_prop1(sys, sur, zs, gsur=None):
     gsur = gsur or state_surrogate(sur, sys)
     rhs = _coeff_state_sum(sys, sur, gsur)
     rhs_norm = np.linalg.norm(rhs)
+    absq = []
     prods = []
     ident = []
     for z in zs:
         q = sur.eval_denominator(z)
         r, rho = _residual(sys, gsur, z)
-        prods.append(rho * abs(q))
+        absq.append(abs(q))
+        prods.append(rho * absq[-1])
         ident.append(np.linalg.norm(q * r - rhs) / rhs_norm)
     prods = np.array(prods)
     mean = float(prods.mean())
@@ -104,7 +105,7 @@ def check_prop1(sys, sur, zs, gsur=None):
         gamma_formula=float(rhs_norm / np.linalg.norm(sys.B)),
         max_relative_spread=spread,
         max_identity_residual=float(np.max(ident)),
-        points=list(zs),
+        absq=absq,
         rho_absq=prods.tolist(),
     )
 
@@ -132,7 +133,6 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
         delta=deltas,
         identity_residuals=residuals,
         delta_max=float(np.max(deltas)),
-        points=list(zs),
         eps=errs,
     )
 
@@ -147,7 +147,6 @@ def write_report_csv(path, sys, sur, zs, delta, header_lines=(), gsur=None):
             f.write(f"# {line}\n")
         w = csv.writer(f)
         w.writerow(["f", "rho", "absQ", "rho_absQ", "eps", "Delta"])
-        for z, ra, eps, d in zip(zs, p1.rho_absq, p2.eps, p2.delta):
-            absq = abs(sur.eval_denominator(z))
+        for z, absq, ra, eps, d in zip(zs, p1.absq, p1.rho_absq, p2.eps, p2.delta):
             w.writerow([z.imag, ra / absq, absq, ra, eps, d])
     return p1, p2

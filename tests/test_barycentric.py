@@ -153,8 +153,10 @@ def test_warns_on_near_zero_coefficient():
 def test_serialization_round_trip(tmp_path):
     sur = random_surrogate(4, 9, p=2, m=3)
     path = tmp_path / "sur.json"
-    sur.save(path)
-    back = BarycentricSurrogate.load(path)
+    extra = {"termination_reason": "lookahead", "sampled_f": [1.5, 2.5]}
+    sur.save(path, extra=extra)
+    back, back_extra = BarycentricSurrogate.load(path)
+    assert back_extra == extra
     assert np.array_equal(back.support, sur.support)
     assert np.array_equal(back.coeffs, sur.coeffs)
     assert np.array_equal(back.values, sur.values)

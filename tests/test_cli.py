@@ -1,11 +1,22 @@
 import json
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from greedyrat import DescriptorSystem, adjusted_relative_error, make_synthetic, run_greedy
-from greedyrat.cli import main, parse_config, ConfigError
+from greedyrat import (
+    DescriptorSystem,
+    GreedyConfig,
+    TerminationRule,
+    adjusted_relative_error,
+    make_synthetic,
+    run_greedy,
+)
+from greedyrat.cli import CONFIG_KEYS, build_greedy_config, main, parse_config, ConfigError
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 @pytest.fixture
@@ -75,6 +86,52 @@ def test_unknown_config_key_reports_line(tmp_path):
     path.write_text("system = x\nf_min = 1\nf_max = 2\nwat = 3\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:4.*'wat'"):
         parse_config(str(path))
+
+
+def test_config_keys_are_the_dataclass_fields(synthetic_setup):
+    tmp_path, prefix = synthetic_setup
+    cfg_keys = {f.name for f in fields(GreedyConfig)} - {"termination"}
+    rule_keys = {"termination" if f.name == "kind" else f.name for f in fields(TerminationRule)}
+    assert set(CONFIG_KEYS) == cfg_keys | rule_keys | {"system", "output_dir"}
+    path = write_config(
+        tmp_path,
+        prefix,
+        fitter="mri",
+        termination="density",
+        n_memory=4,
+        n_batch=3,
+        n_random=9,
+        min_gap=0.25,
+        seed=7,
+    )
+    raw = parse_config(path)
+    assert set(raw) == set(CONFIG_KEYS)
+    cfg = build_greedy_config(raw)
+    assert cfg == GreedyConfig(
+        f_min=1.0,
+        f_max=100.0,
+        grid_size=1000,
+        tol=1e-3,
+        delta=1e-8,
+        fitter="mri",
+        termination=TerminationRule(
+            kind="density", n_memory=4, n_batch=3, n_random=9, min_gap=0.25
+        ),
+        max_samples=40,
+        seed=7,
+    )
+    for obj in (cfg, cfg.termination):
+        for f in fields(obj):
+            if f.name != "termination":
+                assert type(getattr(obj, f.name)) is f.type, f.name
+
+
+def test_readme_config_block_names_every_config_key(tmp_path):
+    with open(README) as f:
+        block = re.search(r"Configs are flat .*?```\n(.*?)```", f.read(), re.DOTALL).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert set(parse_config(str(path))) == set(CONFIG_KEYS)
 
 
 def test_missing_files_exit_1(tmp_path, capsys):
@@ -208,7 +265,6 @@ def test_validate_ledger_matches_rule(synthetic_setup):
 
 
 def test_verify_csv_eps_matches_direct_recomputation(synthetic_setup):
-    from greedyrat.cli import build_greedy_config
     from greedyrat.verify import draw_probe_points
 
     tmp_path, prefix = synthetic_setup
@@ -243,30 +299,49 @@ def test_verify_subcommand(synthetic_setup, capsys):
     assert "gamma" in out and "Delta_max" in out
 
 
-def test_verify_reads_the_surrogate_run_wrote(synthetic_setup, monkeypatch):
+SURROGATE_READERS = [("validate", "validation.csv"), ("verify", "verify.csv")]
+
+
+@pytest.mark.parametrize("command, artifact", SURROGATE_READERS)
+def test_reads_the_surrogate_run_wrote(synthetic_setup, monkeypatch, command, artifact):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=5, seed=4)
     out = tmp_path / "out"
     assert main(["run", cfg]) == 0
 
     def no_rerun(*args, **kwargs):
-        raise AssertionError("verify re-ran the greedy loop")
+        raise AssertionError(f"{command} re-ran the greedy loop")
 
     monkeypatch.setattr("greedyrat.cli.run_greedy", no_rerun)
-    assert main(["verify", cfg]) == 0
-    from_config = read_csv_body(out / "verify.csv")
-    assert main(["verify", cfg, str(out / "surrogate.json")]) == 0
-    assert read_csv_body(out / "verify.csv") == from_config
+    assert main([command, cfg]) == 0
+    from_config = read_csv_body(out / artifact)
+    assert main([command, cfg, str(out / "surrogate.json")]) == 0
+    assert read_csv_body(out / artifact) == from_config
 
 
-def test_verify_without_a_run_names_the_missing_surrogate(synthetic_setup, capsys):
+@pytest.mark.parametrize("command, artifact", SURROGATE_READERS)
+def test_without_a_run_the_missing_surrogate_is_named(synthetic_setup, capsys, command, artifact):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix)
-    assert main(["verify", cfg]) == 1
+    assert main([command, cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(tmp_path / "out" / "surrogate.json") in err
-    assert not (tmp_path / "out" / "verify.csv").exists()
+    assert not (tmp_path / "out" / artifact).exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_surrogate_json_is_parsed_once(synthetic_setup, monkeypatch, command):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=5)
+    assert main(["run", cfg]) == 0
+    parsed = []
+    load = json.load
+    monkeypatch.setattr(
+        "greedyrat.barycentric.json.load", lambda f, **kw: parsed.append(f.name) or load(f, **kw)
+    )
+    assert main([command, cfg]) == 0
+    assert parsed == [str(tmp_path / "out" / "surrogate.json")]
 
 
 @pytest.mark.parametrize(

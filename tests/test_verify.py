@@ -181,6 +181,23 @@ def test_report_csv_solves_each_probe_once(tmp_path, monkeypatch):
     assert [float(r.split(",")[4]) for r in rows] == p2.eps
 
 
+def test_report_csv_evaluates_the_denominator_twice_per_probe(tmp_path, monkeypatch):
+    from greedyrat.verify import write_report_csv
+
+    sys = probe_system(33)
+    zs = 1j * np.geomspace(1.0, 100.0, 7)
+    sur, _ = fitted_state(sys, zs)
+    pts = draw_probe_points(sur, 1.0, 100.0, 10, seed=0)
+    evaluated = []
+    unpatched = sur.eval_denominator
+    monkeypatch.setattr(sur, "eval_denominator", lambda z: evaluated.append(z) or unpatched(z))
+    p1, _ = write_report_csv(tmp_path / "verify.csv", sys, sur, pts, 1e-8)
+    # once in check_prop1, once in check_prop2; the absQ column is check_prop1's
+    assert evaluated == pts + pts
+    rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[2]) for r in rows] == p1.absq
+
+
 def test_prop1_forms_each_residual_once(monkeypatch):
     sys = probe_system(32)
     zs = 1j * np.geomspace(1.0, 100.0, 7)
