@@ -263,6 +263,11 @@ def cmd_verify(args):
         f"max |eps*|Q| - Delta| / Delta = {max(p2.identity_residuals):.3e}, "
         f"Delta_max = {p2.delta_max:.6e}"
     )
+    if p1.coeff_sum_ratio < verify_mod.EXACT_FIT_RATIO:
+        print(
+            f"note: sum_j q_j E G(z_j) cancels to {p1.coeff_sum_ratio:.1e} of its terms: "
+            "the fit is exact to rounding, and the spread and residual above are noise"
+        )
     return 0
 
 

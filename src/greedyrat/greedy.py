@@ -1,9 +1,10 @@
 """Greedy driver: adaptive sampling with |Q|^-1 as indicator.
 
 The loop starts from a single sample, refits the barycentric surrogate at
-every iteration, evaluates the configured termination rule and, while the
-rule fails, samples the transfer function at the grid point maximizing the
-indicator. Termination rules:
+every iteration, sweeps the indicator once over the grid, evaluates the
+configured termination rule and, while the rule fails, samples the
+transfer function at the grid point maximizing the indicator.
+Termination rules:
 
   max_count          stop at a fixed sample budget, no error estimate
   density            stop when the next point gets too close (in log10 f)
@@ -18,7 +19,14 @@ indicator. Termination rules:
   randomized         error check at N frozen log-uniform random points,
                      sampled once up front and never added to training
 
-All rules additionally respect the max_samples safety cap.
+The three estimator rules (lookahead with or without memory, batch,
+randomized) differ only in their test points: each takes the largest
+adjusted relative error over them, in one surrogate sweep, as the
+estimator and counts consecutive checks below tol.
+
+All rules additionally respect the max_samples safety cap. At the cap the
+next greedy point is named (IterationRecord.chosen) but not solved; only
+lookahead's probe and batch's test points, which decide the rule, are.
 
 Every oracle solve of a run goes through one memo keyed on the exact
 frequency, so no frequency is solved twice. The ledger is exact:
@@ -277,69 +285,64 @@ def run_greedy(oracle, cfg):
         if ind is not None:
             ind[k] = -1.0
 
-    def pick(sur, ind=None, halt=None):
-        """Next greedy point, solved, skipping resonant grid points.
+    def solves(k, ind=None):
+        """Solve grid point k; a resonant one is banned and gives False."""
+        try:
+            call(complex(grid[k]))
+            return True
+        except ResonanceError:
+            ban(k, ind)
+            return False
 
-        ``ind`` is this iteration's indicator if already swept; banning a
-        point only lowers its own entry, so one sweep serves every retry.
-        A point for which ``halt(z)`` holds is returned unsolved.
+    def pick(ind, halt=None):
+        """Next greedy point on this iteration's indicator, solved.
+
+        Resonant grid points are banned and skipped; banning a point only
+        lowers its own entry, so one sweep serves every retry. A point for
+        which ``halt(z)`` holds is returned unsolved.
         """
-        if ind is None:
-            ind = cache.indicator(sur)
         while True:
             k = _argmax_index(ind)
             z = complex(grid[k])
-            if halt is not None and halt(z):
+            if (halt is not None and halt(z)) or solves(k, ind):
                 return z
-            try:
-                call(z)
-                return z
-            except ResonanceError:
-                ban(k, ind)
 
     # First sample: the grid point nearest the geometric midpoint of the
     # range, walking outward on resonance failures.
     f_mid = math.sqrt(cfg.f_min * cfg.f_max)
     for k in np.argsort(np.abs(grid.imag - f_mid)):
-        try:
+        if solves(k):
             take(complex(grid[k]))
             break
-        except ResonanceError:
-            ban(k)
     else:
         raise GridExhaustedError("no non-resonant grid point for the first sample")
 
     if rule.kind == "randomized":
-        random_pts, random_vals = [], []
+        random_pts = []
         for z in random_test_points(cfg):
             try:
-                random_vals.append(call(z))
+                call(z)
                 random_pts.append(z)
             except ResonanceError:
                 trace.resonances.append(z)
         trace.n_random_solved = len(random_pts)
 
+    # consecutive passed checks an estimator rule needs before it stops
+    depth = rule.n_memory if rule.kind == "lookahead_memory" else 1
     n_memory = 0
     while True:
         t0 = time.perf_counter()
         iteration += 1
         n_samples = len(trace.samples)
+        capped = n_samples >= cfg.max_samples
         sur = fit(trace.samples, cfg.fitter)
         trace.surrogates.append(sur)
+        ind = cache.indicator(sur)
 
         estimator = math.nan
-        anchor = complex(math.nan, math.nan)
-        chosen = complex(math.nan, math.nan)
-        flag = False
-        reason = ""
-        pending = None  # the solved point joining training on continuation
-
+        anchor = chosen = complex(math.nan, math.nan)
         if rule.kind == "max_count":
-            flag = n_samples >= cfg.max_samples
-            if flag:
-                reason = "max_count"
-            else:
-                chosen = pending = pick(sur)
+            flag = stop = capped
         elif rule.kind == "density":
             logf = np.log10(np.array([s.z.imag for s in trace.samples]))
 
@@ -347,62 +350,33 @@ def run_greedy(oracle, cfg):
                 return float(np.min(np.abs(np.log10(z.imag) - logf))) < rule.min_gap
 
             # the gap needs only z, so a point that fails it is never solved
-            chosen = pick(sur, halt=too_close)
-            flag = too_close(chosen)
-            if flag:
-                reason = "density"
+            chosen = pick(ind, halt=lambda z: capped or too_close(z))
+            flag = stop = too_close(chosen)
+        else:
+            # the estimator rules differ only in their solved test points
+            if rule.kind == "randomized":
+                pts = random_pts
+            elif rule.kind == "batch":
+                ks = _local_maxima_indices(ind, rule.n_batch)
+                pts = [complex(grid[k]) for k in ks if solves(k, ind)]
             else:
-                pending = chosen
-        elif rule.kind in ("lookahead", "lookahead_memory"):
-            depth = rule.n_memory if rule.kind == "lookahead_memory" else 1
-            chosen = anchor = pick(sur)
-            estimator = adjusted_relative_error(call(chosen), sur.eval(chosen), cfg.delta)
-            flag = estimator < cfg.tol
-            if flag:
-                n_memory += 1
-                if n_memory >= depth:
-                    reason = rule.kind  # the only wasted sample of the whole run
-                else:
-                    pending = chosen
-            else:
-                n_memory = 0
-                pending = chosen
-        elif rule.kind == "batch":
-            ind = cache.indicator(sur)
-            pts, errs = [], []
-            for k in _local_maxima_indices(ind, rule.n_batch):
-                z = complex(grid[k])
-                try:
-                    errs.append(adjusted_relative_error(call(z), sur.eval(z), cfg.delta))
-                    pts.append(z)
-                except ResonanceError:
-                    ban(k, ind)
-            if errs:
+                chosen = pick(ind)
+                pts = [chosen]
+            if pts:
+                errs = [
+                    adjusted_relative_error(solved[z][0], a, cfg.delta)
+                    for z, a in zip(pts, sur.eval_grid(pts))
+                ]
                 j = int(np.argmax(errs))
-                estimator = errs[j]
-                anchor = pts[j]
-                flag = estimator < cfg.tol
-            if flag:
-                reason = "batch"
-            else:
-                chosen = pending = pick(sur, ind)
-        elif rule.kind == "randomized":
-            approx = sur.eval_grid(random_pts)
-            errs = [
-                adjusted_relative_error(v, a, cfg.delta) for v, a in zip(random_vals, approx)
-            ]
-            j = int(np.argmax(errs))
-            estimator = errs[j]
-            anchor = random_pts[j]
+                estimator, anchor = errs[j], pts[j]
             flag = estimator < cfg.tol
-            if flag:
-                reason = "randomized"
-            else:
-                chosen = pending = pick(sur)
+            n_memory = n_memory + 1 if flag else 0
+            stop = n_memory >= depth
 
-        if not reason and rule.kind != "max_count" and n_samples >= cfg.max_samples:
-            reason = "max_samples"  # the pending probe sample is discarded
-            pending = None
+        reason = rule.kind if stop else "max_samples" if capped else ""
+        if not stop:
+            # at the cap the next point is named but not solved
+            chosen = pick(ind, halt=lambda z: capped)
 
         trace.records.append(
             IterationRecord(
@@ -428,8 +402,7 @@ def run_greedy(oracle, cfg):
             trace.termination_reason = reason
             trace.oracle_calls = len(solved)
             return trace
-        if pending is not None:
-            take(pending)
+        take(chosen)
 
 
 def estimator_curve(sur, estimate, anchor, grid):

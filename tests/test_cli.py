@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import spring_chain
 from greedyrat import (
     DescriptorSystem,
     GreedyConfig,
@@ -297,6 +298,29 @@ def test_verify_subcommand(synthetic_setup, capsys):
     assert (tmp_path / "out" / "verify.csv").exists()
     out = capsys.readouterr().out
     assert "gamma" in out and "Delta_max" in out
+
+
+@pytest.mark.parametrize("case", ["exact-8-pole", "chain"])
+def test_verify_notes_an_exact_fit(tmp_path, capsys, case):
+    # batch recovers the 8-pole system exactly, so its residual numerator
+    # cancels to rounding; the chain's lookahead fit to 1e-3 does not
+    if case == "chain":
+        sys, config = spring_chain(), dict(f_min=1e-2, f_max=1.0, max_samples=100)
+    else:
+        sys = make_synthetic([1j * f for f in (2, 5, 11, 19, 37, 53, 71, 90)], 1, m=2, p=2)
+        config = dict(termination="batch", n_batch=3)
+    prefix = str(tmp_path / case)
+    sys.save_matrix_market(prefix)
+    cfg = write_config(tmp_path, prefix, **config)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    assert main(["verify", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("gamma = ") and "relative spread = " in lines[0]
+    assert lines[1].startswith("max |eps*|Q| - Delta| / Delta = ")
+    notes = [line for line in lines if line.startswith("note: ")]
+    assert len(notes) == (case != "chain")
+    assert len(lines) == 2 + len(notes)
 
 
 SURROGATE_READERS = [("validate", "validation.csv"), ("verify", "verify.csv")]

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import random_surrogate, rational_11
 from greedyrat import (
@@ -77,11 +75,20 @@ def test_error_matches_direct_norms():
     assert adjusted_relative_error(a, b, 1e-8) == pytest.approx(ref, rel=1e-15)
 
 
-@given(
-    st.floats(1e-6, 1e6),
-    st.floats(0.0, 1e3),
-)
-@settings(max_examples=50, deadline=None)
+def scale_delta_cases():
+    """50 seeded draws of scale, log-uniform on [1e-6, 1e6], and delta,
+    uniform on [0, 1e3], plus the four corners."""
+    rng = np.random.default_rng(0)
+    scales = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 50))
+    deltas = rng.uniform(0.0, 1e3, 50)
+    draws = [
+        pytest.param(float(s), float(d), id=f"draw{i}") for i, (s, d) in enumerate(zip(scales, deltas))
+    ]
+    corners = [pytest.param(s, d, id=f"corner-{s:g}-{d:g}") for s in (1e-6, 1e6) for d in (0.0, 1e3)]
+    return draws + corners
+
+
+@pytest.mark.parametrize("scale, delta", scale_delta_cases())
 def test_error_scale_covariance(scale, delta):
     a = np.array([[1.0 + 1j, 2.0]])
     b = np.array([[0.5, 2.5 - 1j]])
@@ -379,11 +386,11 @@ def checked_columns(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:MRI with fewer")
-@pytest.mark.parametrize("kind", ["lookahead", "batch"])
+@pytest.mark.parametrize("kind", [kind for kind, _ in RULES])
 @pytest.mark.parametrize("fitter", ["loewner", "mri"])
 def test_cached_indicator_matches_reference_sweep(checked_columns, fitter, kind):
     failures = []
-    cfg = cfg_with(kind, n_batch=3, tol=1e-3, fitter=fitter, max_samples=40)
+    cfg = cfg_with(kind, tol=1e-3, fitter=fitter, **dict(RULES)[kind])
     trace = run_greedy(flaky_oracle(order4_system(2), failures), cfg)
     (cache,) = checked_columns
     grid = build_test_grid(cfg)
@@ -489,33 +496,91 @@ def test_randomized_ledger_charges_only_solved_random_points():
     assert trace.oracle_calls == len(requests) - len(failures)
 
 
-@pytest.mark.parametrize("fitter", ["loewner", "mri"])
-def test_randomized_sweeps_the_frozen_points_once_per_iteration(monkeypatch, fitter):
+def test_randomized_with_every_frozen_point_resonant_runs_to_the_cap():
+    # no test point is left, so no estimate exists and the rule never fires
+    cfg = cfg_with("randomized", n_random=2, tol=1e-3, max_samples=8)
+    frozen = random_test_points(cfg)
     sys = order4_system()
-    cfg = cfg_with("randomized", n_random=9, tol=1e-3, max_samples=40, fitter=fitter)
+
+    def oracle(z):
+        if z in frozen:
+            raise ResonanceError(z)
+        return sys.eval_transfer(z)
+
+    trace = run_greedy(oracle, cfg)
+    assert trace.termination_reason == "max_samples"
+    assert trace.resonances == frozen and trace.n_random_solved == 0
+    assert all(math.isnan(r.estimator) and not r.flag for r in trace.records)
+    assert trace.oracle_calls == len(trace.samples) == cfg.max_samples
+
+
+def estimator_test_points(kind, rec, sur, cfg, sampled):
+    """The points an estimator rule tests on one iteration of a clean run."""
+    if kind == "randomized":
+        return random_test_points(cfg)
+    if kind == "batch":
+        return batch_test_points(sur, build_test_grid(cfg), sampled, cfg.termination.n_batch)
+    return [rec.anchor]
+
+
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("kind", ["lookahead", "lookahead_memory", "batch", "randomized"])
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+def test_estimator_sweeps_its_test_points_once_per_iteration(monkeypatch, fitter, kind):
+    sys = order4_system()
+    cfg = cfg_with(kind, tol=1e-3, fitter=fitter, **dict(RULES)[kind])
     sweeps = []
     eval_grid = BarycentricSurrogate.eval_grid
 
     def counted(self, grid):
-        sweeps.append(len(grid))
+        sweeps.append(list(grid))
         return eval_grid(self, grid)
 
     def pointwise(self, z):
-        raise AssertionError("randomized evaluated the surrogate point by point")
+        raise AssertionError(f"{kind} evaluated the surrogate point by point")
 
     monkeypatch.setattr(BarycentricSurrogate, "eval_grid", counted)
     monkeypatch.setattr(BarycentricSurrogate, "eval", pointwise)
     trace = run_greedy(sys, cfg)
     monkeypatch.undo()
-    assert sweeps == [cfg.termination.n_random] * trace.n_iterations
+    assert trace.termination_reason == kind
+    zs = trace.sampled_frequencies
+    tested = [
+        estimator_test_points(kind, rec, sur, cfg, set(zs[: rec.n_samples]))
+        for rec, sur in zip(trace.records, trace.surrogates)
+    ]
+    assert sweeps == tested  # one sweep per iteration, over exactly the test points
     # the sweep sums in another order than eval: agreement to rounding, and
     # to an absolute 1e-15 where the estimate itself is at rounding level
-    pts = random_test_points(cfg)
-    for rec, sur in zip(trace.records, trace.surrogates):
+    for rec, sur, pts in zip(trace.records, trace.surrogates, tested):
         ref = max(
             adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), cfg.delta) for z in pts
         )
         assert rec.estimator == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind,kw", RULES)
+def test_the_cap_solves_only_samples_and_test_points(kind, kw):
+    # at the cap the next greedy point is named but not solved; lookahead's
+    # probe and batch's test points decide the rule, so they are solved
+    requests = []
+    kw = {**kw, "max_samples": 7}
+    if kind == "density":
+        kw["min_gap"] = 1e-3  # RULES' gap stops density before the cap
+    cfg = cfg_with(kind, tol=1e-14, **kw)
+    trace = run_greedy(recording_oracle(order4_system().eval_transfer, requests), cfg)
+    assert trace.termination_reason == ("max_count" if kind == "max_count" else "max_samples")
+    zs = trace.sampled_frequencies
+    allowed = set(zs)
+    if kind in ("lookahead", "lookahead_memory", "batch", "randomized"):
+        for rec, sur in zip(trace.records, trace.surrogates):
+            allowed |= set(estimator_test_points(kind, rec, sur, cfg, set(zs[: rec.n_samples])))
+    assert set(requests) <= allowed
+    assert len(requests) == trace.oracle_calls
+    assert_ledger(trace, cfg)
+    last = trace.records[-1]
+    if kind in ("randomized", "density"):
+        assert last.test_calls == 0 and last.chosen not in requests
 
 
 def test_density_stops_before_solving_the_close_point():
