@@ -5,7 +5,11 @@ The greedy driver sweeps the indicator once per iteration through the
 cached Cauchy columns (CauchyColumns.indicator, one matrix-vector product);
 the full sweep abs_denominator rebuilds the grid-by-support matrix and
 serves arbitrary grids. The two are timed side by side at the same S.
-The surrogate-value sweep serves eval_grid. The oracle kernel,
+The surrogate-value sweep serves eval_grid. The surrogate's scalar
+methods are one-point calls of the same sweeps, so eval, eval_denominator
+and eval_grid([z]) are timed at one point, in microseconds, on 2 x 2
+output blocks and on 3000 x 2 state blocks (the size verify evaluates).
+The oracle kernel,
 DescriptorSystem.solve_pencil, is timed in ms per solve on each of its
 four paths on the test tier's small descriptor systems (tests/conftest.py):
 an RLC line of 200 sections with singular E (tridiagonal) and a
@@ -74,6 +78,23 @@ def main():
         values = rng.standard_normal((s, p, m)) + 1j * rng.standard_normal((s, p, m))
         t = timeit(lambda: kernels.eval_sweep(grid, support, coeffs, values), args.repeats)
         print(f"{'eval_sweep':<25}{s:>4}{f'{p} x {m}':>8}{1e3 * t:>12.3f}")
+
+    print(f"\n{'one-point call':<25}{'S':>4}{'p x m':>12}{'best [us]':>12}")
+    s = 57
+    support = grid[np.sort(rng.choice(args.grid, s, replace=False))]
+    coeffs = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    coeffs /= np.linalg.norm(coeffs)
+    z = complex(grid[args.grid // 2]) * (1 + 1e-9)  # off the support
+    for p, m in ((2, 2), (3000, 2)):
+        values = rng.standard_normal((s, p, m)) + 1j * rng.standard_normal((s, p, m))
+        sur = BarycentricSurrogate(support, values, coeffs)
+        for label, fn in (
+            ("eval", lambda: sur.eval(z)),
+            ("eval_denominator", lambda: sur.eval_denominator(z)),
+            ("eval_grid([z])", lambda: sur.eval_grid([z])),
+        ):
+            t = timeit(fn, 50 * args.repeats)
+            print(f"{label:<25}{s:>4}{f'{p} x {m}':>12}{1e6 * t:>12.2f}")
 
     print(f"\n{'solve_pencil':<25}{'path':>12}{'n':>6}{'ms/solve':>12}")
     for name, make, z in (("line", rlc_line, 2j * np.pi * 1e9), ("chain", spring_chain, 0.3j)):

@@ -2,10 +2,13 @@
 
 The surrogate is H~(z) = sum_j q_j V_j / (z - zeta_j) / sum_j q_j / (z - zeta_j)
 with distinct support points zeta_j, stored p-by-m sample blocks V_j and
-unit-norm coefficients q. Evaluation snaps to the stored sample when z
-falls within a relative tolerance of a node, which removes the
-discontinuity there and makes evaluation total.
+unit-norm coefficients q. The class holds no formula of its own: every
+method evaluates through the sweeps of ``greedyrat.kernels``, the scalar
+ones as one-point calls, so they share one collision rule. Evaluation
+snaps to the stored sample when z falls within a relative tolerance of a
+node, which removes the discontinuity there and makes evaluation total.
 """
+import cmath
 import json
 import warnings
 
@@ -63,51 +66,33 @@ class BarycentricSurrogate:
     def output_shape(self):
         return self.values.shape[1:]
 
-    def _snap_index(self, z):
-        d = np.abs(z - self.support)
-        j = int(np.argmin(d))
-        if d[j] <= kernels.snap_radius(self.support[j]):
-            return j
-        return None
-
     def eval(self, z):
-        """Surrogate value at z (stored sample at/near support points)."""
-        z = complex(z)
-        j = self._snap_index(z)
-        if j is not None:
-            return self.values[j].copy()
-        w = self.coeffs / (z - self.support)
-        den = w.sum()
-        if den == 0:
-            raise SurrogatePoleError(z)
-        return np.tensordot(w, self.values, axes=1) / den
+        """Surrogate value at z (the stored sample at a support point)."""
+        value = self.eval_grid([z])[0]  # all inf where Q(z) = 0
+        if cmath.isinf(value.flat[0]):
+            raise SurrogatePoleError(complex(z))
+        return value
 
     def __call__(self, z):
         return self.eval(z)
 
     def eval_grid(self, grid):
-        """Vectorized eval over a 1-D array of frequencies (hot path)."""
+        """Surrogate values over a 1-D array of frequencies (hot path)."""
         return kernels.eval_sweep(grid, self.support, self.coeffs, self.values)
 
     def eval_denominator(self, z):
         """Q(z) = sum_j q_j / (z - zeta_j); errors at support collisions."""
-        z = complex(z)
-        if self._snap_index(z) is not None:
-            raise SupportCollisionError(z)
-        return complex((self.coeffs / (z - self.support)).sum())
+        q = complex(kernels.denominator([z], self.support, self.coeffs)[0])
+        if cmath.isinf(q):
+            raise SupportCollisionError(complex(z))
+        return q
 
     def indicator(self, z):
-        """Greedy indicator 1/|Q(z)|; defined as 0 at support points."""
-        try:
-            q = self.eval_denominator(z)
-        except SupportCollisionError:
-            return 0.0
-        if q == 0:
-            return np.inf
-        return 1.0 / abs(q)
+        """Greedy indicator 1/|Q(z)|: 0 at support points, inf where Q(z) = 0."""
+        return float(self.indicator_grid([z])[0])
 
     def indicator_grid(self, grid):
-        """Vectorized indicator over a 1-D array of frequencies (hot path)."""
+        """Greedy indicator over a 1-D array of frequencies (hot path)."""
         return kernels.indicator_sweep(grid, self.support, self.coeffs)
 
     def denominator_roots(self):
@@ -132,12 +117,9 @@ class BarycentricSurrogate:
         scale = np.abs(self.support).max()
         finite = lam[np.isfinite(lam)]
         finite = finite[np.abs(finite) <= INF_EIG_FACTOR * scale]
-        keep = []
-        for root in finite:
-            d = np.abs(root - self.support)
-            if d.min() > kernels.snap_radius(self.support[int(np.argmin(d))]):
-                keep.append(complex(root))
-        return keep
+        # Q is inf exactly at the roots that collide with a support point
+        keep = np.isfinite(kernels.denominator(finite, self.support, self.coeffs))
+        return [complex(root) for root in finite[keep]]
 
     # -- serialization ----------------------------------------------------
 

@@ -110,8 +110,7 @@ def fit_mri(samples):
         raise ValueError("at least one sample is required")
     if len({s.z for s in samples}) != len(samples):
         raise ValueError("sample frequencies must be distinct")
-    zs = np.array([x.z for x in samples])
-    vals = np.array([x.value for x in samples])
+    zs, vals = _stack(samples)
     s = len(samples)
     pm = vals.shape[1] * vals.shape[2]
     if pm < s:

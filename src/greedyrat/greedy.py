@@ -71,6 +71,8 @@ class TerminationRule:
     min_gap: float = 1e-3
 
     def __post_init__(self):
+        if not math.isfinite(self.min_gap):
+            raise ValueError("min_gap must be finite")
         if self.kind not in TERMINATION_KINDS:
             raise ValueError(
                 f"unknown termination kind {self.kind!r}; "
@@ -99,6 +101,9 @@ class GreedyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("f_min", "f_max", "tol", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0 < self.f_min < self.f_max):
             raise ValueError("need 0 < f_min < f_max")
         if self.tol <= 0:

@@ -1,9 +1,15 @@
-"""Hot numeric kernels: barycentric sweeps over dense frequency grids.
+"""Hot numeric kernels: the one implementation of the barycentric formula.
 
-Each sweep is one vectorized numpy pass over a grid-by-support Cauchy
-matrix 1/(z_k - zeta_j). A grid point within ``snap_radius`` of any
-support point counts as a collision, which the sweeps resolve explicitly
-instead of dividing by (nearly) zero.
+H~(z) = sum_j q_j V_j / (z - zeta_j) / Q(z) with Q(z) = sum_j q_j / (z - zeta_j)
+is evaluated only by the sweeps here, each one numpy pass over a
+points-by-support Cauchy matrix; ``BarycentricSurrogate``'s scalar
+methods are one-point calls of them. One helper, ``_cauchy_weights``,
+decides support collisions (|z - zeta_j| <= SNAP_TOL * (1 + |zeta_j|)) and
+zeroes a colliding row before any division; the sweeps then resolve it:
+Q is inf there, 1/|Q| is 0 and H~ is the stored sample. Q at a point is
+the same in a sweep of any length; H~ of a many-point sweep may differ
+from a one-point call in the last bits, as BLAS may order one row's sum
+differently.
 
 The greedy driver does not rebuild that matrix every iteration.
 ``CauchyColumns`` keeps one column 1/(z_k - zeta_j) per *sample* on the
@@ -21,57 +27,57 @@ import numpy as np
 SNAP_TOL = 1e-13
 
 
-def snap_radius(zeta):
-    """Collision radius around support point(s) zeta; scalar or array."""
-    return SNAP_TOL * (1.0 + abs(zeta))
+def _cauchy_weights(points, support, coeffs):
+    """Cauchy weights q_j / (z_k - zeta_j) and the support collisions.
+
+    Returns (w, k, j): w is points-by-support with the rows of colliding
+    points zero, and point k[i] collides with support node j[i].
+    """
+    # As (1, S) rows they match a one-point call's offsets in shape, which
+    # keeps that call on numpy's fast same-shape loops.
+    support, coeffs = np.asarray(support)[None], np.asarray(coeffs)[None]
+    dz = np.asarray(points, dtype=np.complex128)[:, None] - support
+    k, j = (np.abs(dz) <= (np.abs(support) + 1.0) * SNAP_TOL).nonzero()
+    if k.size:
+        dz[k] = np.inf  # q / inf = 0: the colliding row is zeroed, not divided by ~0
+    return coeffs / dz, k, j
 
 
-def _offsets(grid, support):
-    """Grid-minus-support differences and the grid points that collide."""
-    dz = grid[:, None] - support[None, :]
-    hit = (np.abs(dz) <= snap_radius(support)[None, :]).any(axis=1)
-    return dz, hit
+def denominator(points, support, coeffs):
+    """Q(z) = sum_j q_j / (z - zeta_j) at each point; inf at support collisions."""
+    w, k, _ = _cauchy_weights(points, support, coeffs)
+    q = w.sum(axis=1)
+    q[k] = np.inf
+    return q
 
 
-def abs_denominator(grid, support, coeffs):
-    """|sum_j q_j / (z - zeta_j)| at each grid point; inf at support collisions."""
-    grid = np.ascontiguousarray(grid, dtype=np.complex128)
-    support = np.ascontiguousarray(support, dtype=np.complex128)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    dz, hit = _offsets(grid, support)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs((coeffs[None, :] / dz).sum(axis=1))
-    out[hit] = np.inf
-    return out
+def abs_denominator(points, support, coeffs):
+    """|Q| at each point; inf at support collisions."""
+    return np.abs(denominator(points, support, coeffs))
 
 
-def indicator_sweep(grid, support, coeffs):
-    """Greedy indicator 1/|Q| over a grid; 0 at support collisions."""
-    absq = abs_denominator(grid, support, coeffs)
+def indicator_sweep(points, support, coeffs):
+    """Greedy indicator 1/|Q| at each point; 0 at support collisions, inf where Q = 0."""
     with np.errstate(divide="ignore"):
-        out = 1.0 / absq
-    out[~np.isfinite(absq)] = 0.0
-    return out
+        return 1.0 / abs_denominator(points, support, coeffs)
 
 
-def eval_sweep(grid, support, coeffs, values):
-    """Barycentric surrogate values over a grid, shape (len(grid), p, m).
+def eval_sweep(points, support, coeffs, values):
+    """Barycentric surrogate values at each point, shape (len(points), p, m).
 
     Support collisions return the stored sample; a vanishing denominator
     away from the nodes yields an all-inf block (the caller flags it).
     """
-    grid = np.ascontiguousarray(grid, dtype=np.complex128)
-    support = np.ascontiguousarray(support, dtype=np.complex128)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    dz, hit = _offsets(grid, support)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = coeffs[None, :] / dz
-        den = w.sum(axis=1)
-        out = np.einsum("ks,spm->kpm", w, values) / den[:, None, None]
-    for k in np.nonzero(hit)[0]:
-        out[k] = values[np.argmin(np.abs(dz[k]))]
-    out[~hit & (den == 0)] = np.inf
+    values = np.asarray(values)
+    w, k, j = _cauchy_weights(points, support, coeffs)
+    den = w.sum(axis=1)
+    pole = den == 0  # the zeroed colliding rows too; they are refilled last
+    den[pole] = 1.0
+    out = w @ values.reshape(len(values), -1) / den[:, None]
+    out = out.reshape(len(den), *values.shape[1:])
+    out[pole] = np.inf
+    if k.size:
+        out[k] = values[j]
     return out
 
 
@@ -82,9 +88,9 @@ BLOCK = 32
 class CauchyColumns:
     """Cached Cauchy columns 1/(grid - zeta) of the samples on a fixed grid.
 
-    Grid rows within ``snap_radius`` of a sample, and rows passed to
-    ``ban``, are excluded: their entries are 0 and ``indicator`` reports
-    them as -1, below every admissible value.
+    Grid rows that collide with a sample, and rows passed to ``ban``, are
+    excluded: their entries are 0 and ``indicator`` reports them as -1,
+    below every admissible value.
     """
 
     def __init__(self, grid):
@@ -108,10 +114,9 @@ class CauchyColumns:
         j = self.n_samples
         if j == self.capacity:
             self._blocks.append(np.zeros((self.grid.size, BLOCK), dtype=np.complex128, order="F"))
-        dz = self.grid - zeta
-        hit = np.abs(dz) <= snap_radius(zeta)
-        np.divide(1.0, dz, out=self._blocks[-1][:, j % BLOCK], where=~hit)
-        self.excluded |= hit
+        w, k, _ = _cauchy_weights(self.grid, [zeta], [1.0])
+        self._blocks[-1][:, j % BLOCK] = w[:, 0]
+        self.excluded[k] = True
         self._column[zeta] = j
 
     def ban(self, k):

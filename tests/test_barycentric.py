@@ -5,6 +5,7 @@ from conftest import expanded_numerator, match_multisets, random_surrogate, rati
 from greedyrat import (
     BarycentricSurrogate,
     SupportCollisionError,
+    SurrogatePoleError,
     fit_loewner,
     partition_samples,
 )
@@ -40,10 +41,17 @@ def test_denominator_single_node():
 
 
 def test_denominator_symmetric_root():
+    # Q(0) = (1/(0 + 1) + 1/(0 - 1)) / sqrt(2) is exactly 0, away from the
+    # nodes: a pole of the surrogate
     sur = BarycentricSurrogate(
-        [-1.0, 1.0], np.zeros((2, 1, 1)), np.array([1.0, 1.0]) / np.sqrt(2)
+        [-1.0, 1.0], np.arange(8.0).reshape(2, 2, 2), np.array([1.0, 1.0]) / np.sqrt(2)
     )
     assert abs(sur.eval_denominator(0.0)) <= 1e-15
+    with pytest.raises(SurrogatePoleError):
+        sur.eval(0.0)
+    block = sur.eval_grid([0.0])
+    assert block.shape == (1, 2, 2) and np.all(np.isinf(block))
+    assert sur.indicator(0.0) == np.inf
 
 
 def test_denominator_errors_on_support_collision():
@@ -167,4 +175,7 @@ def test_eval_grid_matches_scalar_eval():
     grid = np.linspace(-2, 2, 64) + 0.5j
     sweep = sur.eval_grid(grid)
     for k, z in enumerate(grid):
-        assert np.allclose(sweep[k], sur.eval(z), rtol=1e-12, atol=1e-14)
+        # the formula written out: eval itself is a one-point call of the sweep
+        w = sur.coeffs / (z - sur.support)
+        ref = sum(wj * vj for wj, vj in zip(w, sur.values)) / w.sum()
+        assert np.allclose(sweep[k], ref, rtol=1e-12, atol=1e-14)

@@ -82,6 +82,16 @@ def test_invalid_termination_kind_names_key(tmp_path, synthetic_setup, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_nan_tolerance_is_a_config_error(synthetic_setup, capsys):
+    # a nan tol fails every `estimator < tol` check, so the run would go to
+    # max_samples and exit 2 as if it had merely not converged
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, tol="nan")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tol must be finite" in err
+
+
 def test_unknown_config_key_reports_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("system = x\nf_min = 1\nf_max = 2\nwat = 3\n")

@@ -54,6 +54,19 @@ def test_grid_endpoints_included():
     assert grid.size == 10_000
 
 
+# -- configuration ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["f_min", "f_max", "tol", "delta", "min_gap"])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        if name == "min_gap":
+            TerminationRule(kind="density", min_gap=value)
+        else:
+            GreedyConfig(**{"f_min": 1.0, "f_max": 100.0, name: value})
+
+
 # -- adjusted relative error ----------------------------------------------
 
 
@@ -113,13 +126,13 @@ def test_next_point_matches_exhaustive_scan(seed):
     grid = build_test_grid(GreedyConfig(f_min=1.0, f_max=100.0, grid_size=500))
     sampled = {complex(grid[7]), complex(grid[123])}
     got = next_point(sur, grid, sampled)
-    # independent re-scan with scalar denominator evaluations
+    # independent re-scan with 1/|Q| written out point by point
     best, best_val = None, -1.0
     for z in grid:
         z = complex(z)
         if z in sampled:
             continue
-        val = sur.indicator(z)
+        val = 1.0 / abs(np.sum(sur.coeffs / (z - sur.support)))
         if val > best_val:
             best, best_val = z, val
     assert got == best
@@ -434,6 +447,22 @@ def test_batch_anchor_skips_resonant_test_point():
     assert rec.estimator == err
 
 
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+@pytest.mark.parametrize("kind,kw", [("lookahead", {}), ("lookahead_memory", {"n_memory": 2})])
+def test_estimator_equals_recomputation_from_eval(kind, kw, fitter):
+    # the run's estimate and a later eval at its anchor go through the same
+    # barycentric sweep, so they agree bit for bit, not only to rounding
+    sys = make_synthetic([1j * f for f in (2, 5, 11, 19, 37, 53, 71, 90)], 1, m=2, p=2)
+    cfg = cfg_with(kind, tol=1e-6, fitter=fitter, **kw)
+    trace = run_greedy(sys, cfg)
+    finite = [(rec, sur) for rec, sur in zip(trace.records, trace.surrogates) if math.isfinite(rec.estimator)]
+    assert finite
+    for rec, sur in finite:
+        err = adjusted_relative_error(sys.eval_transfer(rec.anchor), sur.eval(rec.anchor), cfg.delta)
+        assert rec.estimator == err
+
+
 def recording_oracle(oracle, requests):
     """oracle, with every z it is asked for appended to requests."""
 
@@ -550,8 +579,10 @@ def test_estimator_sweeps_its_test_points_once_per_iteration(monkeypatch, fitter
         for rec, sur in zip(trace.records, trace.surrogates)
     ]
     assert sweeps == tested  # one sweep per iteration, over exactly the test points
-    # the sweep sums in another order than eval: agreement to rounding, and
-    # to an absolute 1e-15 where the estimate itself is at rounding level
+    # a sweep over several points may sum in another order than a one-point
+    # eval (test_estimator_equals_recomputation_from_eval pins the one-point
+    # case bit for bit): agreement to rounding, and to an absolute 1e-15
+    # where the estimate itself is at rounding level
     for rec, sur, pts in zip(trace.records, trace.surrogates, tested):
         ref = max(
             adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), cfg.delta) for z in pts
