@@ -38,8 +38,6 @@ def partition_samples(samples):
     is independent of input order.
     """
     samples = _canonical_sort(samples)
-    if len({s.z for s in samples}) != len(samples):
-        raise ValueError("sample frequencies must be distinct")
     return SamplePartition(support=samples[0::2], test=samples[1::2])
 
 
@@ -108,8 +106,6 @@ def fit_mri(samples):
     samples = _canonical_sort(samples)
     if not samples:
         raise ValueError("at least one sample is required")
-    if len({s.z for s in samples}) != len(samples):
-        raise ValueError("sample frequencies must be distinct")
     zs, vals = _stack(samples)
     s = len(samples)
     pm = vals.shape[1] * vals.shape[2]

@@ -3,8 +3,10 @@
 The loop starts from a single sample, refits the barycentric surrogate at
 every iteration, sweeps the indicator once over the grid, evaluates the
 configured termination rule and, while the rule fails, samples the
-transfer function at the grid point maximizing the indicator.
-Termination rules:
+transfer function at the grid point maximizing the indicator. Selection
+works on that one sweep: next_point takes its argmax and
+batch_test_points its largest interior local maxima, with sampled and
+banned grid points carrying -1. Termination rules:
 
   max_count          stop at a fixed sample budget, no error estimate
   density            stop when the next point gets too close (in log10 f)
@@ -112,6 +114,10 @@ class GreedyConfig:
             raise ValueError("delta must be nonnegative")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
+        if self.max_samples < 1:
+            raise ValueError("max_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.fitter not in ("loewner", "mri"):
             raise ValueError(f"unknown fitter {self.fitter!r}")
 
@@ -169,17 +175,8 @@ def adjusted_relative_error(exact, approx, delta):
     return float(np.linalg.norm(approx - exact) / (np.linalg.norm(exact) + delta))
 
 
-def _indicator_masked(sur, grid, excluded):
-    ind = sur.indicator_grid(grid)
-    if excluded:
-        mask = np.isin(grid, np.fromiter(excluded, dtype=np.complex128))
-        ind = ind.copy()
-        ind[mask] = -1.0
-    return ind
-
-
-def _argmax_index(ind):
-    """Index of the largest indicator value; ties break to the lowest index.
+def next_point(ind):
+    """Grid index of the largest indicator value; ties break to the lowest index.
 
     Excluded points carry -1, so a negative maximum means none is left.
     """
@@ -191,42 +188,18 @@ def _argmax_index(ind):
     return k
 
 
-def _local_maxima_indices(ind, n):
-    """Top-n interior local maxima of an indicator array, by value, descending.
+def batch_test_points(ind, n):
+    """Grid indices of the top-n interior local maxima of the indicator.
 
-    Falls back to the global argmax when no admissible interior local
-    maximum exists.
+    Ordered by value, descending; falls back to ``[next_point(ind)]`` when
+    no admissible interior local maximum exists. Excluded points carry -1.
     """
     interior = np.arange(1, ind.size - 1)
     is_max = (ind[interior] > ind[interior - 1]) & (ind[interior] > ind[interior + 1])
     cand = interior[is_max & (ind[interior] >= 0)]
     if cand.size == 0:
-        return [_argmax_index(ind)]
+        return [next_point(ind)]
     return list(cand[np.argsort(-ind[cand], kind="stable")][:n])
-
-
-def next_point(sur, grid, sampled):
-    """Grid point maximizing the indicator, skipping sampled points.
-
-    Ties break to the lowest grid index. The indicator vanishes at support
-    nodes, so only non-node sampled points (e.g. the Loewner test
-    partition) need the explicit exclusion.
-    """
-    grid = np.asarray(grid)
-    return complex(grid[_argmax_index(_indicator_masked(sur, grid, sampled))])
-
-
-def batch_test_points(sur, grid, sampled, n):
-    """Top-n interior local maxima of the indicator, by value, descending.
-
-    Falls back to the global argmax when no interior local maximum
-    survives the exclusion of already-sampled points.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    grid = np.asarray(grid)
-    ind = _indicator_masked(sur, grid, sampled)
-    return [complex(grid[k]) for k in _local_maxima_indices(ind, n)]
 
 
 def random_test_points(cfg):
@@ -307,7 +280,7 @@ def run_greedy(oracle, cfg):
         which ``halt(z)`` holds is returned unsolved.
         """
         while True:
-            k = _argmax_index(ind)
+            k = next_point(ind)
             z = complex(grid[k])
             if (halt is not None and halt(z)) or solves(k, ind):
                 return z
@@ -362,7 +335,7 @@ def run_greedy(oracle, cfg):
             if rule.kind == "randomized":
                 pts = random_pts
             elif rule.kind == "batch":
-                ks = _local_maxima_indices(ind, rule.n_batch)
+                ks = batch_test_points(ind, rule.n_batch)
                 pts = [complex(grid[k]) for k in ks if solves(k, ind)]
             else:
                 chosen = pick(ind)

@@ -92,6 +92,15 @@ def test_nan_tolerance_is_a_config_error(synthetic_setup, capsys):
     assert err.startswith("error:") and "tol must be finite" in err
 
 
+def test_negative_seed_is_a_config_error(synthetic_setup, capsys):
+    # numpy's default_rng rejects a negative seed only when randomized draws
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, termination="randomized", seed=-1)
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be nonnegative" in err
+
+
 def test_unknown_config_key_reports_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("system = x\nf_min = 1\nf_max = 2\nwat = 3\n")

@@ -39,6 +39,13 @@ def test_partition_rejects_duplicates():
         partition_samples(samples_at([1j, 1j], rational_11))
 
 
+def test_mri_rejects_duplicates():
+    # 2-by-2 blocks keep three samples within p*m, so MRI does not warn
+    samples = samples_at([1j, 2j, 1j], lambda z: rational_11(z) * np.eye(2))
+    with pytest.raises(ValueError, match="distinct"):
+        fit_mri(samples)
+
+
 def test_loewner_recovers_type_11():
     part = partition_samples(samples_at([1j, 2j, 3j, 4j], rational_11))
     sur = fit_loewner(part)

@@ -67,6 +67,12 @@ def test_config_rejects_non_finite_values(name, value):
             GreedyConfig(**{"f_min": 1.0, "f_max": 100.0, name: value})
 
 
+@pytest.mark.parametrize("name,value", [("seed", -1), ("max_samples", 0)])
+def test_config_rejects_out_of_range_integers(name, value):
+    with pytest.raises(ValueError, match=name):
+        GreedyConfig(**{"f_min": 1.0, "f_max": 100.0, name: value})
+
+
 # -- adjusted relative error ----------------------------------------------
 
 
@@ -112,12 +118,21 @@ def test_error_scale_covariance(scale, delta):
 # -- next point / batch / random ------------------------------------------
 
 
+def reference_indicator(sur, grid, excluded):
+    """kernels.indicator_sweep over the grid, with the excluded points set to -1."""
+    grid = np.asarray(grid)
+    ind = kernels.indicator_sweep(grid, sur.support, sur.coeffs)
+    if excluded:
+        ind[np.isin(grid, np.fromiter(excluded, dtype=np.complex128))] = -1.0
+    return ind
+
+
 def test_next_point_single_node_picks_far_end():
     from greedyrat import BarycentricSurrogate
 
     grid = build_test_grid(GreedyConfig(f_min=1.0, f_max=100.0, grid_size=100))
     sur = BarycentricSurrogate([grid[0]], np.array([[[1.0]]]), [1.0])
-    assert next_point(sur, grid, {complex(grid[0])}) == complex(grid[-1])
+    assert grid[next_point(reference_indicator(sur, grid, {complex(grid[0])}))] == complex(grid[-1])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -125,7 +140,7 @@ def test_next_point_matches_exhaustive_scan(seed):
     sur = random_surrogate(5, seed, scale=50.0)
     grid = build_test_grid(GreedyConfig(f_min=1.0, f_max=100.0, grid_size=500))
     sampled = {complex(grid[7]), complex(grid[123])}
-    got = next_point(sur, grid, sampled)
+    got = grid[next_point(reference_indicator(sur, grid, sampled))]
     # independent re-scan with 1/|Q| written out point by point
     best, best_val = None, -1.0
     for z in grid:
@@ -144,7 +159,7 @@ def test_next_point_grid_exhausted():
     grid = np.array([1j, 2j])
     sur = BarycentricSurrogate([1j], np.array([[[1.0]]]), [1.0])
     with pytest.raises(GridExhaustedError):
-        next_point(sur, grid, {1j, 2j})
+        next_point(reference_indicator(sur, grid, {1j, 2j}))
 
 
 def test_batch_monotone_indicator_single_max():
@@ -152,16 +167,16 @@ def test_batch_monotone_indicator_single_max():
 
     grid = build_test_grid(GreedyConfig(f_min=1.0, f_max=100.0, grid_size=200))
     sur = BarycentricSurrogate([grid[0]], np.array([[[1.0]]]), [1.0])
-    pts = batch_test_points(sur, grid, {complex(grid[0])}, 5)
+    pts = list(grid[batch_test_points(reference_indicator(sur, grid, {complex(grid[0])}), 5)])
     assert pts == [complex(grid[-1])]
 
 
 def test_batch_equals_next_point_for_n1():
     sur = random_surrogate(6, 1, scale=50.0)
     grid = build_test_grid(GreedyConfig(f_min=1.0, f_max=100.0, grid_size=500))
-    pts = batch_test_points(sur, grid, set(), 1)
+    pts = list(grid[batch_test_points(reference_indicator(sur, grid, set()), 1)])
     if len(pts) == 1 and 0 < np.argmax(sur.indicator_grid(grid)) < grid.size - 1:
-        assert pts[0] == next_point(sur, grid, set())
+        assert pts[0] == grid[next_point(reference_indicator(sur, grid, set()))]
 
 
 def test_batch_local_maxima_near_denominator_roots():
@@ -174,7 +189,7 @@ def test_batch_local_maxima_near_denominator_roots():
     q /= np.linalg.norm(q)
     sur = BarycentricSurrogate(support, np.zeros((4, 1, 1)), q)
     grid = build_test_grid(GreedyConfig(f_min=1.0, f_max=100.0, grid_size=5000))
-    pts = batch_test_points(sur, grid, set(), 10)
+    pts = list(grid[batch_test_points(reference_indicator(sur, grid, set()), 10)])
     roots = sur.denominator_roots()
     assert len(roots) == 3
     cell = 100.0 ** (1 / 4999)  # relative grid spacing
@@ -339,7 +354,8 @@ def assert_replays_through_next_point(trace, cfg):
     for rec, sur in zip(trace.records, trace.surrogates):
         if math.isnan(rec.chosen.real):
             continue
-        assert rec.chosen == next_point(sur, grid, set(zs[: rec.n_samples]) | banned)
+        excluded = set(zs[: rec.n_samples]) | banned
+        assert rec.chosen == grid[next_point(reference_indicator(sur, grid, excluded))]
         if rec.n_samples < len(zs):
             assert zs[rec.n_samples] == rec.chosen
         chosen += 1
@@ -430,7 +446,8 @@ def test_batch_anchor_skips_resonant_test_point():
     grid = build_test_grid(cfg)
     # the first iteration that checks more than one point
     for i, (rec, sur) in enumerate(zip(clean.records, clean.surrogates)):
-        pts = batch_test_points(sur, grid, set(clean.sampled_frequencies[: rec.n_samples]), 3)
+        sampled = set(clean.sampled_frequencies[: rec.n_samples])
+        pts = list(grid[batch_test_points(reference_indicator(sur, grid, sampled), 3)])
         if len(pts) > 1:
             break
 
@@ -548,7 +565,9 @@ def estimator_test_points(kind, rec, sur, cfg, sampled):
     if kind == "randomized":
         return random_test_points(cfg)
     if kind == "batch":
-        return batch_test_points(sur, build_test_grid(cfg), sampled, cfg.termination.n_batch)
+        grid = build_test_grid(cfg)
+        ks = batch_test_points(reference_indicator(sur, grid, sampled), cfg.termination.n_batch)
+        return list(grid[ks])
     return [rec.anchor]
 
 
@@ -638,7 +657,7 @@ def test_batch_ledger_charges_each_test_point_once():
     tested = []
     for rec, sur in zip(trace.records, trace.surrogates):
         sampled = set(trace.sampled_frequencies[: rec.n_samples])
-        pts = batch_test_points(sur, grid, sampled, 3)
+        pts = list(grid[batch_test_points(reference_indicator(sur, grid, sampled), 3)])
         fresh = [z for z in dict.fromkeys(pts) if z not in tested and z not in training]
         assert rec.test_calls == len(fresh)
         tested += pts
@@ -673,7 +692,8 @@ def test_non_finite_replies_are_banned(kind, kw):
     if kind == "batch":
         # the one test point of the first iteration is the NaN grid end
         first = trace.surrogates[0]
-        assert batch_test_points(first, grid, {trace.samples[0].z}, 3) == [complex(grid[-1])]
+        first_pts = batch_test_points(reference_indicator(first, grid, {trace.samples[0].z}), 3)
+        assert list(grid[first_pts]) == [complex(grid[-1])]
         assert all(not math.isnan(r.estimator) for r in trace.records[1:])
 
 
