@@ -32,8 +32,6 @@ class BarycentricSurrogate:
         support = np.asarray(support, dtype=np.complex128).ravel()
         coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
         values = np.asarray(values, dtype=np.complex128)
-        if values.ndim == 1:
-            values = values[:, None, None]
         if values.ndim != 3 or values.shape[0] != support.size:
             raise ValueError("values must be one p-by-m block per support point")
         if coeffs.size != support.size:
@@ -72,9 +70,6 @@ class BarycentricSurrogate:
         if cmath.isinf(value.flat[0]):
             raise SurrogatePoleError(complex(z))
         return value
-
-    def __call__(self, z):
-        return self.eval(z)
 
     def eval_grid(self, grid):
         """Surrogate values over a 1-D array of frequencies (hot path)."""

@@ -16,7 +16,8 @@ Subcommands:
                                          this system; writes verify.csv
 
 validate and verify read <output_dir>/surrogate.json, the file run wrote,
-unless they are given another path.
+unless they are given another path, and reject a surrogate whose blocks
+are not the system's p-by-m.
 
 Config files are flat ``key = value`` text. The keys are the fields of
 ``GreedyConfig`` and of its ``TerminationRule`` (whose ``kind`` is spelled
@@ -116,14 +117,21 @@ def _load(loader, path):
         raise ConfigError(f"cannot load {path}: {exc}") from exc
 
 
-def _load_surrogate(args, outdir):
+def _load_surrogate(args, system, outdir):
     """(path, surrogate, run metadata) of the surrogate a command works on.
 
     That is the optional positional path, else <output_dir>/surrogate.json,
-    the file `run` wrote.
+    the file `run` wrote. A surrogate whose blocks are not the system's
+    p-by-m is rejected.
     """
     path = args.surrogate or os.path.join(outdir, "surrogate.json")
-    return (path, *_load(BarycentricSurrogate.load, path))
+    sur, meta = _load(BarycentricSurrogate.load, path)
+    if sur.output_shape != (system.p, system.m):
+        raise ConfigError(
+            f"{path}: surrogate blocks are {sur.output_shape}, the system's are "
+            f"{(system.p, system.m)}"
+        )
+    return path, sur, meta
 
 
 def _prepare(args):
@@ -139,38 +147,27 @@ def _prepare(args):
     return cfg, system, outdir
 
 
-def _timestamp_lines():
-    return [f"generated {datetime.now(timezone.utc).isoformat()}", "frequencies are f in z = i*f"]
-
-
-def _open_csv(path):
-    f = open(path, "w", newline="")
-    for line in _timestamp_lines():
-        f.write(f"# {line}\n")
-    return f
+def _write_csv(path, header, rows):
+    """Two `#` comment lines, the header row, then rows (any iterable)."""
+    with open(path, "w", newline="") as f:
+        f.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        f.write("# frequencies are f in z = i*f\n")
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_run_artifacts(trace, outdir):
-    with _open_csv(os.path.join(outdir, "samples.csv")) as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "f", "anchor_re", "anchor_im", "estimator", "flag"])
-        for rec in trace.records:
-            fval = rec.chosen.imag if not math.isnan(rec.chosen.imag) else rec.anchor.imag
-            w.writerow(
-                [
-                    rec.iteration,
-                    fval,
-                    rec.anchor.real,
-                    rec.anchor.imag,
-                    rec.estimator,
-                    int(rec.flag),
-                ]
-            )
-    with _open_csv(os.path.join(outdir, "ledger.csv")) as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "samples", "test_calls", "cumulative_oracle_calls"])
-        for rec in trace.records:
-            w.writerow([rec.iteration, rec.n_samples, rec.test_calls, rec.oracle_calls])
+    samples = (
+        [r.iteration, r.anchor.imag if math.isnan(r.chosen.imag) else r.chosen.imag]
+        + [r.anchor.real, r.anchor.imag, r.estimator, int(r.flag)]
+        for r in trace.records
+    )
+    header = ["iteration", "f", "anchor_re", "anchor_im", "estimator", "flag"]
+    _write_csv(os.path.join(outdir, "samples.csv"), header, samples)
+    ledger = ([r.iteration, r.n_samples, r.test_calls, r.oracle_calls] for r in trace.records)
+    header = ["iteration", "samples", "test_calls", "cumulative_oracle_calls"]
+    _write_csv(os.path.join(outdir, "ledger.csv"), header, ledger)
     last = trace.records[-1]
     extra = {
         "termination_reason": trace.termination_reason,
@@ -194,7 +191,7 @@ def cmd_run(args):
 
 def cmd_validate(args):
     cfg, system, outdir = _prepare(args)
-    _, sur, meta = _load_surrogate(args, outdir)
+    _, sur, meta = _load_surrogate(args, system, outdir)
     grid = build_test_grid(cfg)
     approx = sur.eval_grid(grid)
     eta = np.full(grid.size, math.nan)
@@ -202,35 +199,32 @@ def cmd_validate(args):
         anchor = complex(*meta["estimator_anchor"])
         eta = estimator_curve(sur, meta["estimator_value"], anchor, grid)
     p, m = sur.output_shape
-    max_eps = 0.0
-    with _open_csv(os.path.join(outdir, "validation.csv")) as f:
-        w = csv.writer(f)
-        entry_cols = [f"absH_{i}_{j}" for i in range(p) for j in range(m)]
-        entry_cols += [f"absHs_{i}_{j}" for i in range(p) for j in range(m)]
-        w.writerow(["f", "eps", "eta", "resonance", "H_norm"] + entry_cols)
+    errors = [0.0]  # then the eps of each grid point that is not a resonance
+
+    def rows():
         for k, z in enumerate(grid):
             try:
                 H = system.eval_transfer(z)
             except ResonanceError:
-                w.writerow([z.imag, math.nan, eta[k], 1, math.nan] + [math.nan] * 2 * p * m)
+                yield [z.imag, math.nan, eta[k], 1, math.nan] + [math.nan] * 2 * p * m
                 continue
             eps = adjusted_relative_error(H, approx[k], cfg.delta)
-            max_eps = max(max_eps, eps)
+            errors.append(eps)
             row = [z.imag, eps, eta[k], 0, float(np.linalg.norm(H))]
             row += [abs(x) for x in H.ravel()]
             row += [abs(x) for x in approx[k].ravel()]
-            w.writerow(row)
-    print(f"max adjusted relative error over the grid: {max_eps:.6e}")
+            yield row
+
+    header = ["f", "eps", "eta", "resonance", "H_norm"]
+    header += [f"absH_{i}_{j}" for i in range(p) for j in range(m)]
+    header += [f"absHs_{i}_{j}" for i in range(p) for j in range(m)]
+    _write_csv(os.path.join(outdir, "validation.csv"), header, rows())
+    print(f"max adjusted relative error over the grid: {max(errors):.6e}")
     return 0
 
 
 def _check_support_values(sur, gsur, system, delta, path):
     """Reject a loaded surrogate whose support values are not this system's C G(z_j)."""
-    if sur.output_shape != (system.p, system.m):
-        raise ConfigError(
-            f"{path}: surrogate blocks are {sur.output_shape}, the system's are "
-            f"{(system.p, system.m)}"
-        )
     for z, H, G in zip(sur.support, sur.values, gsur.values):
         err = adjusted_relative_error(system.C @ G, H, delta)
         if not err <= SUPPORT_MATCH_TOL:
@@ -242,19 +236,18 @@ def _check_support_values(sur, gsur, system, delta, path):
 
 def cmd_verify(args):
     cfg, system, outdir = _prepare(args)
-    path, sur, _ = _load_surrogate(args, outdir)
+    path, sur, _ = _load_surrogate(args, system, outdir)
     gsur = verify_mod.state_surrogate(sur, system)
     _check_support_values(sur, gsur, system, cfg.delta, path)
     zs = verify_mod.draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
-    p1, p2 = verify_mod.write_report_csv(
-        os.path.join(outdir, "verify.csv"),
-        system,
-        sur,
-        zs,
-        cfg.delta,
-        header_lines=_timestamp_lines(),
-        gsur=gsur,
+    p1 = verify_mod.check_prop1(system, sur, zs, gsur=gsur)
+    p2 = verify_mod.check_prop2(system, sur, zs, cfg.delta, gsur=gsur)
+    rows = (
+        [z.imag, ra / absq, absq, ra, eps, d]
+        for z, absq, ra, eps, d in zip(zs, p1.absq, p1.rho_absq, p2.eps, p2.delta)
     )
+    header = ["f", "rho", "absQ", "rho_absQ", "eps", "Delta"]
+    _write_csv(os.path.join(outdir, "verify.csv"), header, rows)
     print(
         f"gamma = {p1.gamma_estimate:.6e} (formula {p1.gamma_formula:.6e}), "
         f"rho*|Q| relative spread = {p1.max_relative_spread:.3e}"

@@ -8,18 +8,18 @@ the pencil zE - A; the explicit inverse is never formed.
 
 Everything about the pencil that does not depend on z is worked out once,
 when the system is built, and each frequency then only factors and
-solves. The path is fixed by the structure of E and A alone:
+solves. The path is fixed by the structure of E and A alone, read from CSC
+copies of dense arrays (if either is given dense, both are kept dense):
 
-  dense    dense E and A (if either is given dense, both are kept dense):
-           LAPACK getrf/getrs on the n-by-n pencil
   tridiagonal
-           sparse, with half-bandwidth at most 1 after a reverse Cuthill-McKee
-           (RCM) ordering of the union pattern of E and A, and n >= 3: E and
+           half-bandwidth at most 1 after a reverse Cuthill-McKee (RCM)
+           ordering of the union pattern of E and A, and n >= 3: E and
            A are scattered once into three contiguous diagonals, and each
            frequency costs one axpy, gttrf and gttrs
-  banded   sparse, with half-bandwidth at most BAND_MAX after the RCM
-           ordering: E and A are scattered once into LAPACK band storage,
-           and each frequency costs one axpy, gbtrf and gbtrs
+  banded   half-bandwidth at most BAND_MAX after the RCM ordering: E and A
+           are scattered once into LAPACK band storage, and each frequency
+           costs one axpy, gbtrf and gbtrs
+  dense    dense with a wider band: LAPACK getrf/getrs on the n-by-n pencil
   sparse   sparse with a wider band: SuperLU on the pencil zE - A
 
 Every path raises ResonanceError when a pivot of U vanishes or falls below
@@ -145,8 +145,6 @@ class _TridiagonalPencil(_OrderedPencil):
         )
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK gttrf")
-        if info > 0:
-            raise ResonanceError(z, f"tridiagonal LU hit an exact zero pivot at z = {z}")
         _check_pivots(z, d)
         return dl, d, du, du2, ipiv
 
@@ -183,8 +181,6 @@ class _BandedPencil(_OrderedPencil):
         lu, piv, info = self.gbtrf(ab, kl, ku, overwrite_ab=True)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK gbtrf")
-        if info > 0:
-            raise ResonanceError(z, f"banded LU hit an exact zero pivot at z = {z}")
         _check_pivots(z, lu[kl + ku])
         return lu, piv
 
@@ -236,9 +232,20 @@ def _band(M, inv, rows, diag_row, order):
 
 
 def _analyse_pencil(E, A):
-    """The pencil factorizer for E and A, chosen by their structure alone."""
-    if not sp.issparse(A):
-        return _DensePencil(E, A)
+    """The pencil factorizer for E and A, chosen by their structure alone.
+
+    A pattern too wide for the band paths keeps its storage's factorizer.
+    """
+    if sp.issparse(A):
+        wide = _SparsePencil(E, A)
+    else:
+        wide = _DensePencil(E, A)
+        # no ordering bands more entries than a band of half-width BAND_MAX
+        # holds, so such arrays skip the CSC copies and the ordering
+        band_nnz = A.shape[0] * (2 * BAND_MAX + 1)
+        if np.count_nonzero(A) > band_nnz or np.count_nonzero(E) > band_nnz:
+            return wide
+        E, A = sp.csc_matrix(E), sp.csc_matrix(A)
     union = _pattern(E) + _pattern(A)
     perm = reverse_cuthill_mckee((union + union.T).tocsr(), symmetric_mode=True)
     inv = np.empty_like(perm)
@@ -251,15 +258,16 @@ def _analyse_pencil(E, A):
         return _TridiagonalPencil(E, A, perm, inv)
     if max(kl, ku) <= BAND_MAX:
         return _BandedPencil(E, A, perm, inv, kl, ku)
-    return _SparsePencil(E, A)
+    return wide
 
 
 class DescriptorSystem:
     """Immutable (E, A, B, C) system; E and A may be scipy sparse matrices.
 
     E and A are kept as one kind: if either is given dense, both are stored
-    dense. The pencil's structure is analysed once, here, so solve_pencil
-    only factors and solves at each frequency (see ``pencil_path``).
+    dense. The pencil's structure, not its storage, is analysed once, here,
+    so solve_pencil only factors and solves at each frequency (see
+    ``pencil_path``).
     """
 
     def __init__(self, E, A, B, C):

@@ -14,8 +14,10 @@ samples:
 Delta is the frequency-dependent factor separating the computable
 indicator from the true output error; it cannot be observed without the
 system matrices, which is why these diagnostics ship as a module.
+
+The module only computes: ``greedyrat verify`` writes the reports'
+per-point values to verify.csv.
 """
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -149,17 +151,3 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
         eps=errs,
     )
 
-
-def write_report_csv(path, sys, sur, zs, delta, header_lines=(), gsur=None):
-    """Per-point CSV with columns f, rho, absQ, rho_absQ, eps, Delta."""
-    gsur = gsur or state_surrogate(sur, sys)
-    p1 = check_prop1(sys, sur, zs, gsur=gsur)
-    p2 = check_prop2(sys, sur, zs, delta, gsur=gsur)
-    with open(path, "w", newline="") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        w = csv.writer(f)
-        w.writerow(["f", "rho", "absQ", "rho_absQ", "eps", "Delta"])
-        for z, absq, ra, eps, d in zip(zs, p1.absq, p1.rho_absq, p2.eps, p2.delta):
-            w.writerow([z.imag, ra / absq, absq, ra, eps, d])
-    return p1, p2

@@ -122,7 +122,7 @@ def spring_chain(masses=100, seed=0):
 
 
 def densified(sys):
-    """sys with E and A as dense arrays, so it takes the dense pencil path."""
+    """sys with E and A stored as dense arrays; the pencil path stays the structure's."""
     return DescriptorSystem(sys.E.toarray(), sys.A.toarray(), sys.B, sys.C)
 
 

@@ -108,6 +108,22 @@ def test_unknown_config_key_reports_line(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("system = x\nf_min = 1\nf_max\n", r"bad\.cfg:3: expected 'key = value'"),
+        ("system = x\nf_min = one\nf_max = 2\n", r"bad\.cfg:2: bad value for 'f_min'"),
+        ("system = x\nf_min = 1\n", r"bad\.cfg: missing required key 'f_max'"),
+    ],
+    ids=["no-equals", "bad-value", "missing-key"],
+)
+def test_malformed_config_is_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(str(path))
+
+
 def test_config_keys_are_the_dataclass_fields(synthetic_setup):
     tmp_path, prefix = synthetic_setup
     cfg_keys = {f.name for f in fields(GreedyConfig)} - {"termination"}
@@ -274,6 +290,29 @@ def test_validate_exact_recovery(synthetic_setup):
     assert sum(c.startswith("absHs_") for c in header) == 4
 
 
+def test_validate_marks_a_resonant_grid_point(tmp_path, capsys):
+    # a pole exactly on a grid frequency makes the system's pencil singular there
+    grid_f = np.geomspace(1.0, 100.0, 1000)
+    k = 400
+    sys = make_synthetic([2j, 1j * grid_f[k], 70j], 0, m=2, p=2)
+    prefix = str(tmp_path / "sys")
+    sys.save_matrix_market(prefix)
+    cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=6)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    assert main(["validate", cfg]) == 0
+    printed = float(capsys.readouterr().out.rsplit(" ", 1)[1])
+    rows = [r.strip().split(",") for r in read_csv_body(tmp_path / "out" / "validation.csv")]
+    assert len(rows) == 1 + grid_f.size
+    f, eps, _, resonance, h_norm = np.array(rows[1:], dtype=float).T[:5]
+    assert f[k] == grid_f[k]
+    assert np.flatnonzero(resonance).tolist() == [k]
+    assert np.isnan(eps[k]) and np.isnan(h_norm[k])
+    others = np.delete(eps, k)
+    assert np.all(np.isfinite(others))
+    assert printed == float(f"{others.max():.6e}")
+
+
 def test_validate_ledger_matches_rule(synthetic_setup):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix)
@@ -385,6 +424,24 @@ def test_surrogate_json_is_parsed_once(synthetic_setup, monkeypatch, command):
     )
     assert main([command, cfg]) == 0
     assert parsed == [str(tmp_path / "out" / "surrogate.json")]
+
+
+def test_validate_rejects_a_surrogate_of_another_shape(synthetic_setup, capsys):
+    tmp_path, prefix = synthetic_setup
+    other = make_synthetic([3j, 9j, 31j, 71j], 0)
+    other_prefix = str(tmp_path / "other")
+    other.save_matrix_market(other_prefix)
+    other_cfg = write_config(
+        tmp_path, other_prefix, name="other.cfg", output_dir=str(tmp_path / "other_out")
+    )
+    assert main(["run", other_cfg]) == 0
+    cfg = write_config(tmp_path, prefix)
+    sur_path = str(tmp_path / "other_out" / "surrogate.json")
+    assert main(["validate", cfg, sur_path]) == 1
+    err = capsys.readouterr().err
+    shapes = "surrogate blocks are (1, 1), the system's are (2, 2)"
+    assert err.startswith(f"error: {sur_path}: {shapes}")
+    assert not (tmp_path / "out" / "validation.csv").exists()
 
 
 @pytest.mark.parametrize(

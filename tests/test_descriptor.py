@@ -1,9 +1,9 @@
 """Sparse descriptor systems: the pencil paths and the paper's identities.
 
 After a reverse Cuthill-McKee ordering the RLC line (singular E) from
-conftest is tridiagonal and the mass-spring chain is banded; the same
-systems densified take the dense path, and long-range couplings push one
-onto SuperLU.
+conftest is tridiagonal and the mass-spring chain is banded, whether E and
+A are stored sparse or dense; long-range couplings push one onto SuperLU,
+or onto the dense path when stored dense.
 """
 import numpy as np
 import pytest
@@ -27,21 +27,25 @@ LINE = (rlc_line, 1e8, 1e10)
 CHAIN = (spring_chain, 1e-2, 1.0)
 
 
+# case id: (system, frequency range, the path its structure selects); a
+# "-dense" id stores E and A as dense arrays
 PATH_CASES = {
-    "line-tridiagonal": (rlc_line, LINE),
-    "chain-banded": (spring_chain, CHAIN),
-    "line-dense": (lambda: densified(rlc_line()), LINE),
-    "chain-dense": (lambda: densified(spring_chain()), CHAIN),
-    "line-sparse": (lambda: long_range(rlc_line()), LINE),
-    "chain-sparse": (lambda: long_range(spring_chain()), CHAIN),
+    "line-tridiagonal": (rlc_line, LINE, "tridiagonal"),
+    "chain-banded": (spring_chain, CHAIN, "banded"),
+    "line-dense": (lambda: densified(rlc_line()), LINE, "tridiagonal"),
+    "chain-dense": (lambda: densified(spring_chain()), CHAIN, "banded"),
+    "line-sparse": (lambda: long_range(rlc_line()), LINE, "sparse"),
+    "chain-sparse": (lambda: long_range(spring_chain()), CHAIN, "sparse"),
+    "line-wide-dense": (lambda: densified(long_range(rlc_line())), LINE, "dense"),
+    "chain-wide-dense": (lambda: densified(long_range(spring_chain())), CHAIN, "dense"),
 }
 
 
 @pytest.mark.parametrize("case", list(PATH_CASES))
 def test_each_path_matches_dense_solve(case):
-    make, (_, f_min, f_max) = PATH_CASES[case]
+    make, (_, f_min, f_max), path = PATH_CASES[case]
     sys = make()
-    assert sys.pencil_path == case.split("-")[1]
+    assert sys.pencil_path == path
     rng = np.random.default_rng(1)
     E, A = (M.toarray() if sp.issparse(M) else M for M in (sys.E, sys.A))
     rhs = np.hstack([sys.B, rng.standard_normal((sys.n, 3)) + 1j * rng.standard_normal((sys.n, 3))])
@@ -138,7 +142,7 @@ def test_missing_e_with_dense_a_is_the_identity():
     sys = densified(spring_chain())
     implicit = DescriptorSystem(None, sys.A, sys.B, sys.C)
     explicit = DescriptorSystem(np.eye(sys.n), sys.A, sys.B, sys.C)
-    assert implicit.pencil_path == explicit.pencil_path == "dense"
+    assert implicit.pencil_path == explicit.pencil_path == "banded"
     for z in (0.05j, 0.3j, 2.0j):
         assert np.array_equal(implicit.eval_transfer(z), explicit.eval_transfer(z))
 
@@ -148,7 +152,7 @@ def test_mixed_sparse_and_dense_inputs_agree():
     dense = densified(sys)
     for E, A in ((sys.E, dense.A), (dense.E, sys.A)):
         mixed = DescriptorSystem(E, A, sys.B, sys.C)
-        assert mixed.pencil_path == "dense"
+        assert mixed.pencil_path == dense.pencil_path == "banded"
         assert np.array_equal(mixed.eval_transfer(0.3j), dense.eval_transfer(0.3j))
 
 

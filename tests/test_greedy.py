@@ -67,10 +67,40 @@ def test_config_rejects_non_finite_values(name, value):
             GreedyConfig(**{"f_min": 1.0, "f_max": 100.0, name: value})
 
 
-@pytest.mark.parametrize("name,value", [("seed", -1), ("max_samples", 0)])
+@pytest.mark.parametrize("name,value", [("seed", -1), ("max_samples", 0), ("grid_size", 1)])
 def test_config_rejects_out_of_range_integers(name, value):
     with pytest.raises(ValueError, match=name):
         GreedyConfig(**{"f_min": 1.0, "f_max": 100.0, name: value})
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"f_min": 0.0}, "0 < f_min < f_max"),
+        ({"f_min": 100.0}, "0 < f_min < f_max"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"delta": -1e-8}, "delta must be nonnegative"),
+        ({"fitter": "aaa"}, "unknown fitter 'aaa'"),
+    ],
+    ids=["f_min-zero", "f_min-not-below-f_max", "tol", "delta", "fitter"],
+)
+def test_config_rejects_out_of_range_values(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        GreedyConfig(**{"f_min": 1.0, "f_max": 100.0, **overrides})
+
+
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("lookahead_memory", "n_memory", 0),
+        ("batch", "n_batch", 0),
+        ("randomized", "n_random", 0),
+        ("density", "min_gap", 0.0),
+    ],
+)
+def test_rule_rejects_out_of_range_values(kind, name, value):
+    with pytest.raises(ValueError, match=name):
+        TerminationRule(kind=kind, **{name: value})
 
 
 # -- adjusted relative error ----------------------------------------------

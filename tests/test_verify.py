@@ -148,54 +148,79 @@ def test_probe_points_avoid_support():
         assert rel > 1e-6
 
 
-def test_report_csv(tmp_path):
-    from greedyrat.verify import write_report_csv
+def verify_report(tmp_path, monkeypatch, sys, sur):
+    """`greedyrat verify` on sys and sur: verify.csv's rows, the probe points
+    and the Prop-1/Prop-2 reports the command computed.
+    """
+    from greedyrat import verify
+    from greedyrat.cli import main
 
+    reports = {}
+
+    def keep(name):
+        check = getattr(verify, name)
+        return lambda *args, **kwargs: reports.setdefault(name, check(*args, **kwargs))
+
+    for name in ("check_prop1", "check_prop2"):
+        monkeypatch.setattr(verify, name, keep(name))
+    prefix = str(tmp_path / "sys")
+    sys.save_matrix_market(prefix)
+    sur_path = str(tmp_path / "surrogate.json")
+    sur.save(sur_path)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"system = {prefix}\nf_min = 1\nf_max = 100\ndelta = 1e-8\nseed = 0\n")
+    assert main(["verify", str(cfg), sur_path]) == 0
+    text = (tmp_path / "verify.csv").read_text()
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    pts = draw_probe_points(sur, 1.0, 100.0, 100, seed=0)
+    return rows, pts, reports["check_prop1"], reports["check_prop2"]
+
+
+def test_report_csv(tmp_path, monkeypatch):
     sys = probe_system(30)
     zs = 1j * np.geomspace(1.0, 100.0, 7)
     sur, _ = fitted_state(sys, zs)
-    pts = draw_probe_points(sur, 1.0, 100.0, 10, seed=0)
-    path = tmp_path / "verify.csv"
-    p1, p2 = write_report_csv(path, sys, sur, pts, 1e-8)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "f,rho,absQ,rho_absQ,eps,Delta"
-    assert len(lines) == 11
+    rows, pts, p1, p2 = verify_report(tmp_path, monkeypatch, sys, sur)
+    assert rows[0] == "f,rho,absQ,rho_absQ,eps,Delta"
+    assert len(rows) == 1 + len(pts)
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [z.imag for z in pts]
+    assert [float(r.split(",")[5]) for r in rows[1:]] == p2.delta
     assert p1.max_relative_spread <= 1e-8
 
 
 def test_report_csv_solves_each_probe_once(tmp_path, monkeypatch):
-    from greedyrat.verify import write_report_csv
-
     sys = probe_system(31)
     zs = 1j * np.geomspace(1.0, 100.0, 7)
     sur, _ = fitted_state(sys, zs)
-    pts = draw_probe_points(sur, 1.0, 100.0, 10, seed=0)
     solved = []
-    solve_pencil = sys.solve_pencil
-    monkeypatch.setattr(sys, "solve_pencil", lambda z, b: solved.append(z) or solve_pencil(z, b))
-    p1, p2 = write_report_csv(tmp_path / "verify.csv", sys, sur, pts, 1e-8)
+    solve_pencil = DescriptorSystem.solve_pencil
+    monkeypatch.setattr(
+        DescriptorSystem, "solve_pencil", lambda s, z, b: solved.append(z) or solve_pencil(s, z, b)
+    )
+    rows, pts, _, p2 = verify_report(tmp_path, monkeypatch, sys, sur)
     # the state samples at the support, then one factorization per probe
     # point for both H and the Delta numerator; the CSV reuses check_prop2's eps
     assert solved == list(sur.support) + pts
-    rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
-    assert [float(r.split(",")[4]) for r in rows] == p2.eps
+    assert [float(r.split(",")[4]) for r in rows[1:]] == p2.eps
 
 
 def test_report_csv_evaluates_the_denominator_twice_per_probe(tmp_path, monkeypatch):
-    from greedyrat.verify import write_report_csv
-
     sys = probe_system(33)
     zs = 1j * np.geomspace(1.0, 100.0, 7)
     sur, _ = fitted_state(sys, zs)
-    pts = draw_probe_points(sur, 1.0, 100.0, 10, seed=0)
     evaluated = []
-    unpatched = sur.eval_denominator
-    monkeypatch.setattr(sur, "eval_denominator", lambda z: evaluated.append(z) or unpatched(z))
-    p1, _ = write_report_csv(tmp_path / "verify.csv", sys, sur, pts, 1e-8)
+    unpatched = BarycentricSurrogate.eval_denominator
+
+    def counted(self, z):
+        evaluated.append(z)
+        return unpatched(self, z)
+
+    monkeypatch.setattr(BarycentricSurrogate, "eval_denominator", counted)
+    rows, pts, p1, _ = verify_report(tmp_path, monkeypatch, sys, sur)
     # once in check_prop1, once in check_prop2; the absQ column is check_prop1's
     assert evaluated == pts + pts
-    rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
-    assert [float(r.split(",")[2]) for r in rows] == p1.absq
+    assert [float(r.split(",")[2]) for r in rows[1:]] == p1.absq
+    assert [float(r.split(",")[3]) for r in rows[1:]] == p1.rho_absq
 
 
 def test_prop1_forms_each_residual_once(monkeypatch):
