@@ -9,14 +9,19 @@ The surrogate-value sweep serves eval_grid. The surrogate's scalar
 methods are one-point calls of the same sweeps, so eval, eval_denominator
 and eval_grid([z]) are timed at one point, in microseconds, on 2 x 2
 output blocks and on 3000 x 2 state blocks (the size verify evaluates).
-The oracle kernel,
-DescriptorSystem.solve_pencil, is timed in ms per solve on each of its
-four paths on the test tier's small descriptor systems (tests/conftest.py):
-an RLC line of 200 sections with singular E (tridiagonal) and a
-mass-spring chain of 100 masses (banded), each also densified (dense) and
-with random long-range couplings (SuperLU). Each line reports the best of --repeats
-calls. Set OPENBLAS_NUM_THREADS=1 to time the kernels as the benchmark
-runs them.
+The fit's kernel, fitters._smallest_right_singular_vector, is timed on
+a complex Loewner matrix of the benchmark chain's last shape (228 x 58:
+57 test and 58 support samples of 2 x 2 blocks, past the 17/9 aspect
+where it takes the SVD of R) and of the SISO shape at the same sample
+count (57 x 58, wide).
+The oracle kernel, DescriptorSystem.solve_pencil, is timed in ms per
+solve on each of its four paths on the test tier's small descriptor
+systems (tests/conftest.py): an RLC line of 200 sections with singular E
+(tridiagonal) and a mass-spring chain of 100 masses (banded), each also
+densified (which keeps the structure's path), with random long-range
+couplings (SuperLU), and with both (dense: getrf). Each line reports the
+best of --repeats calls. Set OPENBLAS_NUM_THREADS=1 to time the kernels
+as the benchmark runs them.
 
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """
@@ -28,6 +33,7 @@ import time
 import numpy as np
 
 from greedyrat import BarycentricSurrogate, kernels
+from greedyrat.fitters import _smallest_right_singular_vector
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from conftest import densified, long_range, rlc_line, spring_chain  # noqa: E402
@@ -96,12 +102,19 @@ def main():
             t = timeit(fn, 50 * args.repeats)
             print(f"{label:<25}{s:>4}{f'{p} x {m}':>12}{1e6 * t:>12.2f}")
 
+    print(f"\n{'_smallest_right_singular_vector':<33}{'rows x cols':>12}{'best [ms]':>12}")
+    for label, rows, cols in (("chain Loewner, 2 x 2", 228, 58), ("SISO Loewner", 57, 58)):
+        M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        t = timeit(lambda: _smallest_right_singular_vector(M, cols), args.repeats)
+        print(f"{label:<33}{f'{rows} x {cols}':>12}{1e3 * t:>12.3f}")
+
     print(f"\n{'solve_pencil':<25}{'path':>12}{'n':>6}{'ms/solve':>12}")
     for name, make, z in (("line", rlc_line, 2j * np.pi * 1e9), ("chain", spring_chain, 0.3j)):
         for label, system in (
             (name, make()),
             (f"{name}, long-range", long_range(make())),
             (f"{name}, densified", densified(make())),
+            (f"{name}, long, densified", densified(long_range(make()))),
         ):
             t = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
             print(f"{label:<25}{system.pencil_path:>12}{system.n:>6}{1e3 * t:>12.3f}")

@@ -2,6 +2,10 @@
 
 Both compute unit-norm coefficients q as the right singular vector of the
 smallest singular value of a data matrix; they differ in which matrix.
+A matrix at least 17/9 times as tall as it is wide is first reduced to
+its triangular QR factor R, the step LAPACK's SVD itself takes there
+(Chan's R-SVD, ACM TOMS 1982), so the fit never forms the tall left
+singular vectors it does not use; q is bit for bit the same.
 The phase of q is normalized so the entry of largest modulus is real and
 positive, which makes the fits reproducible (the underlying function is
 invariant under rescaling of q).
@@ -48,11 +52,18 @@ def _smallest_right_singular_vector(M, ncols):
         q = np.zeros(ncols, dtype=np.complex128)
         q[0 if ncols == 1 else -1] = 1.0
         return q
+    rows, cols = M.shape
+    if rows >= 17 * cols // 9:
+        # zgesdd's own crossover (MNTHR1): from here on it factors M = QR
+        # and takes the SVD of R, so doing that step first skips only the
+        # product U = Q U_R and leaves Vh bit for bit the same. numpy's qr
+        # calls the same LAPACK as its svd; scipy's may be another build.
+        M = np.linalg.qr(M, mode="r")
     # A tall or square M has a full set of right singular vectors in the
     # thin SVD; a wide one needs the full basis, whose last row spans part
     # of the null space. Ties between trailing singular values resolve to
     # the last row, which LAPACK returns deterministically.
-    _, _, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    _, _, Vh = np.linalg.svd(M, full_matrices=rows < cols)
     return Vh[-1].conj()
 
 

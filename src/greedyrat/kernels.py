@@ -3,28 +3,39 @@
 H~(z) = sum_j q_j V_j / (z - zeta_j) / Q(z) with Q(z) = sum_j q_j / (z - zeta_j)
 is evaluated only by the sweeps here, each one numpy pass over a
 points-by-support Cauchy matrix; ``BarycentricSurrogate``'s scalar
-methods are one-point calls of them. One helper, ``_cauchy_weights``,
-decides support collisions (|z - zeta_j| <= SNAP_TOL * (1 + |zeta_j|)) and
-zeroes a colliding row before any division; the sweeps then resolve it:
+methods are one-point calls of them. One rule, ``_collides``, decides
+support collisions (|z - zeta_j| <= SNAP_TOL * (1 + |zeta_j|)), and one
+helper, ``_cauchy_weights``, zeroes a colliding row before any division
+for every sweep; the sweeps then resolve it:
 Q is inf there, 1/|Q| is 0 and H~ is the stored sample. Q at a point is
 the same in a sweep of any length; H~ of a many-point sweep may differ
 from a one-point call in the last bits, as BLAS may order one row's sum
 differently.
 
 The greedy driver does not rebuild that matrix every iteration.
-``CauchyColumns`` keeps one column 1/(z_k - zeta_j) per *sample* on the
-driver's fixed grid, computed once when the sample is taken, so each
-indicator sweep is one matrix-vector product. Columns are keyed by sample
+``CauchyColumns`` keeps one column per *sample* on the driver's fixed
+grid, computed once when the sample is taken, so each indicator sweep is
+one matrix product. The grid and the samples lie on the imaginary axis,
+z_k = i f_k and zeta_j = i f_j, so 1/(z_k - zeta_j) = -i D[k, j] with the
+real D[k, j] = 1/(f_k - f_j), and |Q| = |D q|: the cache stores D, and a
+sweep multiplies it by the real and imaginary parts of q together, which
+reads half the bytes of a complex column. Columns are keyed by sample
 and not by support point because the Loewner split of the sorted samples
 into support and test sets relabels every sample above a new one: the
 support set is not append-only, so a test sample simply gets weight 0.
-The columns live in Fortran-order blocks of ``BLOCK`` columns allocated
-as samples arrive, so memory follows the sample count, not the cap.
+The columns live in float64 Fortran-order blocks of ``BLOCK`` columns
+allocated as samples arrive, so memory follows the sample count, not the
+cap.
 """
 import numpy as np
 
 # Relative snap tolerance for "z coincides with a support point".
 SNAP_TOL = 1e-13
+
+
+def _collides(distance, zeta):
+    """Whether a point at the given distance from the node zeta coincides with it."""
+    return distance <= (np.abs(zeta) + 1.0) * SNAP_TOL
 
 
 def _cauchy_weights(points, support, coeffs):
@@ -37,7 +48,7 @@ def _cauchy_weights(points, support, coeffs):
     # keeps that call on numpy's fast same-shape loops.
     support, coeffs = np.asarray(support)[None], np.asarray(coeffs)[None]
     dz = np.asarray(points, dtype=np.complex128)[:, None] - support
-    k, j = (np.abs(dz) <= (np.abs(support) + 1.0) * SNAP_TOL).nonzero()
+    k, j = _collides(np.abs(dz), support).nonzero()
     if k.size:
         dz[k] = np.inf  # q / inf = 0: the colliding row is zeroed, not divided by ~0
     return coeffs / dz, k, j
@@ -86,15 +97,17 @@ BLOCK = 32
 
 
 class CauchyColumns:
-    """Cached Cauchy columns 1/(grid - zeta) of the samples on a fixed grid.
+    """Cached real Cauchy columns 1/(f - f_j) of the samples on a fixed grid i*f.
 
-    Grid rows that collide with a sample, and rows passed to ``ban``, are
-    excluded: their entries are 0 and ``indicator`` reports them as -1,
-    below every admissible value.
+    The grid must lie on the imaginary axis. Grid rows that collide with a
+    sample, and rows passed to ``ban``, are excluded: their entries are 0
+    and ``indicator`` reports them as -1, below every admissible value.
     """
 
     def __init__(self, grid):
         self.grid = np.ascontiguousarray(grid, dtype=np.complex128)
+        if np.any(self.grid.real != 0):
+            raise ValueError("CauchyColumns needs a grid on the imaginary axis")
         self.excluded = np.zeros(self.grid.size, dtype=bool)
         self._blocks = []
         self._column = {}  # sample frequency -> column index
@@ -111,11 +124,16 @@ class CauchyColumns:
     def add(self, zeta):
         """Append the column of a newly taken sample."""
         zeta = complex(zeta)
+        if zeta.real != 0:
+            raise ValueError(f"sample {zeta} is off the imaginary axis")
         j = self.n_samples
         if j == self.capacity:
-            self._blocks.append(np.zeros((self.grid.size, BLOCK), dtype=np.complex128, order="F"))
-        w, k, _ = _cauchy_weights(self.grid, [zeta], [1.0])
-        self._blocks[-1][:, j % BLOCK] = w[:, 0]
+            self._blocks.append(np.zeros((self.grid.size, BLOCK), dtype=np.float64, order="F"))
+        d = self.grid.imag - zeta.imag
+        # |i d| == |d| in floating point: the decisions of _cauchy_weights
+        k = _collides(np.abs(d), zeta).nonzero()[0]
+        d[k] = np.inf
+        self._blocks[-1][:, j % BLOCK] = 1.0 / d
         self.excluded[k] = True
         self._column[zeta] = j
 
@@ -128,11 +146,12 @@ class CauchyColumns:
         w = np.zeros(self.n_samples, dtype=np.complex128)
         for zeta, q in zip(sur.support, sur.coeffs):
             w[self._column[complex(zeta)]] = q
-        q_grid = np.zeros(self.grid.size, dtype=np.complex128)
+        w = w.view(np.float64).reshape(-1, 2)  # columns Re q, Im q
+        dq = np.zeros((self.grid.size, 2))
         for j in range(0, self.n_samples, BLOCK):
             block = self._blocks[j // BLOCK][:, : self.n_samples - j]
-            q_grid += block @ w[j : j + BLOCK]
+            dq += block @ w[j : j + BLOCK]
         with np.errstate(divide="ignore"):
-            out = 1.0 / np.abs(q_grid)
+            out = 1.0 / np.abs(dq.view(np.complex128)[:, 0])
         out[self.excluded] = -1.0
         return out

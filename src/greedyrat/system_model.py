@@ -9,7 +9,7 @@ the pencil zE - A; the explicit inverse is never formed.
 Everything about the pencil that does not depend on z is worked out once,
 when the system is built, and each frequency then only factors and
 solves. The path is fixed by the structure of E and A alone, read from CSC
-copies of dense arrays (if either is given dense, both are kept dense):
+copies of dense arrays; each operand is kept in the storage it was given:
 
   tridiagonal
            half-bandwidth at most 1 after a reverse Cuthill-McKee (RCM)
@@ -19,8 +19,9 @@ copies of dense arrays (if either is given dense, both are kept dense):
   banded   half-bandwidth at most BAND_MAX after the RCM ordering: E and A
            are scattered once into LAPACK band storage, and each frequency
            costs one axpy, gbtrf and gbtrs
-  dense    dense with a wider band: LAPACK getrf/getrs on the n-by-n pencil
-  sparse   sparse with a wider band: SuperLU on the pencil zE - A
+  dense    a wider band with E or A dense: LAPACK getrf/getrs on the n-by-n
+           pencil, the only path that densifies a sparse operand
+  sparse   a wider band with E and A sparse: SuperLU on the pencil zE - A
 
 Every path raises ResonanceError when a pivot of U vanishes or falls below
 RCOND_MIN times the largest one.
@@ -79,7 +80,7 @@ class _DensePencil:
     kind = "dense"
 
     def __init__(self, E, A):
-        self.E, self.A = E, A
+        self.E, self.A = (M.toarray() if sp.issparse(M) else M for M in (E, A))
 
     def solve(self, z, rhs):
         P = z * self.E - self.A
@@ -234,19 +235,18 @@ def _band(M, inv, rows, diag_row, order):
 def _analyse_pencil(E, A):
     """The pencil factorizer for E and A, chosen by their structure alone.
 
-    A pattern too wide for the band paths keeps its storage's factorizer.
+    A pattern too wide for the band paths goes to SuperLU when E and A
+    are both sparse and to getrf otherwise.
     """
-    if sp.issparse(A):
-        wide = _SparsePencil(E, A)
-    else:
-        wide = _DensePencil(E, A)
+    sparse = sp.issparse(E) and sp.issparse(A)
+    if not sparse:
         # no ordering bands more entries than a band of half-width BAND_MAX
-        # holds, so such arrays skip the CSC copies and the ordering
+        # holds, so such pencils skip the CSC copies and the ordering
         band_nnz = A.shape[0] * (2 * BAND_MAX + 1)
-        if np.count_nonzero(A) > band_nnz or np.count_nonzero(E) > band_nnz:
-            return wide
-        E, A = sp.csc_matrix(E), sp.csc_matrix(A)
-    union = _pattern(E) + _pattern(A)
+        if any((M.nnz if sp.issparse(M) else np.count_nonzero(M)) > band_nnz for M in (A, E)):
+            return _DensePencil(E, A)
+    Ec, Ac = (M if sp.issparse(M) else sp.csc_matrix(M) for M in (E, A))
+    union = _pattern(Ec) + _pattern(Ac)
     perm = reverse_cuthill_mckee((union + union.T).tocsr(), symmetric_mode=True)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
@@ -255,18 +255,19 @@ def _analyse_pencil(E, A):
     kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
     # scipy's gttrf wrapper rejects n < 3, so such pencils stay banded
     if max(kl, ku) <= 1 and perm.size >= 3:
-        return _TridiagonalPencil(E, A, perm, inv)
+        return _TridiagonalPencil(Ec, Ac, perm, inv)
     if max(kl, ku) <= BAND_MAX:
-        return _BandedPencil(E, A, perm, inv, kl, ku)
-    return wide
+        return _BandedPencil(Ec, Ac, perm, inv, kl, ku)
+    return _SparsePencil(E, A) if sparse else _DensePencil(E, A)
 
 
 class DescriptorSystem:
     """Immutable (E, A, B, C) system; E and A may be scipy sparse matrices.
 
-    E and A are kept as one kind: if either is given dense, both are stored
-    dense. The pencil's structure, not its storage, is analysed once, here,
-    so solve_pencil only factors and solves at each frequency (see
+    E and A each keep the storage they were given, and a missing E is the
+    sparse identity; only the ``dense`` path densifies a sparse operand.
+    The pencil's structure, not its storage, is analysed once, here, so
+    solve_pencil only factors and solves at each frequency (see
     ``pencil_path``).
     """
 
@@ -274,7 +275,7 @@ class DescriptorSystem:
         A = self._as_square(A, "A")
         n = A.shape[0]
         if E is None:
-            E = sp.identity(n, format="csc") if sp.issparse(A) else np.eye(n)
+            E = sp.identity(n, format="csc")
         E = self._as_square(E, "E")
         B = np.atleast_2d(np.asarray(B, dtype=np.complex128))
         C = np.atleast_2d(np.asarray(C, dtype=np.complex128))
@@ -284,9 +285,6 @@ class DescriptorSystem:
             raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
         if C.shape[1] != n:
             raise ValueError(f"C has {C.shape[1]} columns, expected {n}")
-        if sp.issparse(E) != sp.issparse(A):
-            # a dense operand has already paid for n*n storage
-            E, A = (M.toarray() if sp.issparse(M) else M for M in (E, A))
         self.E, self.A, self.B, self.C = E, A, B, C
         self.n = n
         self.m = B.shape[1]

@@ -5,6 +5,8 @@ conftest is tridiagonal and the mass-spring chain is banded, whether E and
 A are stored sparse or dense; long-range couplings push one onto SuperLU,
 or onto the dense path when stored dense.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -154,6 +156,26 @@ def test_mixed_sparse_and_dense_inputs_agree():
         mixed = DescriptorSystem(E, A, sys.B, sys.C)
         assert mixed.pencil_path == dense.pencil_path == "banded"
         assert np.array_equal(mixed.eval_transfer(0.3j), dense.eval_transfer(0.3j))
+
+
+@pytest.mark.parametrize("E", [None, "identity"])
+def test_sparse_e_beside_dense_a_stays_sparse(E):
+    # n = 2000: a dense E would hold 64 MB, the size of the dense A itself
+    n = 2000
+    i = np.arange(n)
+    A = np.zeros((n, n), dtype=np.complex128)
+    A[i, i], A[i[1:], i[:-1]], A[i[:-1], i[1:]] = -2.0, 1.0, 1.0
+    B, C = np.ones((n, 1)), np.ones((1, n))
+    E = sp.identity(n, format="csc") if E == "identity" else E
+    tracemalloc.start()
+    try:
+        sys = DescriptorSystem(E, A, B, C)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sys.pencil_path == "tridiagonal"
+    assert sp.issparse(sys.E) and sys.A is A
+    assert held < A.nbytes / 8
 
 
 @pytest.mark.parametrize("make,f_min,f_max", [LINE, CHAIN], ids=["line", "chain"])

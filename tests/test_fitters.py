@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rational_11
 from greedyrat import fit_loewner, fit_mri, partition_samples
-from greedyrat.fitters import loewner_matrix
+from greedyrat.fitters import _smallest_right_singular_vector, loewner_matrix
 from greedyrat.system_model import FrequencySample
 
 
@@ -169,3 +169,26 @@ def test_exact_recovery_type_kk(k):
         z = 1j * f
         exact = target(z)
         assert np.linalg.norm(sur.eval(z) - exact) <= 1e-8 * np.linalg.norm(exact)
+
+
+# Tall shapes on both sides of zgesdd's QR crossover rows >= 17 * cols // 9
+# (7 x 4 and 109 x 58 are the first it reduces, 6 x 4 and 108 x 58 the last
+# it does not), the chain benchmark's last Loewner shape 228 x 58, 400 x 150
+# past LAPACK's blocking crossover at 128 columns and 250 x 150 below its QR
+# crossover, then square and wide matrices.
+SVD_SHAPES = [(6, 4), (7, 4), (108, 58), (109, 58), (228, 58), (400, 150), (250, 150),
+              (30, 30), (57, 58), (4, 9)]
+
+
+@pytest.mark.parametrize("rows,cols", SVD_SHAPES, ids=[f"{r}x{c}" for r, c in SVD_SHAPES])
+def test_smallest_right_singular_vector_is_the_svds_bit_for_bit(rows, cols):
+    rng = np.random.default_rng(rows * 1000 + cols)
+    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    ref = np.linalg.svd(M, full_matrices=rows < cols)[2][-1].conj()
+    assert np.array_equal(_smallest_right_singular_vector(M, cols), ref)
+
+
+@pytest.mark.parametrize("cols,hot", [(1, 0), (5, 4)])
+def test_smallest_right_singular_vector_of_an_empty_matrix(cols, hot):
+    q = _smallest_right_singular_vector(np.zeros((0, cols), dtype=np.complex128), cols)
+    assert np.array_equal(q, np.eye(cols)[hot])

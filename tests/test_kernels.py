@@ -96,3 +96,25 @@ def test_cauchy_columns_allocate_whole_blocks_as_samples_arrive():
     for n, z in enumerate(grid[:70], start=1):
         cache.add(z)
         assert cache.capacity == 32 * math.ceil(n / 32)
+
+
+def test_cauchy_columns_need_the_imaginary_axis():
+    with pytest.raises(ValueError, match="imaginary axis"):
+        kernels.CauchyColumns(np.linspace(1.0, 100.0, 50) + 0.25j)
+    cache = kernels.CauchyColumns(1j * np.geomspace(1.0, 100.0, 50))
+    with pytest.raises(ValueError, match="imaginary axis"):
+        cache.add(0.25 + 2j)
+
+
+def test_cauchy_columns_are_real_float64_blocks():
+    grid = 1j * np.geomspace(1.0, 100.0, 300)
+    cache = kernels.CauchyColumns(grid)
+    for k in (10, 200):
+        cache.add(grid[k])
+    (block,) = cache._blocks
+    assert block.dtype == np.float64 and block.flags.f_contiguous
+    # column j times -i is the complex Cauchy column 1/(z - zeta_j)
+    for j, k in enumerate((10, 200)):
+        ref, _, _ = kernels._cauchy_weights(grid, [grid[k]], [1.0])
+        np.testing.assert_allclose(-1j * block[:, j], ref[:, 0], rtol=1e-15)
+        assert block[k, j] == 0.0
