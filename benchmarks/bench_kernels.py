@@ -14,13 +14,16 @@ a complex Loewner matrix of the benchmark chain's last shape (228 x 58:
 57 test and 58 support samples of 2 x 2 blocks, past the 17/9 aspect
 where it takes the SVD of R) and of the SISO shape at the same sample
 count (57 x 58, wide).
-The oracle kernel, DescriptorSystem.solve_pencil, is timed in ms per
-solve on each of its four paths on the test tier's small descriptor
-systems (tests/conftest.py): an RLC line of 200 sections with singular E
-(tridiagonal) and a mass-spring chain of 100 masses (banded), each also
-densified (which keeps the structure's path), with random long-range
-couplings (SuperLU), and with both (dense: getrf). Each line reports the
-best of --repeats calls. Set OPENBLAS_NUM_THREADS=1 to time the kernels
+The oracle kernel is timed in ms per call on each of its four paths on
+the test tier's small descriptor systems (tests/conftest.py): an RLC line
+of 200 sections with singular E (tridiagonal) and a mass-spring chain of
+100 masses (banded), each also densified (which keeps the structure's
+path), with random long-range couplings (SuperLU), and with both (dense:
+getrf). Each system has two columns: DescriptorSystem.solve_pencil(z, B),
+which solves all n rows, and eval_transfer(z), which on the band paths
+solves only the trailing window of rows that B and C touch (the line's
+last 42 of 400; the chain's ports at both ends need all n). Each entry
+reports the best of --repeats calls. Set OPENBLAS_NUM_THREADS=1 to time the kernels
 as the benchmark runs them.
 
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
@@ -108,7 +111,8 @@ def main():
         t = timeit(lambda: _smallest_right_singular_vector(M, cols), args.repeats)
         print(f"{label:<33}{f'{rows} x {cols}':>12}{1e3 * t:>12.3f}")
 
-    print(f"\n{'solve_pencil':<25}{'path':>12}{'n':>6}{'ms/solve':>12}")
+    print(f"\n{'pencil':<25}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}")
+    print(f"{'':<43}{'[ms]':>14}{'[ms]':>15}")
     for name, make, z in (("line", rlc_line, 2j * np.pi * 1e9), ("chain", spring_chain, 0.3j)):
         for label, system in (
             (name, make()),
@@ -116,8 +120,12 @@ def main():
             (f"{name}, densified", densified(make())),
             (f"{name}, long, densified", densified(long_range(make()))),
         ):
-            t = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
-            print(f"{label:<25}{system.pencil_path:>12}{system.n:>6}{1e3 * t:>12.3f}")
+            t_solve = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
+            t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
+            print(
+                f"{label:<25}{system.pencil_path:>12}{system.n:>6}"
+                f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}"
+            )
 
 
 if __name__ == "__main__":

@@ -23,8 +23,27 @@ copies of dense arrays; each operand is kept in the storage it was given:
            pencil, the only path that densifies a sparse operand
   sparse   a wider band with E and A sparse: SuperLU on the pencil zE - A
 
+On the two band paths H(z) solves only the rows C reads. The window of
+rows runs from kl rows above the first RCM position that B or C touches
+to the end (kl is the lower half-bandwidth, 1 on the tridiagonal path),
+and B and C are stored once in the RCM order, cut to it. It starts kl
+rows early because step j of the forward substitution swaps row j with a
+row at most kl below it and updates the kl rows below it: every step
+above the window finds only zero rows, and the back substitution fills a
+row from the rows below it only. Each frequency then costs one axpy, the
+full gttrf or gbtrf, and a gttrs or gbtrs on the trailing slices of the
+factors, whose rows are bit for bit those of the full solve. H is the
+window's C times them, summed in the RCM order: the same bits as
+C @ solve(z, B) where each row of C reads one state through a real
+entry, as at the benchmark's ports, and the same to rounding otherwise.
+A window of all n rows (ports at both ends of the ordering) is C times
+the full solve. Solves with any other right-hand side
+(eval_state_transfer, verify), and H(z) on the dense and sparse paths,
+solve all n rows.
+
 Every path raises ResonanceError when a pivot of U vanishes or falls below
-RCOND_MIN times the largest one.
+RCOND_MIN times the largest one; it reads the full factor, so a resonance
+whose pivot lies above the window is caught too.
 """
 import os
 from dataclasses import dataclass
@@ -67,6 +86,12 @@ class FrequencySample:
         object.__setattr__(self, "z", complex(self.z))
 
 
+def _frozen(M):
+    """M, which the caller owns alone, made read-only."""
+    M.setflags(write=False)
+    return M
+
+
 def _check_pivots(z, diag):
     """Raise ResonanceError when U's diagonal says the pencil is singular at z."""
     du = np.abs(diag)
@@ -74,12 +99,27 @@ def _check_pivots(z, diag):
         raise ResonanceError(z)
 
 
-class _DensePencil:
+class _Pencil:
+    """A factorizer for one system: solve(z, rhs) gives X, transfer(z) gives C X.
+
+    The base transfer solves all n rows for the system's own B; the band
+    paths override it with the trailing-window solve.
+    """
+
+    def __init__(self, B, C):
+        self.B, self.C = B, C
+
+    def transfer(self, z):
+        return self.C @ self.solve(z, self.B)
+
+
+class _DensePencil(_Pencil):
     """LAPACK getrf/getrs on the dense pencil."""
 
     kind = "dense"
 
-    def __init__(self, E, A):
+    def __init__(self, E, A, B, C):
+        super().__init__(B, C)
         self.E, self.A = (M.toarray() if sp.issparse(M) else M for M in (E, A))
 
     def solve(self, z, rhs):
@@ -96,17 +136,29 @@ class _DensePencil:
         return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-class _OrderedPencil:
+class _OrderedPencil(_Pencil):
     """A pencil factored in the RCM order perm, whose inverse is inv.
 
-    Subclasses factor the permuted pencil (``_factor``) and solve with the
-    factors (``_solve``, which returns LAPACK's Fortran-ordered solution);
-    the right-hand side is gathered into that order and the solution back
-    out of it by ``np.take``.
+    Subclasses factor the permuted pencil (``_factor``), cut the factors to
+    their trailing rows from w (``_trailing``) and solve with them
+    (``_solve``, which returns LAPACK's Fortran-ordered solution). A
+    right-hand side is gathered into the RCM order and the solution back
+    out of it by ``np.take``. The transfer window starts at row w, kl rows
+    above the first RCM position that B or C touches (see the module
+    docstring); when w is 0 the base transfer solves all n rows.
     """
 
-    def __init__(self, perm, inv):
+    def __init__(self, B, C, perm, inv, kl, min_rows):
+        super().__init__(B, C)
         self.perm, self.inv = perm, inv
+        touched = inv[np.any(B != 0, axis=1) | np.any(C != 0, axis=0)]
+        first = touched.min() if touched.size else 0
+        # min_rows: the fewest rows the LAPACK solve wrapper accepts
+        self.w = int(min(max(first - kl, 0), perm.size - min_rows))
+        if self.w:
+            rows = perm[self.w :]
+            self.b_w = np.asfortranarray(B[rows])
+            self.c_w = np.ascontiguousarray(C[:, rows])
 
     def solve(self, z, rhs):
         factors = self._factor(z)
@@ -117,6 +169,14 @@ class _OrderedPencil:
         # Fortran order; np.take(x, inv, axis=0) reads strided (0.5 against
         # 0.22 ms on an n = 50000 line with two columns, 2-core x86)
         return np.take(x.T, self.inv, axis=1).T.reshape(rhs.shape)
+
+    def transfer(self, z):
+        # the full n keeps C in its own order, so C X is summed as C @ solve
+        # sums it; a window sums its rows in the RCM order instead
+        if not self.w:
+            return super().transfer(z)
+        factors = self._trailing(self._factor(z), self.w)
+        return self.c_w @ self._solve(factors, self.b_w.copy(order="F"))
 
 
 class _TridiagonalPencil(_OrderedPencil):
@@ -131,8 +191,9 @@ class _TridiagonalPencil(_OrderedPencil):
 
     kind = "tridiagonal"
 
-    def __init__(self, E, A, perm, inv):
-        super().__init__(perm, inv)
+    def __init__(self, E, A, B, C, perm, inv):
+        # scipy's gttrs wrapper, like its gttrf, rejects fewer than 3 rows
+        super().__init__(B, C, perm, inv, kl=1, min_rows=3)
         self.tri_e = _band(E, inv, rows=3, diag_row=1, order="C")
         self.tri_a = _band(A, inv, rows=3, diag_row=1, order="C")
         self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (self.tri_e,))
@@ -148,6 +209,11 @@ class _TridiagonalPencil(_OrderedPencil):
             raise ValueError(f"illegal value in argument {-info} of LAPACK gttrf")
         _check_pivots(z, d)
         return dl, d, du, du2, ipiv
+
+    @staticmethod
+    def _trailing(factors, w):
+        dl, d, du, du2, ipiv = factors
+        return dl[w:], d[w:], du[w:], du2[w:], ipiv[w:] - w
 
     def _solve(self, factors, b):
         x, info = self.gttrs(*factors, b, overwrite_b=True)
@@ -167,8 +233,8 @@ class _BandedPencil(_OrderedPencil):
 
     kind = "banded"
 
-    def __init__(self, E, A, perm, inv, kl, ku):
-        super().__init__(perm, inv)
+    def __init__(self, E, A, B, C, perm, inv, kl, ku):
+        super().__init__(B, C, perm, inv, kl=kl, min_rows=1)
         self.kl, self.ku = kl, ku
         rows = 2 * kl + ku + 1
         self.band_e = _band(E, inv, rows=rows, diag_row=kl + ku, order="F")
@@ -185,6 +251,11 @@ class _BandedPencil(_OrderedPencil):
         _check_pivots(z, lu[kl + ku])
         return lu, piv
 
+    @staticmethod
+    def _trailing(factors, w):
+        lu, piv = factors
+        return lu[:, w:], piv[w:] - w
+
     def _solve(self, factors, b):
         lu, piv = factors
         x, info = self.gbtrs(lu, self.kl, self.ku, b, piv, overwrite_b=True)
@@ -193,12 +264,13 @@ class _BandedPencil(_OrderedPencil):
         return x
 
 
-class _SparsePencil:
+class _SparsePencil(_Pencil):
     """SuperLU on the pencil zE - A."""
 
     kind = "sparse"
 
-    def __init__(self, E, A):
+    def __init__(self, E, A, B, C):
+        super().__init__(B, C)
         self.E, self.A = E, A
 
     def solve(self, z, rhs):
@@ -232,11 +304,12 @@ def _band(M, inv, rows, diag_row, order):
     return band
 
 
-def _analyse_pencil(E, A):
+def _analyse_pencil(E, A, B, C):
     """The pencil factorizer for E and A, chosen by their structure alone.
 
     A pattern too wide for the band paths goes to SuperLU when E and A
-    are both sparse and to getrf otherwise.
+    are both sparse and to getrf otherwise. B and C are the system's own,
+    which the factorizer's transfer(z) solves for.
     """
     sparse = sp.issparse(E) and sp.issparse(A)
     if not sparse:
@@ -244,7 +317,7 @@ def _analyse_pencil(E, A):
         # holds, so such pencils skip the CSC copies and the ordering
         band_nnz = A.shape[0] * (2 * BAND_MAX + 1)
         if any((M.nnz if sp.issparse(M) else np.count_nonzero(M)) > band_nnz for M in (A, E)):
-            return _DensePencil(E, A)
+            return _DensePencil(E, A, B, C)
     Ec, Ac = (M if sp.issparse(M) else sp.csc_matrix(M) for M in (E, A))
     union = _pattern(Ec) + _pattern(Ac)
     perm = reverse_cuthill_mckee((union + union.T).tocsr(), symmetric_mode=True)
@@ -255,10 +328,10 @@ def _analyse_pencil(E, A):
     kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
     # scipy's gttrf wrapper rejects n < 3, so such pencils stay banded
     if max(kl, ku) <= 1 and perm.size >= 3:
-        return _TridiagonalPencil(Ec, Ac, perm, inv)
+        return _TridiagonalPencil(Ec, Ac, B, C, perm, inv)
     if max(kl, ku) <= BAND_MAX:
-        return _BandedPencil(Ec, Ac, perm, inv, kl, ku)
-    return _SparsePencil(E, A) if sparse else _DensePencil(E, A)
+        return _BandedPencil(Ec, Ac, B, C, perm, inv, kl, ku)
+    return _SparsePencil(E, A, B, C) if sparse else _DensePencil(E, A, B, C)
 
 
 class DescriptorSystem:
@@ -266,9 +339,11 @@ class DescriptorSystem:
 
     E and A each keep the storage they were given, and a missing E is the
     sparse identity; only the ``dense`` path densifies a sparse operand.
-    The pencil's structure, not its storage, is analysed once, here, so
-    solve_pencil only factors and solves at each frequency (see
-    ``pencil_path``).
+    B, C and dense E and A are private read-only copies, so a caller who
+    changes the arrays it passed in changes neither the system nor its
+    transfer function. The pencil's structure, not its storage, is
+    analysed once, here, so solve_pencil only factors and solves at each
+    frequency (see ``pencil_path``).
     """
 
     def __init__(self, E, A, B, C):
@@ -277,8 +352,7 @@ class DescriptorSystem:
         if E is None:
             E = sp.identity(n, format="csc")
         E = self._as_square(E, "E")
-        B = np.atleast_2d(np.asarray(B, dtype=np.complex128))
-        C = np.atleast_2d(np.asarray(C, dtype=np.complex128))
+        B, C = (_frozen(np.atleast_2d(np.array(M, dtype=np.complex128))) for M in (B, C))
         if E.shape != (n, n):
             raise ValueError(f"E is {E.shape}, expected {(n, n)}")
         if B.shape[0] != n:
@@ -289,7 +363,7 @@ class DescriptorSystem:
         self.n = n
         self.m = B.shape[1]
         self.p = C.shape[0]
-        self._pencil = _analyse_pencil(E, A)
+        self._pencil = _analyse_pencil(E, A, B, C)
 
     @staticmethod
     def _as_square(M, name):
@@ -297,7 +371,7 @@ class DescriptorSystem:
             M = M.tocsc().astype(np.complex128)
             M.sum_duplicates()
         else:
-            M = np.atleast_2d(np.asarray(M, dtype=np.complex128))
+            M = _frozen(np.atleast_2d(np.array(M, dtype=np.complex128)))
         if M.shape[0] != M.shape[1]:
             raise ValueError(f"{name} is {M.shape}, not square")
         return M
@@ -310,13 +384,20 @@ class DescriptorSystem:
         """
         return self._pencil.kind
 
-    def solve_pencil(self, z, rhs):
-        """Solve (zE - A) X = rhs with a cheap singularity guard."""
+    def solve_pencil(self, z, rhs=None):
+        """Solve (zE - A) X = rhs with a cheap singularity guard.
+
+        Without rhs, solve for the system's own B and return C X, p-by-m:
+        on the band paths only the rows C reads are solved for (see the
+        module docstring).
+        """
+        if rhs is None:
+            return self._pencil.transfer(z)
         return self._pencil.solve(z, rhs)
 
     def eval_transfer(self, z):
         """H(z) = C (zE - A)^{-1} B as a dense p-by-m array."""
-        return self.C @ self.solve_pencil(complex(z), self.B)
+        return self.solve_pencil(complex(z))
 
     def eval_state_transfer(self, z):
         """G(z) = (zE - A)^{-1} B as a dense n-by-m array."""

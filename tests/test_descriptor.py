@@ -29,11 +29,23 @@ LINE = (rlc_line, 1e8, 1e10)
 CHAIN = (spring_chain, 1e-2, 1.0)
 
 
+
+def mass_0_port(sys):
+    """sys with one port, B = C.T, at the position of mass 0 of the chain.
+
+    RCM puts that state last, so the banded transfer window is 3 rows.
+    """
+    C = np.zeros((1, sys.n))
+    C[0, 0] = 1.0
+    return DescriptorSystem(sys.E, sys.A, C.T, C)
+
+
 # case id: (system, frequency range, the path its structure selects); a
 # "-dense" id stores E and A as dense arrays
 PATH_CASES = {
     "line-tridiagonal": (rlc_line, LINE, "tridiagonal"),
     "chain-banded": (spring_chain, CHAIN, "banded"),
+    "chain-banded-window": (lambda: mass_0_port(spring_chain()), CHAIN, "banded"),
     "line-dense": (lambda: densified(rlc_line()), LINE, "tridiagonal"),
     "chain-dense": (lambda: densified(spring_chain()), CHAIN, "banded"),
     "line-sparse": (lambda: long_range(rlc_line()), LINE, "sparse"),
@@ -60,6 +72,33 @@ def test_each_path_matches_dense_solve(case):
         vec = sys.solve_pencil(z, rhs[:, 0])
         assert vec.shape == (sys.n,)
         assert np.linalg.norm(vec - ref[:, 0]) <= 1e-10 * np.linalg.norm(ref[:, 0])
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_eval_transfer_is_the_full_solve_bit_for_bit(case):
+    make, (_, f_min, f_max), path = PATH_CASES[case]
+    sys = make()
+    for f in np.geomspace(f_min, f_max, 6):
+        z = 1j * f
+        assert np.array_equal(sys.eval_transfer(z), sys.C @ sys.solve_pencil(z, sys.B))
+
+
+@pytest.mark.parametrize(
+    "case,rows",
+    [
+        # the ports sit at RCM positions 359 and 399 of 400; the window
+        # starts kl = 1 row above the first
+        ("line-tridiagonal", 42),
+        ("line-dense", 42),
+        # ports at both ends of the chain: the full n
+        ("chain-banded", 200),
+        # kl = 2 rows above the last position
+        ("chain-banded-window", 3),
+    ],
+)
+def test_transfer_window_lengths(case, rows):
+    sys = PATH_CASES[case][0]()
+    assert sys.n - sys._pencil.w == rows
 
 
 def test_wide_band_goes_to_superlu():
@@ -119,6 +158,51 @@ def test_exact_pole_raises_resonance_on_every_path(kind, wide):
     assert np.all(np.isfinite(sys.eval_transfer(17.5j)))
 
 
+@pytest.mark.parametrize("kind", ["tridiagonal", "banded"])
+def test_resonance_above_the_window_raises(kind):
+    # B and C touch only the state RCM puts last, so the window is the last
+    # three rows and the pencil is singular at poles whose pivots lie above
+    full = triangular_system(200, False, kind)
+    n, last = full.n, full._pencil.perm[-1]
+    port = np.zeros((n, 1))
+    port[last] = 1.0
+    sys = DescriptorSystem(full.E, full.A, port, port.T)
+    assert sys.pencil_path == kind
+    pencil = sys._pencil
+    assert n - pencil.w == 3
+    for k in (17, 200):
+        assert pencil.inv[k - 1] < pencil.w
+        with pytest.raises(ResonanceError) as err:
+            sys.eval_transfer(1j * k)
+        assert err.value.z == 1j * k
+    for z in (17.5j, 99.5j):
+        h = sys.eval_transfer(z)
+        assert np.all(np.isfinite(h))
+        assert np.array_equal(h, sys.C @ sys.solve_pencil(z, sys.B))
+
+
+def test_system_keeps_private_copies():
+    # complex128 arrays are what np.asarray would alias
+    rng = np.random.default_rng(5)
+    n = 3
+    E = np.diag(rng.uniform(0.5, 2.0, n)).astype(np.complex128)
+    A = np.diag(-rng.uniform(1.0, 2.0, n)) + np.diag(rng.uniform(0.5, 2.0, n - 1), 1)
+    A = A.astype(np.complex128)
+    B = np.ones((n, 2), dtype=np.complex128)
+    C = np.ones((1, n), dtype=np.complex128)
+    sys = DescriptorSystem(E, A, B, C)
+    before = [M.copy() for M in (sys.E, sys.A, sys.B, sys.C)]
+    h = sys.eval_transfer(0.7j)
+    for M in (E, A, B, C):
+        M[:] = 0
+    for kept, M in zip(before, (sys.E, sys.A, sys.B, sys.C)):
+        assert np.array_equal(kept, M)
+        assert not M.flags.writeable
+    assert np.array_equal(sys.eval_transfer(0.7j), h)
+    with pytest.raises(ValueError):
+        sys.B[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("n,path", [(3, "tridiagonal"), (2, "banded")])
 def test_smallest_tridiagonal_pencils(n, path):
     # scipy's gttrf wrapper needs n >= 3; smaller pencils stay banded
@@ -174,8 +258,9 @@ def test_sparse_e_beside_dense_a_stays_sparse(E):
     finally:
         tracemalloc.stop()
     assert sys.pencil_path == "tridiagonal"
-    assert sp.issparse(sys.E) and sys.A is A
-    assert held < A.nbytes / 8
+    # the system holds its private copy of A and nothing of E's dense size
+    assert sp.issparse(sys.E) and sys.A is not A and np.array_equal(sys.A, A)
+    assert held < A.nbytes * 9 / 8
 
 
 @pytest.mark.parametrize("make,f_min,f_max", [LINE, CHAIN], ids=["line", "chain"])
