@@ -239,7 +239,8 @@ def cmd_verify(args):
     path, sur, _ = _load_surrogate(args, system, outdir)
     gsur = verify_mod.state_surrogate(sur, system)
     _check_support_values(sur, gsur, system, cfg.delta, path)
-    zs = verify_mod.draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
+    seed = [cfg.seed, verify_mod.PROBE_STREAM]
+    zs = verify_mod.draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=seed)
     p1 = verify_mod.check_prop1(system, sur, zs, gsur=gsur)
     p2 = verify_mod.check_prop2(system, sur, zs, cfg.delta, gsur=gsur)
     rows = (

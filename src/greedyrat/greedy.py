@@ -17,14 +17,21 @@ banned grid points carrying -1. Termination rules:
                      failure, so only the terminal sample is "wasted"
   lookahead_memory   lookahead that must succeed N_memory times in a row
   batch              error check at the N largest interior local maxima of
-                     the indicator; only the argmax point joins training
+                     the indicator, solved in that order up to the first
+                     one that misses tol; only the argmax point joins
+                     training
   randomized         error check at N frozen log-uniform random points,
                      sampled once up front and never added to training
 
 The three estimator rules (lookahead with or without memory, batch,
 randomized) differ only in their test points: each takes the largest
 adjusted relative error over them, in one surrogate sweep, as the
-estimator and counts consecutive checks below tol.
+estimator and counts consecutive checks below tol. A failing batch check
+stops at its first failing point, so its estimator is that point's error,
+a lower bound >= tol on the max over all its points; the flag, and with
+it every sample and the stop, is that of the full check. A resonant point
+after the first failing one is left untried, and banned only when a later
+iteration solves it.
 
 All rules additionally respect the max_samples safety cap. At the cap the
 next greedy point is named (IterationRecord.chosen) but not solved; only
@@ -34,7 +41,8 @@ Every oracle solve of a run goes through one memo keyed on the exact
 frequency, so no frequency is solved twice. The ledger is exact:
 IterationRecord.oracle_calls is the cumulative count of distinct solves,
 and IterationRecord.test_calls counts the solves first made in that
-iteration at frequencies that never joined training. The first sample
+iteration at frequencies that never joined training; a failing batch
+check adds only the points it solved before it stopped. The first sample
 (and the frozen randomized points) belong to iteration 0, so
 
   oracle_calls == len(samples) + sum(test_calls) (+ n_random_solved)
@@ -332,21 +340,32 @@ def run_greedy(oracle, cfg):
             flag = stop = too_close(chosen)
         else:
             # the estimator rules differ only in their solved test points
-            if rule.kind == "randomized":
-                pts = random_pts
-            elif rule.kind == "batch":
+            if rule.kind == "batch":
                 ks = batch_test_points(ind, rule.n_batch)
-                pts = [complex(grid[k]) for k in ks if solves(k, ind)]
+                pts = [complex(grid[k]) for k in ks]
+                tested, errs = [], []
+                # one sweep, then solves in indicator order up to the first
+                # point that fails tol (a NaN error fails, as in the max):
+                # that point alone decides the check
+                for k, z, a in zip(ks, pts, sur.eval_grid(pts)):
+                    if solves(k, ind):
+                        tested.append(z)
+                        errs.append(adjusted_relative_error(solved[z][0], a, cfg.delta))
+                        if not errs[-1] < cfg.tol:
+                            break
             else:
-                chosen = pick(ind)
-                pts = [chosen]
-            if pts:
+                if rule.kind == "randomized":
+                    tested = random_pts
+                else:
+                    chosen = pick(ind)
+                    tested = [chosen]
                 errs = [
                     adjusted_relative_error(solved[z][0], a, cfg.delta)
-                    for z, a in zip(pts, sur.eval_grid(pts))
+                    for z, a in zip(tested, sur.eval_grid(tested) if tested else ())
                 ]
+            if errs:
                 j = int(np.argmax(errs))
-                estimator, anchor = errs[j], pts[j]
+                estimator, anchor = errs[j], tested[j]
             flag = estimator < cfg.tol
             n_memory = n_memory + 1 if flag else 0
             stop = n_memory >= depth

@@ -339,11 +339,12 @@ class DescriptorSystem:
 
     E and A each keep the storage they were given, and a missing E is the
     sparse identity; only the ``dense`` path densifies a sparse operand.
-    B, C and dense E and A are private read-only copies, so a caller who
-    changes the arrays it passed in changes neither the system nor its
-    transfer function. The pencil's structure, not its storage, is
-    analysed once, here, so solve_pencil only factors and solves at each
-    frequency (see ``pencil_path``).
+    B, C, E and A are private read-only copies (a sparse operand's data,
+    indices and indptr arrays), so neither a caller who changes the arrays
+    it passed in nor an in-place write to ``sys.A.data`` changes the
+    system or its transfer function. The pencil's structure, not its
+    storage, is analysed once, here, so solve_pencil only factors and
+    solves at each frequency (see ``pencil_path``).
     """
 
     def __init__(self, E, A, B, C):
@@ -370,6 +371,8 @@ class DescriptorSystem:
         if sp.issparse(M):
             M = M.tocsc().astype(np.complex128)
             M.sum_duplicates()
+            for part in (M.data, M.indices, M.indptr):
+                _frozen(part)
         else:
             M = _frozen(np.atleast_2d(np.array(M, dtype=np.complex128)))
         if M.shape[0] != M.shape[1]:

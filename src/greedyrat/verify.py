@@ -30,6 +30,12 @@ from .greedy import adjusted_relative_error
 # rejected and redrawn.
 NODE_REJECT = 1e-6
 
+# ``greedyrat verify`` draws its probes from default_rng([seed,
+# PROBE_STREAM]), apart from greedy.random_test_points' default_rng(seed):
+# with one stream a randomized run's probes would be the very frozen points
+# its stop was decided on.
+PROBE_STREAM = 1
+
 # Below this ratio ||E sum_j q_j G(z_j)||_F / sum_j |q_j| ||E G(z_j)||_F
 # the residual numerator is cancellation down to rounding (about 1e-14 of
 # the terms, so at least 1% noise), the surrogate is exact and the identity
@@ -60,7 +66,10 @@ def residual_norm(sys, gsur, z):
 
 
 def draw_probe_points(sur, f_min, f_max, count, seed=0):
-    """Log-uniform random frequencies i*f, redrawn away from support nodes."""
+    """Log-uniform random frequencies i*f, redrawn away from support nodes.
+
+    ``seed`` is anything np.random.default_rng takes.
+    """
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:

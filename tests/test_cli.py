@@ -13,6 +13,7 @@ from greedyrat import (
     TerminationRule,
     adjusted_relative_error,
     make_synthetic,
+    random_test_points,
     run_greedy,
 )
 from greedyrat.cli import CONFIG_KEYS, build_greedy_config, main, parse_config, ConfigError
@@ -324,7 +325,7 @@ def test_validate_ledger_matches_rule(synthetic_setup):
 
 
 def test_verify_csv_eps_matches_direct_recomputation(synthetic_setup):
-    from greedyrat.verify import draw_probe_points
+    from greedyrat.verify import PROBE_STREAM, draw_probe_points
 
     tmp_path, prefix = synthetic_setup
     cfg_path = write_config(tmp_path, prefix, termination="max_count", max_samples=5, seed=4)
@@ -335,7 +336,7 @@ def test_verify_csv_eps_matches_direct_recomputation(synthetic_setup):
     cfg = build_greedy_config(parse_config(cfg_path))
     sys = make_synthetic([2j, 8j, 30j, 70j], 0, m=2, p=2)
     sur = run_greedy(sys, cfg).surrogate
-    zs = draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=cfg.seed)
+    zs = draw_probe_points(sur, cfg.f_min, cfg.f_max, 100, seed=[cfg.seed, PROBE_STREAM])
     assert len(rows) == 1 + len(zs)
     for row, z in zip(rows[1:], zs):
         cols = row.strip().split(",")
@@ -379,6 +380,21 @@ def test_verify_notes_an_exact_fit(tmp_path, capsys, case):
     notes = [line for line in lines if line.startswith("note: ")]
     assert len(notes) == (case != "chain")
     assert len(lines) == 2 + len(notes)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_probes_miss_the_randomized_test_points(synthetic_setup, seed):
+    # the probes have their own stream, so verify does not re-check a
+    # randomized run at the frozen points its stop was decided on
+    tmp_path, prefix = synthetic_setup
+    cfg_path = write_config(tmp_path, prefix, termination="randomized", n_random=100, seed=seed)
+    assert main(["run", cfg_path]) == 0
+    assert main(["verify", cfg_path]) == 0
+    rows = read_csv_body(tmp_path / "out" / "verify.csv")[1:]
+    probes = {float(row.split(",")[0]) for row in rows}
+    frozen = {z.imag for z in random_test_points(build_greedy_config(parse_config(cfg_path)))}
+    assert len(probes) == len(frozen) == 100
+    assert not probes & frozen
 
 
 SURROGATE_READERS = [("validate", "validation.csv"), ("verify", "verify.csv")]

@@ -201,6 +201,19 @@ def test_system_keeps_private_copies():
     assert np.array_equal(sys.eval_transfer(0.7j), h)
     with pytest.raises(ValueError):
         sys.B[0, 0] = 1.0
+    # sparse E and A too: the band paths analysed them once and the sparse
+    # path reads them at each solve, so an in-place write would split the two
+    for case in ("line-tridiagonal", "line-sparse"):
+        make, (_, f_min, _), path = PATH_CASES[case]
+        sys = make()
+        assert sys.pencil_path == path
+        h = sys.eval_transfer(1j * f_min)
+        for M in (sys.E, sys.A):
+            assert sp.issparse(M)
+            assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
+            with pytest.raises(ValueError):
+                M.data[:] *= 2
+        assert np.array_equal(sys.eval_transfer(1j * f_min), h)
 
 
 @pytest.mark.parametrize("n,path", [(3, "tridiagonal"), (2, "banded")])

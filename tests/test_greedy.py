@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_surrogate, rational_11
+from conftest import random_surrogate, rational_11, rlc_line
 from greedyrat import (
     BarycentricSurrogate,
     GreedyConfig,
@@ -590,6 +590,11 @@ def test_randomized_with_every_frozen_point_resonant_runs_to_the_cap():
     assert trace.oracle_calls == len(trace.samples) == cfg.max_samples
 
 
+def batch_prefix(errs, tol):
+    """How many of a batch's ordered test errors its check solves: up to the first >= tol."""
+    return next((i + 1 for i, e in enumerate(errs) if not e < tol), len(errs))
+
+
 def estimator_test_points(kind, rec, sur, cfg, sampled):
     """The points an estimator rule tests on one iteration of a clean run."""
     if kind == "randomized":
@@ -633,10 +638,11 @@ def test_estimator_sweeps_its_test_points_once_per_iteration(monkeypatch, fitter
     # case bit for bit): agreement to rounding, and to an absolute 1e-15
     # where the estimate itself is at rounding level
     for rec, sur, pts in zip(trace.records, trace.surrogates, tested):
-        ref = max(
-            adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), cfg.delta) for z in pts
-        )
-        assert rec.estimator == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        errs = [adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), cfg.delta) for z in pts]
+        if kind == "batch":
+            # a failing batch check stops at its first failing point
+            errs = errs[: batch_prefix(errs, cfg.tol)]
+        assert rec.estimator == pytest.approx(max(errs), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind,kw", RULES)
@@ -677,21 +683,82 @@ def test_density_stops_before_solving_the_close_point():
 
 
 def test_batch_ledger_charges_each_test_point_once():
-    # the argmax test point joins training without a second solve, and a
-    # point tested in several iterations is charged to the first of them
+    # each iteration solves the ordered prefix of its test points up to and
+    # including the first that fails tol, then the greedy pick if that is
+    # new; a point tested in several iterations is solved and charged once
     requests = []
+    sys = order4_system()
     cfg = cfg_with("batch", n_batch=3, tol=1e-3, max_samples=40)
-    trace = run_greedy(recording_oracle(order4_system().eval_transfer, requests), cfg)
+    trace = run_greedy(recording_oracle(sys.eval_transfer, requests), cfg)
+    assert trace.termination_reason == "batch"
     grid = build_test_grid(cfg)
     training = set(trace.sampled_frequencies)
-    tested = []
+    done = [trace.samples[0].z]
+    cut_short = 0
     for rec, sur in zip(trace.records, trace.surrogates):
         sampled = set(trace.sampled_frequencies[: rec.n_samples])
         pts = list(grid[batch_test_points(reference_indicator(sur, grid, sampled), 3)])
-        fresh = [z for z in dict.fromkeys(pts) if z not in tested and z not in training]
-        assert rec.test_calls == len(fresh)
-        tested += pts
-    assert trace.oracle_calls == len(set(tested) | training)
+        errs = [adjusted_relative_error(sys.eval_transfer(z), sur.eval(z), cfg.delta) for z in pts]
+        n = batch_prefix(errs, cfg.tol)
+        fresh = [z for z in pts[:n] if z not in done]
+        assert requests[len(done) : len(done) + len(fresh)] == fresh
+        assert rec.test_calls == len([z for z in fresh if z not in training])
+        assert rec.estimator == pytest.approx(max(errs[:n]), rel=1e-12, abs=1e-15)
+        done += fresh
+        if not rec.flag and rec.chosen not in done:
+            done.append(rec.chosen)
+        assert rec.oracle_calls == len(done)
+        cut_short += n < len(pts)
+    assert requests == done
+    assert trace.oracle_calls == len(done)
+    assert cut_short  # some check stopped before its last point
+
+
+def assert_batch_decisions_match_the_eager_check(sys, cfg):
+    """Run batch and recheck every iteration's flag against all its test points.
+
+    Stopping at the first failing point must leave every flag as the max
+    over all the batch's points sets it, and the final passing check is
+    that max and its argmax, recomputed here with direct solves. Returns
+    how many checks a point after the first one decided.
+    """
+    trace = run_greedy(sys, cfg)
+    grid = build_test_grid(cfg)
+    decided_later = 0
+    for rec, sur in zip(trace.records, trace.surrogates):
+        sampled = set(trace.sampled_frequencies[: rec.n_samples])
+        ks = batch_test_points(reference_indicator(sur, grid, sampled), cfg.termination.n_batch)
+        pts = list(grid[ks])
+        errs = [
+            adjusted_relative_error(sys.eval_transfer(z), a, cfg.delta)
+            for z, a in zip(pts, sur.eval_grid(pts))
+        ]
+        j = int(np.argmax(errs))
+        assert rec.flag == (errs[j] < cfg.tol)
+        decided_later += errs[0] < cfg.tol <= errs[j]
+    if rec.flag:
+        assert (rec.estimator, rec.anchor) == (errs[j], pts[j])
+    return trace, decided_later
+
+
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+@pytest.mark.parametrize("n_batch", [1, 3, 5])
+def test_batch_decisions_match_the_eager_check(fitter, n_batch):
+    # output-only MRI with more samples than p*m runs to the cap
+    sys = make_synthetic([1j * f for f in (2, 5, 11, 19, 37, 53, 71, 90)], 1, m=2, p=2)
+    cfg = cfg_with("batch", n_batch=n_batch, tol=1e-6, fitter=fitter, max_samples=60)
+    trace, _ = assert_batch_decisions_match_the_eager_check(sys, cfg)
+    assert trace.termination_reason == ("batch" if fitter == "loewner" else "max_samples")
+
+
+def test_batch_decisions_match_the_eager_check_past_a_passing_pick():
+    # on the RLC line one check passes at its first point, the greedy pick,
+    # and fails at a later one: it must still fail
+    cfg = cfg_with("batch", n_batch=3, tol=1e-3, f_min=1e7, f_max=1e10, max_samples=60)
+    trace, decided_later = assert_batch_decisions_match_the_eager_check(rlc_line(), cfg)
+    assert trace.termination_reason == "batch"
+    assert decided_later
 
 
 @pytest.mark.parametrize("kind,kw", RULES)
