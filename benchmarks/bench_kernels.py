@@ -22,9 +22,12 @@ path), with random long-range couplings (SuperLU), and with both (dense:
 getrf). Each system has two columns: DescriptorSystem.solve_pencil(z, B),
 which solves all n rows, and eval_transfer(z), which on the band paths
 solves only the trailing window of rows that B and C touch (the line's
-last 42 of 400; the chain's ports at both ends need all n). Each entry
-reports the best of --repeats calls. Set OPENBLAS_NUM_THREADS=1 to time the kernels
-as the benchmark runs them.
+last 42 of 400; the chain's ports at both ends need all n). Beside them
+stands the MiB the system holds after its build (tracemalloc). The test
+systems are real, so each is also built from complex128 copies of its
+operands, the twin that returns the same bits from twice the bytes. Each
+timing reports the best of --repeats calls. Set OPENBLAS_NUM_THREADS=1 to
+time the kernels as the benchmark runs them.
 
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """
@@ -32,10 +35,11 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
-from greedyrat import BarycentricSurrogate, kernels
+from greedyrat import BarycentricSurrogate, DescriptorSystem, kernels
 from greedyrat.fitters import _smallest_right_singular_vector
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
@@ -50,6 +54,17 @@ def timeit(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def build_held(operands):
+    """The system built from operands and the MiB it holds (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        system = DescriptorSystem(*operands)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return system, held / 2**20
 
 
 def main():
@@ -111,21 +126,24 @@ def main():
         t = timeit(lambda: _smallest_right_singular_vector(M, cols), args.repeats)
         print(f"{label:<33}{f'{rows} x {cols}':>12}{1e3 * t:>12.3f}")
 
-    print(f"\n{'pencil':<25}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}")
-    print(f"{'':<43}{'[ms]':>14}{'[ms]':>15}")
+    head = f"{'pencil':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}"
+    print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}")
     for name, make, z in (("line", rlc_line, 2j * np.pi * 1e9), ("chain", spring_chain, 0.3j)):
-        for label, system in (
+        for label, base in (
             (name, make()),
             (f"{name}, long-range", long_range(make())),
             (f"{name}, densified", densified(make())),
             (f"{name}, long, densified", densified(long_range(make()))),
         ):
-            t_solve = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
-            t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
-            print(
-                f"{label:<25}{system.pencil_path:>12}{system.n:>6}"
-                f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}"
-            )
+            operands = (base.E, base.A, base.B, base.C)
+            for twin, ops in (("", operands), (", complex", [M.astype(np.complex128) for M in operands])):
+                system, held = build_held(ops)
+                t_solve = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
+                t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
+                print(
+                    f"{label + twin:<34}{system.pencil_path:>12}{system.n:>6}"
+                    f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}"
+                )
 
 
 if __name__ == "__main__":

@@ -199,7 +199,7 @@ def cmd_validate(args):
         anchor = complex(*meta["estimator_anchor"])
         eta = estimator_curve(sur, meta["estimator_value"], anchor, grid)
     p, m = sur.output_shape
-    errors = [0.0]  # then the eps of each grid point that is not a resonance
+    errors = []  # the eps of each grid point that is not a resonance
 
     def rows():
         for k, z in enumerate(grid):
@@ -219,8 +219,9 @@ def cmd_validate(args):
     header += [f"absH_{i}_{j}" for i in range(p) for j in range(m)]
     header += [f"absHs_{i}_{j}" for i in range(p) for j in range(m)]
     _write_csv(os.path.join(outdir, "validation.csv"), header, rows())
-    print(f"max adjusted relative error over the grid: {max(errors):.6e}")
-    return 0
+    # a grid of resonances only measures no error: print nan and exit 1
+    print(f"max adjusted relative error over the grid: {max(errors, default=math.nan):.6e}")
+    return 0 if errors else 1
 
 
 def _check_support_values(sur, gsur, system, delta, path):

@@ -44,6 +44,19 @@ solve all n rows.
 Every path raises ResonanceError when a pivot of U vanishes or falls below
 RCOND_MIN times the largest one; it reads the full factor, so a resonance
 whose pivot lies above the window is caught too.
+
+A real system stays real. When none of E, A, B and C has a complex type,
+all four are kept as float64 (int and float32 input is promoted), and the
+band paths scatter them into float64 bands; a system with any complex
+operand keeps all four, and its bands, complex128. Complex numbers appear
+only per frequency: in zE - A, in the copy of the right-hand side and in
+the results. numpy and scipy cast a real operand to x + 0j before any
+complex product, so every product, and with it H(z) and G(z), has the
+bits of the complex-typed twin from half the operands' bytes. The LAPACK
+routines are always the complex ones (z prefix), looked up from the
+complex128 type rather than from a band, whose d routines would drop the
+imaginary parts; the window of B that gbtrs and gttrs overwrite is
+therefore complex128 too.
 """
 import os
 from dataclasses import dataclass
@@ -84,6 +97,11 @@ class FrequencySample:
             raise ValueError(f"sample at z = {self.z} contains non-finite entries")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "z", complex(self.z))
+
+
+def _is_real(M):
+    """True when M, sparse or array-like, has no complex (or object) type."""
+    return (M.dtype if sp.issparse(M) else np.asarray(M).dtype).kind in "biuf"
 
 
 def _frozen(M):
@@ -157,7 +175,7 @@ class _OrderedPencil(_Pencil):
         self.w = int(min(max(first - kl, 0), perm.size - min_rows))
         if self.w:
             rows = perm[self.w :]
-            self.b_w = np.asfortranarray(B[rows])
+            self.b_w = np.asfortranarray(B[rows], dtype=np.complex128)
             self.c_w = np.ascontiguousarray(C[:, rows])
 
     def solve(self, z, rhs):
@@ -196,7 +214,9 @@ class _TridiagonalPencil(_OrderedPencil):
         super().__init__(B, C, perm, inv, kl=1, min_rows=3)
         self.tri_e = _band(E, inv, rows=3, diag_row=1, order="C")
         self.tri_a = _band(A, inv, rows=3, diag_row=1, order="C")
-        self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (self.tri_e,))
+        self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(
+            ("gttrf", "gttrs"), dtype=np.complex128
+        )
 
     def _factor(self, z):
         t = np.multiply(z, self.tri_e)
@@ -239,7 +259,9 @@ class _BandedPencil(_OrderedPencil):
         rows = 2 * kl + ku + 1
         self.band_e = _band(E, inv, rows=rows, diag_row=kl + ku, order="F")
         self.band_a = _band(A, inv, rows=rows, diag_row=kl + ku, order="F")
-        self.gbtrf, self.gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (self.band_e,))
+        self.gbtrf, self.gbtrs = scipy.linalg.get_lapack_funcs(
+            ("gbtrf", "gbtrs"), dtype=np.complex128
+        )
 
     def _factor(self, z):
         kl, ku = self.kl, self.ku
@@ -296,10 +318,10 @@ def _band(M, inv, rows, diag_row, order):
     """M[perm][:, perm] in band storage; M is canonical CSC, inv inverts perm.
 
     Entry (r, c) of the permuted matrix goes to row diag_row + r - c of
-    column c in a zero rows-by-n array.
+    column c in a zero rows-by-n array of M's dtype.
     """
     r, c = _permuted_entries(M, inv)
-    band = np.zeros((rows, inv.size), dtype=np.complex128, order=order)
+    band = np.zeros((rows, inv.size), dtype=M.dtype, order=order)
     band[diag_row + r - c, c] = M.data
     return band
 
@@ -345,15 +367,22 @@ class DescriptorSystem:
     system or its transfer function. The pencil's structure, not its
     storage, is analysed once, here, so solve_pencil only factors and
     solves at each frequency (see ``pencil_path``).
+
+    The copies are float64 when none of the operands given has a complex
+    type and complex128 otherwise (see the module docstring): a real
+    system holds about half the bytes of its complex-typed twin and returns
+    the same bits, always complex128, from every solve.
     """
 
     def __init__(self, E, A, B, C):
-        A = self._as_square(A, "A")
+        real = all(_is_real(M) for M in (E, A, B, C) if M is not None)
+        dtype = np.float64 if real else np.complex128
+        A = self._as_square(A, "A", dtype)
         n = A.shape[0]
         if E is None:
             E = sp.identity(n, format="csc")
-        E = self._as_square(E, "E")
-        B, C = (_frozen(np.atleast_2d(np.array(M, dtype=np.complex128))) for M in (B, C))
+        E = self._as_square(E, "E", dtype)
+        B, C = (_frozen(np.atleast_2d(np.array(M, dtype=dtype))) for M in (B, C))
         if E.shape != (n, n):
             raise ValueError(f"E is {E.shape}, expected {(n, n)}")
         if B.shape[0] != n:
@@ -367,14 +396,15 @@ class DescriptorSystem:
         self._pencil = _analyse_pencil(E, A, B, C)
 
     @staticmethod
-    def _as_square(M, name):
+    def _as_square(M, name, dtype):
         if sp.issparse(M):
-            M = M.tocsc().astype(np.complex128)
+            # astype copies even when M already has the dtype
+            M = M.tocsc().astype(dtype)
             M.sum_duplicates()
             for part in (M.data, M.indices, M.indptr):
                 _frozen(part)
         else:
-            M = _frozen(np.atleast_2d(np.array(M, dtype=np.complex128)))
+            M = _frozen(np.atleast_2d(np.array(M, dtype=dtype)))
         if M.shape[0] != M.shape[1]:
             raise ValueError(f"{name} is {M.shape}, not square")
         return M
@@ -392,19 +422,21 @@ class DescriptorSystem:
 
         Without rhs, solve for the system's own B and return C X, p-by-m:
         on the band paths only the rows C reads are solved for (see the
-        module docstring).
+        module docstring). z is taken as complex, so X is complex128 on a
+        real system too.
         """
+        z = complex(z)
         if rhs is None:
             return self._pencil.transfer(z)
         return self._pencil.solve(z, rhs)
 
     def eval_transfer(self, z):
         """H(z) = C (zE - A)^{-1} B as a dense p-by-m array."""
-        return self.solve_pencil(complex(z))
+        return self.solve_pencil(z)
 
     def eval_state_transfer(self, z):
         """G(z) = (zE - A)^{-1} B as a dense n-by-m array."""
-        return self.solve_pencil(complex(z), self.B)
+        return self.solve_pencil(z, self.B)
 
     def sample(self, z):
         return FrequencySample(z, self.eval_transfer(z))

@@ -314,6 +314,22 @@ def test_validate_marks_a_resonant_grid_point(tmp_path, capsys):
     assert printed == float(f"{others.max():.6e}")
 
 
+def test_validate_on_a_grid_of_resonances_prints_nan_and_exits_1(tmp_path, capsys):
+    # both points of the grid f in {1, 2} are poles, so no error can be measured
+    sys = make_synthetic([1j, 2j, 3j], 0)
+    prefix = str(tmp_path / "sys")
+    sys.save_matrix_market(prefix)
+    cfg = write_config(tmp_path, prefix, f_min=1.1, f_max=5.3, termination="max_count", max_samples=4)
+    assert main(["run", cfg]) == 0
+    poles = write_config(tmp_path, prefix, name="poles.cfg", f_min=1, f_max=2, grid_size=2)
+    capsys.readouterr()
+    assert main(["validate", poles]) == 1
+    assert capsys.readouterr().out == "max adjusted relative error over the grid: nan\n"
+    rows = [r.strip().split(",") for r in read_csv_body(tmp_path / "out" / "validation.csv")]
+    assert [float(r[0]) for r in rows[1:]] == [1.0, 2.0]
+    assert all(r[3] == "1" for r in rows[1:])
+
+
 def test_validate_ledger_matches_rule(synthetic_setup):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix)

@@ -18,6 +18,8 @@ from greedyrat import (
     check_prop1,
     check_prop2,
     fit_loewner,
+    load_matrix_market,
+    make_synthetic,
     partition_samples,
     state_surrogate,
 )
@@ -181,21 +183,24 @@ def test_resonance_above_the_window_raises(kind):
         assert np.array_equal(h, sys.C @ sys.solve_pencil(z, sys.B))
 
 
-def test_system_keeps_private_copies():
-    # complex128 arrays are what np.asarray would alias
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+def test_system_keeps_private_copies(dtype):
+    # a system keeps float64 operands when all are real and complex128
+    # otherwise, so arrays of either dtype are what np.asarray would alias
     rng = np.random.default_rng(5)
     n = 3
-    E = np.diag(rng.uniform(0.5, 2.0, n)).astype(np.complex128)
+    E = np.diag(rng.uniform(0.5, 2.0, n)).astype(dtype)
     A = np.diag(-rng.uniform(1.0, 2.0, n)) + np.diag(rng.uniform(0.5, 2.0, n - 1), 1)
-    A = A.astype(np.complex128)
-    B = np.ones((n, 2), dtype=np.complex128)
-    C = np.ones((1, n), dtype=np.complex128)
+    A = A.astype(dtype)
+    B = np.ones((n, 2), dtype=dtype)
+    C = np.ones((1, n), dtype=dtype)
     sys = DescriptorSystem(E, A, B, C)
     before = [M.copy() for M in (sys.E, sys.A, sys.B, sys.C)]
     h = sys.eval_transfer(0.7j)
     for M in (E, A, B, C):
         M[:] = 0
     for kept, M in zip(before, (sys.E, sys.A, sys.B, sys.C)):
+        assert M.dtype == dtype
         assert np.array_equal(kept, M)
         assert not M.flags.writeable
     assert np.array_equal(sys.eval_transfer(0.7j), h)
@@ -255,6 +260,15 @@ def test_mixed_sparse_and_dense_inputs_agree():
         assert np.array_equal(mixed.eval_transfer(0.3j), dense.eval_transfer(0.3j))
 
 
+def build_held(E, A, B, C):
+    """The system of E, A, B, C and the bytes its build leaves held (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return DescriptorSystem(E, A, B, C), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("E", [None, "identity"])
 def test_sparse_e_beside_dense_a_stays_sparse(E):
     # n = 2000: a dense E would hold 64 MB, the size of the dense A itself
@@ -264,16 +278,87 @@ def test_sparse_e_beside_dense_a_stays_sparse(E):
     A[i, i], A[i[1:], i[:-1]], A[i[:-1], i[1:]] = -2.0, 1.0, 1.0
     B, C = np.ones((n, 1)), np.ones((1, n))
     E = sp.identity(n, format="csc") if E == "identity" else E
-    tracemalloc.start()
-    try:
-        sys = DescriptorSystem(E, A, B, C)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    sys, held = build_held(E, A, B, C)
     assert sys.pencil_path == "tridiagonal"
     # the system holds its private copy of A and nothing of E's dense size
     assert sp.issparse(sys.E) and sys.A is not A and np.array_equal(sys.A, A)
     assert held < A.nbytes * 9 / 8
+
+
+def bands(sys):
+    """The band arrays the pencil scattered E and A into (none off the band paths)."""
+    names = ("tri_e", "tri_a", "band_e", "band_a")
+    return [getattr(sys._pencil, name) for name in names if hasattr(sys._pencil, name)]
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_real_system_has_the_bits_of_its_complex_twin(case):
+    make, (_, f_min, f_max), path = PATH_CASES[case]
+    sys = make()
+    twin = DescriptorSystem(*(M.astype(np.complex128) for M in (sys.E, sys.A, sys.B, sys.C)))
+    assert sys.pencil_path == twin.pencil_path == path
+    assert all(M.dtype == np.float64 for M in [sys.E, sys.A, sys.B, sys.C] + bands(sys))
+    assert all(M.dtype == np.complex128 for M in [twin.E, twin.A, twin.B, twin.C] + bands(twin))
+    # the window of B that gttrs/gbtrs overwrite is complex on both
+    assert all(s._pencil.b_w.dtype == np.complex128 for s in (sys, twin) if getattr(s._pencil, "w", 0))
+    rng = np.random.default_rng(6)
+    rhs = rng.standard_normal((sys.n, 3)) + 1j * rng.standard_normal((sys.n, 3))
+    for z in 1j * np.geomspace(f_min, f_max, 6):
+        for solve in (
+            lambda s: s.eval_transfer(z),
+            lambda s: s.eval_state_transfer(z),
+            lambda s: s.solve_pencil(z, rhs),
+        ):
+            got, want = solve(sys), solve(twin)
+            assert got.dtype == want.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_int_and_float32_operands_are_promoted_to_float64(storage):
+    n = 6
+    E = sp.identity(n, dtype=np.int64, format="csc")
+    A = sp.diags([np.ones(n - 1), -2 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], dtype=np.int32)
+    if storage == "dense":
+        E, A = E.toarray().astype(np.float32), A.toarray()
+    B, C = np.ones((n, 1), dtype=np.int8), np.ones((1, n), dtype=np.float32)
+    sys = DescriptorSystem(E, A, B, C)
+    ref = DescriptorSystem(*(M.astype(np.float64) for M in (E, A, B, C)))
+    assert sys.pencil_path == ref.pencil_path == "tridiagonal"
+    assert all(M.dtype == np.float64 for M in [sys.E, sys.A, sys.B, sys.C] + bands(sys))
+    assert sys.eval_transfer(0.7j).tobytes() == ref.eval_transfer(0.7j).tobytes()
+
+
+def test_a_complex_operand_keeps_the_system_complex():
+    # make_synthetic's A holds complex poles beside a real identity E
+    sys = make_synthetic([1j, -2.0 + 3j, 5j], 1, m=2, p=2)
+    assert all(M.dtype == np.complex128 for M in (sys.E, sys.A, sys.B, sys.C))
+    line = rlc_line()
+    mixed = DescriptorSystem(line.E, line.A, line.B.astype(np.complex128), line.C)
+    assert all(M.dtype == np.complex128 for M in [mixed.E, mixed.A, mixed.C] + bands(mixed))
+    assert mixed.eval_transfer(1e9j).tobytes() == line.eval_transfer(1e9j).tobytes()
+
+
+def test_real_line_holds_at_most_0_6_of_its_complex_twin():
+    line = rlc_line(sections=10_000)  # n = 20000, tridiagonal path
+    real = (line.E, line.A, line.B, line.C)
+    sys, held = build_held(*real)
+    twin, twin_held = build_held(*(M.astype(np.complex128) for M in real))
+    assert sys.pencil_path == twin.pencil_path == "tridiagonal"
+    assert held <= 0.6 * twin_held
+
+
+def test_matrix_market_round_trip_keeps_a_real_system_real(tmp_path):
+    sys = rlc_line()
+    prefix = str(tmp_path / "line")
+    sys.save_matrix_market(prefix)
+    for name in "EABC":
+        with open(f"{prefix}.{name}.mtx") as f:
+            assert f.readline().split()[3] == "real"
+    loaded = load_matrix_market(prefix)
+    assert all(M.dtype == np.float64 for M in (loaded.E, loaded.A, loaded.B, loaded.C))
+    for z in 1j * np.geomspace(*LINE[1:], 6):
+        assert loaded.eval_transfer(z).tobytes() == sys.eval_transfer(z).tobytes()
 
 
 @pytest.mark.parametrize("make,f_min,f_max", [LINE, CHAIN], ids=["line", "chain"])
