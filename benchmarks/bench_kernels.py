@@ -13,7 +13,10 @@ The fit's kernel, fitters._smallest_right_singular_vector, is timed on
 a complex Loewner matrix of the benchmark chain's last shape (228 x 58:
 57 test and 58 support samples of 2 x 2 blocks, past the 17/9 aspect
 where it takes the SVD of R) and of the SISO shape at the same sample
-count (57 x 58, wide).
+count (57 x 58, wide). The whole Loewner fit at that chain's final shape
+(115 samples of 2 x 2 blocks) is timed twice: as the greedy driver calls
+it, on SampleArrays gathered in ascending-f order, and on a shuffled list
+of FrequencySample, which fit sorts and stacks first.
 The oracle kernel is timed in ms per call on each of its four paths on
 the test tier's small descriptor systems (tests/conftest.py): an RLC line
 of 200 sections with singular E (tridiagonal) and a mass-spring chain of
@@ -39,8 +42,8 @@ import tracemalloc
 
 import numpy as np
 
-from greedyrat import BarycentricSurrogate, DescriptorSystem, kernels
-from greedyrat.fitters import _smallest_right_singular_vector
+from greedyrat import BarycentricSurrogate, DescriptorSystem, FrequencySample, kernels
+from greedyrat.fitters import SampleArrays, _smallest_right_singular_vector, fit
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from conftest import densified, long_range, rlc_line, spring_chain  # noqa: E402
@@ -125,6 +128,16 @@ def main():
         M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         t = timeit(lambda: _smallest_right_singular_vector(M, cols), args.repeats)
         print(f"{label:<33}{f'{rows} x {cols}':>12}{1e3 * t:>12.3f}")
+
+    head = 'fit(samples, "loewner")'
+    print(f"\n{head:<33}{'S':>12}{'best [ms]':>12}")
+    s = 115
+    z = grid[np.sort(rng.choice(args.grid, s, replace=False))]
+    values = rng.standard_normal((s, 2, 2)) + 1j * rng.standard_normal((s, 2, 2))
+    listed = [FrequencySample(z[j], values[j]) for j in rng.permutation(s)]
+    for label, samples in (("sorted SampleArrays", SampleArrays(z, values)), ("list", listed)):
+        t = timeit(lambda: fit(samples, "loewner"), args.repeats)
+        print(f"{label:<33}{s:>12}{1e3 * t:>12.3f}")
 
     head = f"{'pencil':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}"
     print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}")

@@ -9,13 +9,21 @@ singular vectors it does not use; q is bit for bit the same.
 The phase of q is normalized so the entry of largest modulus is real and
 positive, which makes the fits reproducible (the underlying function is
 invariant under rescaling of q).
+
+Both fits read samples in canonical order (ascending imaginary, then
+real part) as a frequency array and a (S, p, m) value array: Loewner
+takes the even rows as support and the odd ones as test points, MRI every
+row as support. The greedy driver keeps its samples in that order and
+hands ``fit`` gathered arrays; any other samples are sorted and stacked.
 """
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .barycentric import BarycentricSurrogate
+from .system_model import FrequencySample
 
 
 @dataclass(frozen=True)
@@ -29,6 +37,25 @@ class SamplePartition:
         zs = [s.z for s in self.support] + [s.z for s in self.test]
         if len(set(zs)) != len(zs):
             raise ValueError("support and test frequencies must be pairwise distinct")
+
+
+class SampleArrays(Sequence):
+    """Samples as arrays: frequencies z and complex128 p-by-m blocks values[j].
+
+    As a sequence of FrequencySample it stands wherever a list of samples
+    does.
+    """
+
+    def __init__(self, z, values):
+        self.z, self.values = z, values
+
+    def __len__(self):
+        return len(self.z)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return SampleArrays(self.z[j], self.values[j])
+        return FrequencySample(self.z[j], self.values[j])
 
 
 def _canonical_sort(samples):
@@ -81,15 +108,17 @@ def fit_loewner(part):
     frequency and takes the unit-norm minimizer of the residual, i.e. the
     right singular vector of the smallest singular value.
     """
-    zsup, vsup = _stack(part.support)
-    L = _loewner(zsup, vsup, part.test)
-    q = _normalize_phase(_smallest_right_singular_vector(L, zsup.size))
-    return BarycentricSurrogate(zsup, vsup, q)
+    return _fit_loewner(*_stack(part.support), *_stack(part.test))
+
+
+def _fit_loewner(zsup, vsup, ztest, vtest):
+    q = _smallest_right_singular_vector(_loewner(zsup, vsup, ztest, vtest), zsup.size)
+    return BarycentricSurrogate(zsup, vsup, _normalize_phase(q))
 
 
 def loewner_matrix(part):
     """The stacked Loewner system matrix (exposed for diagnostics/tests)."""
-    return _loewner(*_stack(part.support), part.test)
+    return _loewner(*_stack(part.support), *_stack(part.test))
 
 
 def _stack(samples):
@@ -97,11 +126,10 @@ def _stack(samples):
     return np.array([x.z for x in samples]), np.array([x.value for x in samples])
 
 
-def _loewner(zsup, vsup, test):
+def _loewner(zsup, vsup, ztest, vtest):
     """Block row l holds vec((H(z'_l) - H(z_j)) / (z'_l - z_j)) over the support j."""
     s, p, m = vsup.shape
-    ztest = np.array([t.z for t in test], dtype=np.complex128)
-    vtest = np.array([t.value for t in test]).reshape(-1, p, m)
+    vtest = vtest.reshape(-1, p, m)  # an empty test set stacks to shape (0,)
     blocks = (vtest[:, None] - vsup) / (ztest[:, None] - zsup)[:, :, None, None]
     return blocks.transpose(0, 2, 3, 1).reshape(-1, s)
 
@@ -114,29 +142,39 @@ def fit_mri(samples):
     nontrivial and spurious coefficient vectors can appear, so that case
     is flagged with a warning.
     """
-    samples = _canonical_sort(samples)
     if not samples:
         raise ValueError("at least one sample is required")
-    zs, vals = _stack(samples)
-    s = len(samples)
-    pm = vals.shape[1] * vals.shape[2]
-    if pm < s:
+    return _fit_sorted(*_stack(_canonical_sort(samples)), "mri")
+
+
+def _fit_sorted(z, values, method):
+    """Fit samples in canonical order: Loewner on even (support) and odd
+    (test) rows, MRI with every row as support."""
+    if method == "loewner":
+        # the surrogate keeps contiguous copies of its rows, not strided views
+        return _fit_loewner(z[0::2].copy(), values[0::2].copy(), z[1::2], values[1::2])
+    s, p, m = values.shape
+    if p * m < s:
         # Constant text, so the default once-per-location filter shows it
         # once per run rather than once per greedy iteration.
         warnings.warn(
             "MRI with fewer value entries per sample than samples: "
             "the minimizer may be spurious",
-            stacklevel=2,
+            stacklevel=3,
         )
-    M = vals.reshape(s, pm).T
-    q = _normalize_phase(_smallest_right_singular_vector(M, s))
-    return BarycentricSurrogate(zs, vals, q)
+    q = _normalize_phase(_smallest_right_singular_vector(values.reshape(s, p * m).T, s))
+    return BarycentricSurrogate(z, values, q)
 
 
 def fit(samples, method):
-    """Dispatch on fitter name: 'loewner' or 'mri'."""
-    if method == "loewner":
-        return fit_loewner(partition_samples(samples))
-    if method == "mri":
-        return fit_mri(samples)
-    raise ValueError(f"unknown fitter {method!r}")
+    """Dispatch on fitter name: 'loewner' or 'mri'.
+
+    SampleArrays already in canonical order, as the greedy driver gathers
+    them, are fitted from their own arrays, which an MRI surrogate keeps;
+    other samples go through fit_loewner or fit_mri.
+    """
+    if method not in ("loewner", "mri"):
+        raise ValueError(f"unknown fitter {method!r}")
+    if isinstance(samples, SampleArrays) and len(samples) and np.all(np.diff(samples.z.imag) > 0):
+        return _fit_sorted(samples.z, samples.values, method)
+    return fit_loewner(partition_samples(samples)) if method == "loewner" else fit_mri(samples)

@@ -37,13 +37,15 @@ All rules additionally respect the max_samples safety cap. At the cap the
 next greedy point is named (IterationRecord.chosen) but not solved; only
 lookahead's probe and batch's test points, which decide the rule, are.
 
-Every oracle solve of a run goes through one memo keyed on the exact
-frequency, so no frequency is solved twice. The ledger is exact:
-IterationRecord.oracle_calls is the cumulative count of distinct solves,
-and IterationRecord.test_calls counts the solves first made in that
-iteration at frequencies that never joined training; a failing batch
-check adds only the points it solved before it stopped. The first sample
-(and the frozen randomized points) belong to iteration 0, so
+Every oracle solve is recorded once, in one append-only SampleStore that
+is also the memo, so no frequency is solved twice; each fit reads a
+gathered copy of its training rows, kept in ascending-f order. The ledger
+is exact: IterationRecord.oracle_calls is the cumulative count of
+distinct solves, and IterationRecord.test_calls counts the solves first
+made in that iteration at frequencies that never joined training; a
+failing batch check adds only the points it solved before it stopped.
+The first sample (and the frozen randomized points) belong to iteration
+0, so
 
   oracle_calls == len(samples) + sum(test_calls) (+ n_random_solved)
 
@@ -52,15 +54,14 @@ were solved; a resonant one is dropped and not charged.
 """
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .errors import GreedyratError, GridExhaustedError, ResonanceError
-from .fitters import fit
-from .system_model import DescriptorSystem, FrequencySample
+from .fitters import SampleArrays, fit
+from .system_model import DescriptorSystem
 
 TERMINATION_KINDS = (
     "max_count",
@@ -144,11 +145,62 @@ class IterationRecord:
     elapsed: float
 
 
+class SampleStore:
+    """Every distinct oracle solve of a run, one row each, in solve order.
+
+    Row r holds z[r], its complex128 p-by-m reply (in blocks of kernels.BLOCK
+    rows, allocated as solves arrive), its iteration and a training flag.
+    ``taken`` lists the training rows in the order they joined, which is
+    CauchyColumns' column order; ``order`` lists them by ascending ``f``.
+    """
+
+    def __init__(self):
+        self.z, self.iteration, self.training, self.taken, self.order = [], [], [], [], []
+        self.row = {}  # z -> row
+        self.f = np.empty(0)
+        self._blocks = []
+
+    def __len__(self):
+        return len(self.z)
+
+    def add(self, z, value, iteration):
+        r = len(self.z)
+        if r and value.shape != self._blocks[0].shape[1:]:
+            raise GreedyratError(
+                f"oracle reply at z = {z} has shape {value.shape}, "
+                f"but the first reply had shape {self._blocks[0].shape[1:]}"
+            )
+        if r % kernels.BLOCK == 0:
+            self._blocks.append(np.empty((kernels.BLOCK, *value.shape), dtype=np.complex128))
+        self._blocks[-1][r % kernels.BLOCK] = value
+        self.row[z] = r
+        self.z.append(z)
+        self.iteration.append(iteration)
+        self.training.append(False)
+
+    def value(self, r):
+        return self._blocks[r // kernels.BLOCK][r % kernels.BLOCK]
+
+    def take(self, z):
+        r = self.row[z]
+        self.training[r] = True
+        self.taken.append(r)
+        i = int(np.searchsorted(self.f, z.imag))
+        self.f = np.concatenate((self.f[:i], [z.imag], self.f[i:]))
+        self.order.insert(i, r)
+
+    def gather(self, rows):
+        """The given rows as SampleArrays, copied out of the store."""
+        rows = np.array(rows, dtype=np.intp)
+        values = np.concatenate(self._blocks)[rows] if self._blocks else np.empty((0, 0, 0))
+        return SampleArrays(np.array(self.z, dtype=np.complex128)[rows], values)
+
+
 @dataclass
 class GreedyTrace:
     records: list = field(default_factory=list)
     surrogates: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
+    store: SampleStore = field(default_factory=SampleStore)
     termination_reason: str = ""
     oracle_calls: int = 0
     resonances: list = field(default_factory=list)
@@ -163,8 +215,12 @@ class GreedyTrace:
         return len(self.records)
 
     @property
+    def samples(self):
+        return self.store.gather(self.store.taken)
+
+    @property
     def sampled_frequencies(self):
-        return [s.z for s in self.samples]
+        return [self.store.z[r] for r in self.store.taken]
 
     @property
     def hit_safety_cap(self):
@@ -227,7 +283,8 @@ def run_greedy(oracle, cfg):
     """Adaptive sampling loop; returns the full iteration trace.
 
     ``oracle`` is a DescriptorSystem or any callable z -> p-by-m array.
-    Every solve goes through one memo, so no frequency is solved twice.
+    Every solve is recorded once in the trace's SampleStore, so no
+    frequency is solved twice.
     Sampling failures at resonant frequencies, and replies with a
     non-finite entry, are recorded and the offending grid point is
     excluded rather than aborting the run. A reply whose shape differs
@@ -237,32 +294,23 @@ def run_greedy(oracle, cfg):
     grid = build_test_grid(cfg)
     eval_oracle = _as_oracle(oracle)
     trace = GreedyTrace()
-
-    solved = {}  # z -> (value, iteration of its solve); one entry per oracle call
-    shape = None
+    store = trace.store
     iteration = 0
 
     def call(z):
-        nonlocal shape
-        if z in solved:
-            return solved[z][0]
-        value = np.array(eval_oracle(z))  # a copy, in case the oracle reuses its buffer
+        r = store.row.get(z)
+        if r is not None:
+            return store.value(r)
+        value = np.atleast_2d(np.asarray(eval_oracle(z), dtype=np.complex128))
         if not np.all(np.isfinite(value)):
             raise ResonanceError(z, f"oracle reply at z = {z} is not finite")
-        got = np.atleast_2d(value).shape
-        if shape is None:
-            shape = got
-        elif got != shape:
-            raise GreedyratError(
-                f"oracle reply at z = {z} has shape {got}, but the first reply had shape {shape}"
-            )
-        solved[z] = (value, iteration)
+        store.add(z, value, iteration)
         return value
 
     cache = kernels.CauchyColumns(grid)
 
     def take(z):
-        trace.samples.append(FrequencySample(z, call(z)))
+        store.take(z)
         cache.add(z)
 
     def ban(k, ind=None):
@@ -319,9 +367,9 @@ def run_greedy(oracle, cfg):
     while True:
         t0 = time.perf_counter()
         iteration += 1
-        n_samples = len(trace.samples)
+        n_samples = len(store.taken)
         capped = n_samples >= cfg.max_samples
-        sur = fit(trace.samples, cfg.fitter)
+        sur = fit(store.gather(store.order), cfg.fitter)
         trace.surrogates.append(sur)
         ind = cache.indicator(sur)
 
@@ -330,7 +378,7 @@ def run_greedy(oracle, cfg):
         if rule.kind == "max_count":
             flag = stop = capped
         elif rule.kind == "density":
-            logf = np.log10(np.array([s.z.imag for s in trace.samples]))
+            logf = np.log10(store.f)
 
             def too_close(z):
                 return float(np.min(np.abs(np.log10(z.imag) - logf))) < rule.min_gap
@@ -350,7 +398,7 @@ def run_greedy(oracle, cfg):
                 for k, z, a in zip(ks, pts, sur.eval_grid(pts)):
                     if solves(k, ind):
                         tested.append(z)
-                        errs.append(adjusted_relative_error(solved[z][0], a, cfg.delta))
+                        errs.append(adjusted_relative_error(call(z), a, cfg.delta))
                         if not errs[-1] < cfg.tol:
                             break
             else:
@@ -360,7 +408,7 @@ def run_greedy(oracle, cfg):
                     chosen = pick(ind)
                     tested = [chosen]
                 errs = [
-                    adjusted_relative_error(solved[z][0], a, cfg.delta)
+                    adjusted_relative_error(call(z), a, cfg.delta)
                     for z, a in zip(tested, sur.eval_grid(tested) if tested else ())
                 ]
             if errs:
@@ -385,19 +433,20 @@ def run_greedy(oracle, cfg):
                 flag=flag,
                 n_memory=n_memory,
                 test_calls=0,  # set when the run ends
-                oracle_calls=len(solved),
+                oracle_calls=len(store),
                 elapsed=time.perf_counter() - t0,
             )
         )
         if reason:
             # test_calls of iteration i: the solves first made in iteration i
             # at frequencies that never joined training
-            training = set(trace.sampled_frequencies)
-            wasted = Counter(it for z, (_, it) in solved.items() if z not in training)
+            wasted = np.bincount(
+                np.array(store.iteration)[~np.array(store.training)], minlength=iteration + 1
+            )
             for rec in trace.records:
-                rec.test_calls = wasted[rec.iteration]
+                rec.test_calls = int(wasted[rec.iteration])
             trace.termination_reason = reason
-            trace.oracle_calls = len(solved)
+            trace.oracle_calls = len(store)
             return trace
         take(chosen)
 

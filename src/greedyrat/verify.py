@@ -52,17 +52,17 @@ def state_surrogate(sur, sys):
     return BarycentricSurrogate(sur.support, values, sur.coeffs)
 
 
-def _residual(sys, gsur, z):
-    """The residual r = (zE - A) G~(z) - B and rho = ||r||_F / ||B||_F."""
+def _residual(sys, gsur, z, b_norm):
+    """The residual r = (zE - A) G~(z) - B and rho = ||r||_F / b_norm, b_norm = ||B||_F."""
     # Multiplying E and A by the n-by-m block G skips assembling the n-by-n pencil.
     G = gsur.eval(z)
     r = z * (sys.E @ G) - sys.A @ G - sys.B
-    return r, float(np.linalg.norm(r) / np.linalg.norm(sys.B))
+    return r, float(np.linalg.norm(r) / b_norm)
 
 
 def residual_norm(sys, gsur, z):
     """rho = ||(zE - A) G~(z) - B||_F / ||B||_F."""
-    return _residual(sys, gsur, z)[1]
+    return _residual(sys, gsur, z, np.linalg.norm(sys.B))[1]
 
 
 def draw_probe_points(sur, f_min, f_max, count, seed=0):
@@ -110,13 +110,14 @@ def check_prop1(sys, sur, zs, gsur=None):
     gsur = gsur or state_surrogate(sur, sys)
     rhs = _coeff_state_sum(sys, sur, gsur)
     rhs_norm = np.linalg.norm(rhs)
+    b_norm = np.linalg.norm(sys.B)
     terms = sum(abs(q) * np.linalg.norm(sys.E @ G) for q, G in zip(sur.coeffs, gsur.values))
     absq = []
     prods = []
     ident = []
     for z in zs:
         q = sur.eval_denominator(z)
-        r, rho = _residual(sys, gsur, z)
+        r, rho = _residual(sys, gsur, z, b_norm)
         absq.append(abs(q))
         prods.append(rho * absq[-1])
         ident.append(np.linalg.norm(q * r - rhs) / rhs_norm)
@@ -125,7 +126,7 @@ def check_prop1(sys, sur, zs, gsur=None):
     spread = float(np.max(np.abs(prods - mean)) / mean) if mean > 0 else 0.0
     return Prop1Report(
         gamma_estimate=mean,
-        gamma_formula=float(rhs_norm / np.linalg.norm(sys.B)),
+        gamma_formula=float(rhs_norm / b_norm),
         max_relative_spread=spread,
         max_identity_residual=float(np.max(ident)),
         coeff_sum_ratio=float(rhs_norm / terms),

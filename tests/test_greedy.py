@@ -15,12 +15,15 @@ from greedyrat import (
     batch_test_points,
     build_test_grid,
     estimator_curve,
+    fit_loewner,
+    fit_mri,
     make_synthetic,
     next_point,
+    partition_samples,
     random_test_points,
     run_greedy,
 )
-from greedyrat import kernels
+from greedyrat import greedy, kernels
 
 
 def order4_system(seed=0):
@@ -457,6 +460,42 @@ def test_cached_indicator_matches_reference_sweep(checked_columns, fitter, kind)
     assert cache.added == trace.sampled_frequencies
     assert [complex(grid[k]) for k in cache.banned] == trace.resonances
     assert cache.sweeps == trace.n_iterations  # one sweep per iteration
+
+
+def surrogate_bytes(sur):
+    return sur.support.tobytes(), sur.values.tobytes(), sur.coeffs.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("kind", [kind for kind, _ in RULES])
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+def test_driver_fits_match_the_list_path_and_own_their_arrays(monkeypatch, fitter, kind):
+    # the driver fits a gathered copy of its sorted store; the public list
+    # path on the same samples must give the same bytes, and no surrogate
+    # may change after its fit, as one that shared a store buffer could
+    fitted = []
+    raw_fit = greedy.fit
+
+    def recorded(samples, method):
+        sur = raw_fit(samples, method)
+        fitted.append(surrogate_bytes(sur))
+        return sur
+
+    monkeypatch.setattr(greedy, "fit", recorded)
+    failures = []
+    cfg = cfg_with(kind, tol=1e-3, fitter=fitter, **dict(RULES)[kind])
+    trace = run_greedy(flaky_oracle(order4_system(2), failures), cfg)
+    assert failures
+    assert [surrogate_bytes(sur) for sur in trace.surrogates] == fitted
+    for a, b in zip(trace.surrogates, trace.surrogates[1:]):
+        assert not np.shares_memory(a.values, b.values)
+    for rec, sur in zip(trace.records, trace.surrogates):
+        samples = list(trace.samples[: rec.n_samples])
+        if fitter == "loewner":
+            ref = fit_loewner(partition_samples(samples))
+        else:
+            ref = fit_mri(samples)
+        assert surrogate_bytes(ref) == surrogate_bytes(sur)
 
 
 def test_cache_memory_follows_samples_not_cap(checked_columns):

@@ -8,10 +8,20 @@ the benchmark's greedy.select span never fires.
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "ratbench"))
 
 import tracing  # noqa: E402
-from greedyrat import GreedyConfig, TerminationRule, greedy, make_synthetic, run_greedy  # noqa: E402
+from greedyrat import (  # noqa: E402
+    DescriptorSystem,
+    GreedyConfig,
+    TerminationRule,
+    greedy,
+    kernels,
+    make_synthetic,
+    run_greedy,
+)
 
 
 def test_every_trace_point_resolves():
@@ -32,11 +42,12 @@ def counting(monkeypatch, name):
     return calls
 
 
-def run_synthetic(kind, **rule):
+def run_synthetic(kind, fitter="loewner", **rule):
     cfg = GreedyConfig(
         f_min=1.0,
         f_max=100.0,
         grid_size=2000,
+        fitter=fitter,
         termination=TerminationRule(kind=kind, **rule),
         max_samples=40,
     )
@@ -55,3 +66,35 @@ def test_batch_selects_through_batch_test_points(monkeypatch):
     trace = run_synthetic("batch", n_batch=3)
     assert trace.termination_reason == "batch"
     assert len(calls) == trace.n_iterations
+
+
+def recording_info(monkeypatch, owner, name, info_fn):
+    """Replace owner.<name> with a wrapper that records info_fn(args) per call."""
+    infos = []
+    fn = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        infos.append(info_fn(args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return infos
+
+
+@pytest.mark.filterwarnings("ignore:MRI with fewer")
+@pytest.mark.parametrize("fitter", ["loewner", "mri"])
+def test_info_functions_read_the_arguments_greedyrat_passes(monkeypatch, fitter):
+    fit_cells = recording_info(monkeypatch, greedy, "fit", tracing._fit_cells)
+    sweep_cells = recording_info(monkeypatch, kernels, "eval_sweep", tracing._sweep_cells)
+    pencil_z = recording_info(monkeypatch, DescriptorSystem, "solve_pencil", tracing._pencil_z)
+    trace = run_synthetic("lookahead", fitter=fitter)
+    assert trace.termination_reason == "lookahead"
+    pm = 2 * 2
+    sizes = [rec.n_samples for rec in trace.records]
+    if fitter == "loewner":
+        assert fit_cells == [(s // 2) * pm * (s - s // 2) for s in sizes]
+    else:
+        assert fit_cells == [pm * s for s in sizes]
+    # lookahead sweeps its one test point once per iteration
+    assert sweep_cells == [sur.n_support for sur in trace.surrogates]
+    assert pencil_z == trace.store.z
