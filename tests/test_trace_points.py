@@ -3,7 +3,8 @@
 ratbench/tracing.py patches each (owner, attribute) pair at run time; a
 refactor that renames or moves one of them should fail here, not only in
 the benchmark. The driver must also select through the patched names, or
-the benchmark's greedy.select span never fires.
+the benchmark's greedy.select span never fires, and each span's info
+function must read the arguments greedyrat really passes.
 """
 import os
 import sys
@@ -29,16 +30,16 @@ def test_every_trace_point_resolves():
         assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} no longer exists"
 
 
-def counting(monkeypatch, name):
-    """Replace greedy.<name> with a wrapper that records its calls."""
+def recording(monkeypatch, owner, name, info=lambda args: args):
+    """Replace owner.<name> with a wrapper that records info(args) for each call."""
     calls = []
-    fn = getattr(greedy, name)
+    fn = getattr(owner, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def recorded(*args, **kwargs):
+        calls.append(info(args))
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(greedy, name, counted)
+    monkeypatch.setattr(owner, name, recorded)
     return calls
 
 
@@ -55,38 +56,25 @@ def run_synthetic(kind, fitter="loewner", **rule):
 
 
 def test_lookahead_selects_through_next_point(monkeypatch):
-    calls = counting(monkeypatch, "next_point")
+    calls = recording(monkeypatch, greedy, "next_point")
     trace = run_synthetic("lookahead")
     assert trace.termination_reason == "lookahead"
     assert len(calls) >= trace.n_iterations
 
 
 def test_batch_selects_through_batch_test_points(monkeypatch):
-    calls = counting(monkeypatch, "batch_test_points")
+    calls = recording(monkeypatch, greedy, "batch_test_points")
     trace = run_synthetic("batch", n_batch=3)
     assert trace.termination_reason == "batch"
     assert len(calls) == trace.n_iterations
 
 
-def recording_info(monkeypatch, owner, name, info_fn):
-    """Replace owner.<name> with a wrapper that records info_fn(args) per call."""
-    infos = []
-    fn = getattr(owner, name)
-
-    def recorded(*args, **kwargs):
-        infos.append(info_fn(args))
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, recorded)
-    return infos
-
-
 @pytest.mark.filterwarnings("ignore:MRI with fewer")
 @pytest.mark.parametrize("fitter", ["loewner", "mri"])
 def test_info_functions_read_the_arguments_greedyrat_passes(monkeypatch, fitter):
-    fit_cells = recording_info(monkeypatch, greedy, "fit", tracing._fit_cells)
-    sweep_cells = recording_info(monkeypatch, kernels, "eval_sweep", tracing._sweep_cells)
-    pencil_z = recording_info(monkeypatch, DescriptorSystem, "solve_pencil", tracing._pencil_z)
+    fit_cells = recording(monkeypatch, greedy, "fit", tracing._fit_cells)
+    sweep_cells = recording(monkeypatch, kernels, "eval_sweep", tracing._sweep_cells)
+    pencil_z = recording(monkeypatch, DescriptorSystem, "solve_pencil", tracing._pencil_z)
     trace = run_synthetic("lookahead", fitter=fitter)
     assert trace.termination_reason == "lookahead"
     pm = 2 * 2
