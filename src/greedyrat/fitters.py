@@ -11,10 +11,8 @@ positive, which makes the fits reproducible (the underlying function is
 invariant under rescaling of q).
 
 Both fits read samples in canonical order (ascending imaginary, then
-real part) as a frequency array and a (S, p, m) value array: Loewner
-takes the even rows as support and the odd ones as test points, MRI every
-row as support. The greedy driver keeps its samples in that order and
-hands ``fit`` gathered arrays; any other samples are sorted and stacked.
+real part) as a frequency array and a (S, p, m) value array: Loewner takes
+the even rows as support and the odd ones as test points, MRI every row.
 """
 import warnings
 from collections.abc import Sequence
@@ -40,11 +38,7 @@ class SamplePartition:
 
 
 class SampleArrays(Sequence):
-    """Samples as arrays: frequencies z and complex128 p-by-m blocks values[j].
-
-    As a sequence of FrequencySample it stands wherever a list of samples
-    does.
-    """
+    """Samples as arrays, z and (S, p, m) values; a sequence of FrequencySample."""
 
     def __init__(self, z, values):
         self.z, self.values = z, values
@@ -142,14 +136,14 @@ def fit_mri(samples):
     nontrivial and spurious coefficient vectors can appear, so that case
     is flagged with a warning.
     """
-    if not samples:
-        raise ValueError("at least one sample is required")
     return _fit_sorted(*_stack(_canonical_sort(samples)), "mri")
 
 
 def _fit_sorted(z, values, method):
     """Fit samples in canonical order: Loewner on even (support) and odd
     (test) rows, MRI with every row as support."""
+    if not len(z):
+        raise ValueError("at least one sample is required")
     if method == "loewner":
         # the surrogate keeps contiguous copies of its rows, not strided views
         return _fit_loewner(z[0::2].copy(), values[0::2].copy(), z[1::2], values[1::2])
@@ -169,12 +163,11 @@ def _fit_sorted(z, values, method):
 def fit(samples, method):
     """Dispatch on fitter name: 'loewner' or 'mri'.
 
-    SampleArrays already in canonical order, as the greedy driver gathers
-    them, are fitted from their own arrays, which an MRI surrogate keeps;
-    other samples go through fit_loewner or fit_mri.
+    SampleArrays are fitted as they are, and an MRI surrogate keeps their
+    arrays; other samples are sorted and stacked first.
     """
     if method not in ("loewner", "mri"):
         raise ValueError(f"unknown fitter {method!r}")
-    if isinstance(samples, SampleArrays) and len(samples) and np.all(np.diff(samples.z.imag) > 0):
-        return _fit_sorted(samples.z, samples.values, method)
-    return fit_loewner(partition_samples(samples)) if method == "loewner" else fit_mri(samples)
+    if not isinstance(samples, SampleArrays):
+        samples = SampleArrays(*_stack(_canonical_sort(samples)))
+    return _fit_sorted(samples.z, samples.values, method)

@@ -37,15 +37,13 @@ All rules additionally respect the max_samples safety cap. At the cap the
 next greedy point is named (IterationRecord.chosen) but not solved; only
 lookahead's probe and batch's test points, which decide the rule, are.
 
-Every oracle solve is recorded once, in one append-only SampleStore that
-is also the memo, so no frequency is solved twice; each fit reads a
-gathered copy of its training rows, kept in ascending-f order. The ledger
-is exact: IterationRecord.oracle_calls is the cumulative count of
-distinct solves, and IterationRecord.test_calls counts the solves first
-made in that iteration at frequencies that never joined training; a
-failing batch check adds only the points it solved before it stopped.
-The first sample (and the frozen randomized points) belong to iteration
-0, so
+Every oracle solve is recorded once, in one SampleStore that is also the
+memo, so no frequency is solved twice. The ledger is exact:
+IterationRecord.oracle_calls is the cumulative count of distinct solves,
+and IterationRecord.test_calls counts the solves first made in that
+iteration at frequencies that never joined training; a failing batch
+check adds only the points it solved before it stopped. The first sample
+(and the frozen randomized points) belong to iteration 0, so
 
   oracle_calls == len(samples) + sum(test_calls) (+ n_random_solved)
 
@@ -146,54 +144,29 @@ class IterationRecord:
 
 
 class SampleStore:
-    """Every distinct oracle solve of a run, one row each, in solve order.
+    """Each distinct oracle solve of a run, recorded once.
 
-    Row r holds z[r], its complex128 p-by-m reply (in blocks of kernels.BLOCK
-    rows, allocated as solves arrive), its iteration and a training flag.
-    ``taken`` lists the training rows in the order they joined, which is
-    CauchyColumns' column order; ``order`` lists them by ascending ``f``.
+    ``solves`` maps each solved z, in solve order, to its complex128 p-by-m
+    reply and the iteration of its solve. The training samples sit in the
+    read-only arrays ``z`` and ``values`` in the order they joined, which
+    is the order of CauchyColumns' columns; a take replaces the two arrays
+    rather than writing them.
     """
 
     def __init__(self):
-        self.z, self.iteration, self.training, self.taken, self.order = [], [], [], [], []
-        self.row = {}  # z -> row
-        self.f = np.empty(0)
-        self._blocks = []
-
-    def __len__(self):
-        return len(self.z)
-
-    def add(self, z, value, iteration):
-        r = len(self.z)
-        if r and value.shape != self._blocks[0].shape[1:]:
-            raise GreedyratError(
-                f"oracle reply at z = {z} has shape {value.shape}, "
-                f"but the first reply had shape {self._blocks[0].shape[1:]}"
-            )
-        if r % kernels.BLOCK == 0:
-            self._blocks.append(np.empty((kernels.BLOCK, *value.shape), dtype=np.complex128))
-        self._blocks[-1][r % kernels.BLOCK] = value
-        self.row[z] = r
-        self.z.append(z)
-        self.iteration.append(iteration)
-        self.training.append(False)
-
-    def value(self, r):
-        return self._blocks[r // kernels.BLOCK][r % kernels.BLOCK]
+        self.solves = {}
+        self.z, self.values = np.empty(0, dtype=np.complex128), None
 
     def take(self, z):
-        r = self.row[z]
-        self.training[r] = True
-        self.taken.append(r)
-        i = int(np.searchsorted(self.f, z.imag))
-        self.f = np.concatenate((self.f[:i], [z.imag], self.f[i:]))
-        self.order.insert(i, r)
+        value = self.solves[z][0][None]
+        self.values = np.concatenate((self.values, value)) if self.z.size else value.copy()
+        self.z = np.append(self.z, z)
+        self.z.flags.writeable = self.values.flags.writeable = False
 
-    def gather(self, rows):
-        """The given rows as SampleArrays, copied out of the store."""
-        rows = np.array(rows, dtype=np.intp)
-        values = np.concatenate(self._blocks)[rows] if self._blocks else np.empty((0, 0, 0))
-        return SampleArrays(np.array(self.z, dtype=np.complex128)[rows], values)
+    def sorted(self):
+        """The training samples by ascending f, gathered into new arrays."""
+        order = np.argsort(self.z.imag, kind="stable")
+        return SampleArrays(self.z[order], self.values.take(order, axis=0))
 
 
 @dataclass
@@ -216,11 +189,12 @@ class GreedyTrace:
 
     @property
     def samples(self):
-        return self.store.gather(self.store.taken)
+        """The training samples in the order they joined, over the store's arrays."""
+        return SampleArrays(self.store.z, self.store.values)
 
     @property
     def sampled_frequencies(self):
-        return [self.store.z[r] for r in self.store.taken]
+        return self.store.z.tolist()
 
     @property
     def hit_safety_cap(self):
@@ -283,8 +257,8 @@ def run_greedy(oracle, cfg):
     """Adaptive sampling loop; returns the full iteration trace.
 
     ``oracle`` is a DescriptorSystem or any callable z -> p-by-m array.
-    Every solve is recorded once in the trace's SampleStore, so no
-    frequency is solved twice.
+    Every solve is recorded once in the trace's store, so no frequency
+    is solved twice.
     Sampling failures at resonant frequencies, and replies with a
     non-finite entry, are recorded and the offending grid point is
     excluded rather than aborting the run. A reply whose shape differs
@@ -295,16 +269,24 @@ def run_greedy(oracle, cfg):
     eval_oracle = _as_oracle(oracle)
     trace = GreedyTrace()
     store = trace.store
+    shape = None
     iteration = 0
 
     def call(z):
-        r = store.row.get(z)
-        if r is not None:
-            return store.value(r)
-        value = np.atleast_2d(np.asarray(eval_oracle(z), dtype=np.complex128))
+        nonlocal shape
+        if z in store.solves:
+            return store.solves[z][0]
+        # a copy, in case the oracle reuses its buffer
+        value = np.array(eval_oracle(z), dtype=np.complex128, ndmin=2)
         if not np.all(np.isfinite(value)):
             raise ResonanceError(z, f"oracle reply at z = {z} is not finite")
-        store.add(z, value, iteration)
+        got = value.shape
+        shape = shape or got
+        if got != shape:
+            raise GreedyratError(
+                f"oracle reply at z = {z} has shape {got}, but the first reply had shape {shape}"
+            )
+        store.solves[z] = (value, iteration)
         return value
 
     cache = kernels.CauchyColumns(grid)
@@ -367,9 +349,9 @@ def run_greedy(oracle, cfg):
     while True:
         t0 = time.perf_counter()
         iteration += 1
-        n_samples = len(store.taken)
+        n_samples = store.z.size
         capped = n_samples >= cfg.max_samples
-        sur = fit(store.gather(store.order), cfg.fitter)
+        sur = fit(store.sorted(), cfg.fitter)
         trace.surrogates.append(sur)
         ind = cache.indicator(sur)
 
@@ -378,7 +360,7 @@ def run_greedy(oracle, cfg):
         if rule.kind == "max_count":
             flag = stop = capped
         elif rule.kind == "density":
-            logf = np.log10(store.f)
+            logf = np.log10(store.z.imag)
 
             def too_close(z):
                 return float(np.min(np.abs(np.log10(z.imag) - logf))) < rule.min_gap
@@ -433,20 +415,20 @@ def run_greedy(oracle, cfg):
                 flag=flag,
                 n_memory=n_memory,
                 test_calls=0,  # set when the run ends
-                oracle_calls=len(store),
+                oracle_calls=len(store.solves),
                 elapsed=time.perf_counter() - t0,
             )
         )
         if reason:
             # test_calls of iteration i: the solves first made in iteration i
             # at frequencies that never joined training
-            wasted = np.bincount(
-                np.array(store.iteration)[~np.array(store.training)], minlength=iteration + 1
-            )
+            training = set(trace.sampled_frequencies)
+            its = [it for z, (_, it) in store.solves.items() if z not in training]
+            wasted = np.bincount(its, minlength=iteration + 1)
             for rec in trace.records:
                 rec.test_calls = int(wasted[rec.iteration])
             trace.termination_reason = reason
-            trace.oracle_calls = len(store)
+            trace.oracle_calls = len(store.solves)
             return trace
         take(chosen)
 

@@ -15,8 +15,8 @@ differently.
 The greedy driver does not rebuild that matrix every iteration.
 ``CauchyColumns`` keeps one column per *sample* on the driver's fixed
 grid, computed once when the sample is taken, so column j belongs to the
-j-th training row of the driver's SampleStore and each indicator sweep is
-one matrix product. The grid and the samples lie on the imaginary axis,
+j-th training sample of the driver's SampleStore and each indicator sweep
+is one matrix product. The grid and the samples lie on the imaginary axis,
 z_k = i f_k and zeta_j = i f_j, so 1/(z_k - zeta_j) = -i D[k, j] with the
 real D[k, j] = 1/(f_k - f_j), and |Q| = |D q|: the cache stores D, and a
 sweep multiplies it by the real and imaginary parts of q together, which

@@ -489,6 +489,8 @@ def test_driver_fits_match_the_list_path_and_own_their_arrays(monkeypatch, fitte
     assert [surrogate_bytes(sur) for sur in trace.surrogates] == fitted
     for a, b in zip(trace.surrogates, trace.surrogates[1:]):
         assert not np.shares_memory(a.values, b.values)
+    for sur in trace.surrogates:
+        assert not np.shares_memory(sur.values, trace.store.values)
     for rec, sur in zip(trace.records, trace.surrogates):
         samples = list(trace.samples[: rec.n_samples])
         if fitter == "loewner":

@@ -85,4 +85,4 @@ def test_info_functions_read_the_arguments_greedyrat_passes(monkeypatch, fitter)
         assert fit_cells == [pm * s for s in sizes]
     # lookahead sweeps its one test point once per iteration
     assert sweep_cells == [sur.n_support for sur in trace.surrogates]
-    assert pencil_z == trace.store.z
+    assert pencil_z == list(trace.store.solves)
