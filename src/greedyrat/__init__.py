@@ -8,7 +8,7 @@ from .errors import (
     SupportCollisionError,
     SurrogatePoleError,
 )
-from .fitters import SamplePartition, fit_loewner, fit_mri, partition_samples
+from .fitters import fit
 from .greedy import (
     GreedyConfig,
     GreedyTrace,
@@ -40,7 +40,6 @@ __all__ = [
     "GreedyratError",
     "GridExhaustedError",
     "ResonanceError",
-    "SamplePartition",
     "SupportCollisionError",
     "SurrogatePoleError",
     "TerminationRule",
@@ -50,12 +49,10 @@ __all__ = [
     "check_prop1",
     "check_prop2",
     "estimator_curve",
-    "fit_loewner",
-    "fit_mri",
+    "fit",
     "load_matrix_market",
     "make_synthetic",
     "next_point",
-    "partition_samples",
     "random_test_points",
     "residual_norm",
     "run_greedy",

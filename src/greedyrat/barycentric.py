@@ -147,9 +147,8 @@ class BarycentricSurrogate:
         """The surrogate saved at path, and the extra keys save wrote beside it."""
         with open(path) as f:
             d = json.load(f)
-        sur = cls.from_dict(d)
-        own = sur.to_dict()
-        return sur, {k: v for k, v in d.items() if k not in own}
+        own = ("support", "coeffs", "shape", "values")  # the keys to_dict writes
+        return cls.from_dict(d), {k: v for k, v in d.items() if k not in own}
 
 
 def _c2pairs(arr):

@@ -10,31 +10,20 @@ The phase of q is normalized so the entry of largest modulus is real and
 positive, which makes the fits reproducible (the underlying function is
 invariant under rescaling of q).
 
-Both fits read samples in canonical order (ascending imaginary, then
-real part) as a frequency array and a (S, p, m) value array: Loewner takes
-the even rows as support and the odd ones as test points, MRI every row.
+`fit(samples, method)` is the one entry point. It fits samples in
+canonical order (ascending imaginary, then real part) as a frequency array
+and a (S, p, m) value array: Loewner takes the even rows as support and the
+odd ones as test points, MRI every row. A list of FrequencySample is sorted
+and stacked first; the greedy driver passes SampleArrays already in that
+order.
 """
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .barycentric import BarycentricSurrogate
 from .system_model import FrequencySample
-
-
-@dataclass(frozen=True)
-class SamplePartition:
-    support: list = field(default_factory=list)
-    test: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.support:
-            raise ValueError("support set must be nonempty")
-        zs = [s.z for s in self.support] + [s.z for s in self.test]
-        if len(set(zs)) != len(zs):
-            raise ValueError("support and test frequencies must be pairwise distinct")
 
 
 class SampleArrays(Sequence):
@@ -52,18 +41,13 @@ class SampleArrays(Sequence):
         return FrequencySample(self.z[j], self.values[j])
 
 
-def _canonical_sort(samples):
-    return sorted(samples, key=lambda s: (s.z.imag, s.z.real))
-
-
-def partition_samples(samples):
-    """Alternate sorted samples into support (even index) and test (odd).
-
-    Sorting is by ascending imaginary part, then real part, so the split
-    is independent of input order.
-    """
-    samples = _canonical_sort(samples)
-    return SamplePartition(support=samples[0::2], test=samples[1::2])
+def _sorted_arrays(samples):
+    """FrequencySamples in canonical order as a frequency and a value array."""
+    samples = sorted(samples, key=lambda s: (s.z.imag, s.z.real))
+    z = np.array([s.z for s in samples])
+    if np.any(z[1:] == z[:-1]):  # sorting puts equal frequencies side by side
+        raise ValueError("sample frequencies must be pairwise distinct")
+    return z, np.array([s.value for s in samples])
 
 
 def _smallest_right_singular_vector(M, ncols):
@@ -95,79 +79,52 @@ def _normalize_phase(q):
     return q * phase.conjugate()
 
 
-def fit_loewner(part):
-    """Least-squares Loewner fit of the barycentric coefficients.
-
-    Stacks one vec((H(z'_l) - H(z_j)) / (z'_l - z_j)) block row per test
-    frequency and takes the unit-norm minimizer of the residual, i.e. the
-    right singular vector of the smallest singular value.
-    """
-    return _fit_loewner(*_stack(part.support), *_stack(part.test))
+def loewner_matrix(samples):
+    """The Loewner system matrix of fit(samples, "loewner"), for diagnostics and tests."""
+    return _loewner(*_sorted_arrays(samples))[2]
 
 
-def _fit_loewner(zsup, vsup, ztest, vtest):
-    q = _smallest_right_singular_vector(_loewner(zsup, vsup, ztest, vtest), zsup.size)
-    return BarycentricSurrogate(zsup, vsup, _normalize_phase(q))
-
-
-def loewner_matrix(part):
-    """The stacked Loewner system matrix (exposed for diagnostics/tests)."""
-    return _loewner(*_stack(part.support), *_stack(part.test))
-
-
-def _stack(samples):
-    """Frequencies and value blocks of the samples as two arrays."""
-    return np.array([x.z for x in samples]), np.array([x.value for x in samples])
-
-
-def _loewner(zsup, vsup, ztest, vtest):
-    """Block row l holds vec((H(z'_l) - H(z_j)) / (z'_l - z_j)) over the support j."""
-    s, p, m = vsup.shape
-    vtest = vtest.reshape(-1, p, m)  # an empty test set stacks to shape (0,)
+def _loewner(z, values):
+    """Support, its values and the Loewner matrix of samples in canonical order:
+    the even rows are support and the odd rows test frequencies z'_l, and block
+    row l holds vec((H(z'_l) - H(z_j)) / (z'_l - z_j)) over the support j."""
+    zsup, vsup, ztest, vtest = z[0::2], values[0::2], z[1::2], values[1::2]
     blocks = (vtest[:, None] - vsup) / (ztest[:, None] - zsup)[:, :, None, None]
-    return blocks.transpose(0, 2, 3, 1).reshape(-1, s)
-
-
-def fit_mri(samples):
-    """Minimal-rational-interpolation fit: minimize ||sum_j q_j H(z_j)||_F.
-
-    All samples become support points. Intended for tall data (p*m >= S,
-    e.g. state samples); with fewer rows than samples the null space is
-    nontrivial and spurious coefficient vectors can appear, so that case
-    is flagged with a warning.
-    """
-    return _fit_sorted(*_stack(_canonical_sort(samples)), "mri")
+    return zsup, vsup, blocks.transpose(0, 2, 3, 1).reshape(-1, zsup.size)
 
 
 def _fit_sorted(z, values, method):
-    """Fit samples in canonical order: Loewner on even (support) and odd
-    (test) rows, MRI with every row as support."""
+    """Fit samples in canonical order. Loewner minimizes the Loewner residual,
+    MRI ||sum_j q_j H(z_j)||_F with every sample as support. MRI is meant for
+    tall data (p*m >= S, e.g. state samples): with fewer rows the null space
+    is nontrivial and q may be spurious, so that case warns."""
     if not len(z):
         raise ValueError("at least one sample is required")
     if method == "loewner":
+        z, values, M = _loewner(z, values)
         # the surrogate keeps contiguous copies of its rows, not strided views
-        return _fit_loewner(z[0::2].copy(), values[0::2].copy(), z[1::2], values[1::2])
-    s, p, m = values.shape
-    if p * m < s:
-        # Constant text, so the default once-per-location filter shows it
-        # once per run rather than once per greedy iteration.
-        warnings.warn(
-            "MRI with fewer value entries per sample than samples: "
-            "the minimizer may be spurious",
-            stacklevel=3,
-        )
-    q = _normalize_phase(_smallest_right_singular_vector(values.reshape(s, p * m).T, s))
+        z, values = z.copy(), values.copy()
+    else:
+        s, p, m = values.shape
+        if p * m < s:
+            # Constant text, so the default once-per-location filter shows it
+            # once per run rather than once per greedy iteration.
+            warnings.warn(
+                "MRI with fewer value entries per sample than samples: "
+                "the minimizer may be spurious",
+                stacklevel=3,
+            )
+        M = values.reshape(s, p * m).T
+    q = _normalize_phase(_smallest_right_singular_vector(M, z.size))
     return BarycentricSurrogate(z, values, q)
 
 
 def fit(samples, method):
-    """Dispatch on fitter name: 'loewner' or 'mri'.
-
-    SampleArrays are fitted as they are, and an MRI surrogate keeps their
-    arrays; other samples are sorted and stacked first.
-    """
+    """Fit with 'loewner' or 'mri': FrequencySamples with distinct frequencies,
+    sorted and stacked here, or SampleArrays in canonical order, fitted as they
+    stand (an MRI surrogate keeps their arrays)."""
     if method not in ("loewner", "mri"):
         raise ValueError(f"unknown fitter {method!r}")
-    if not isinstance(samples, SampleArrays):
-        samples = SampleArrays(*_stack(_canonical_sort(samples)))
-    return _fit_sorted(samples.z, samples.values, method)
+    if isinstance(samples, SampleArrays):
+        return _fit_sorted(samples.z, samples.values, method)
+    return _fit_sorted(*_sorted_arrays(samples), method)

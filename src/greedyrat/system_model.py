@@ -110,6 +110,12 @@ def _frozen(M):
     return M
 
 
+def _check_info(info, routine):
+    """Raise ValueError when a LAPACK routine reports an illegal argument."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+
+
 def _check_pivots(z, diag):
     """Raise ResonanceError when U's diagonal says the pencil is singular at z."""
     du = np.abs(diag)
@@ -148,8 +154,7 @@ class _DensePencil(_Pencil):
         # every once-per-location warning filter in the process.
         getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (P,))
         lu, piv, info = getrf(P, overwrite_a=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
+        _check_info(info, "getrf")
         _check_pivots(z, np.diag(lu))
         return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
@@ -225,8 +230,7 @@ class _TridiagonalPencil(_OrderedPencil):
         dl, d, du, du2, ipiv, info = self.gttrf(
             dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK gttrf")
+        _check_info(info, "gttrf")
         _check_pivots(z, d)
         return dl, d, du, du2, ipiv
 
@@ -237,8 +241,7 @@ class _TridiagonalPencil(_OrderedPencil):
 
     def _solve(self, factors, b):
         x, info = self.gttrs(*factors, b, overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK gttrs")
+        _check_info(info, "gttrs")
         return x
 
 
@@ -268,8 +271,7 @@ class _BandedPencil(_OrderedPencil):
         ab = np.multiply(z, self.band_e, order="F")
         np.subtract(ab, self.band_a, out=ab)
         lu, piv, info = self.gbtrf(ab, kl, ku, overwrite_ab=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK gbtrf")
+        _check_info(info, "gbtrf")
         _check_pivots(z, lu[kl + ku])
         return lu, piv
 
@@ -281,8 +283,7 @@ class _BandedPencil(_OrderedPencil):
     def _solve(self, factors, b):
         lu, piv = factors
         x, info = self.gbtrs(lu, self.kl, self.ku, b, piv, overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK gbtrs")
+        _check_info(info, "gbtrs")
         return x
 
 

@@ -17,10 +17,9 @@ from greedyrat import (
     build_test_grid,
     check_prop1,
     check_prop2,
-    fit_loewner,
+    fit,
     load_matrix_market,
     make_synthetic,
-    partition_samples,
     run_greedy,
 )
 from greedyrat.system_model import FrequencySample
@@ -103,7 +102,7 @@ def test_criterion_04_exact_recovery():
         return np.array([[d + np.sum(res / (z - poles))]])
 
     zs = 1j * np.geomspace(1.0, 100.0, 8)
-    sur = fit_loewner(partition_samples([FrequencySample(z, target(z)) for z in zs]))
+    sur = fit([FrequencySample(z, target(z)) for z in zs], "loewner")
     worst = 0.0
     for f in np.geomspace(0.5, 200.0, 1000):
         z = 1j * f

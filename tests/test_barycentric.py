@@ -6,8 +6,7 @@ from greedyrat import (
     BarycentricSurrogate,
     SupportCollisionError,
     SurrogatePoleError,
-    fit_loewner,
-    partition_samples,
+    fit,
 )
 from greedyrat.system_model import FrequencySample
 
@@ -27,7 +26,7 @@ def test_single_node_is_constant():
 def test_reproduces_fitted_rational():
     zs = [1j * f for f in (1.0, 2.0, 5.0, 10.0)]
     samples = [FrequencySample(z, rational_11(z)) for z in zs]
-    sur = fit_loewner(partition_samples(samples))
+    sur = fit(samples, "loewner")
     rng = np.random.default_rng(1)
     for z in rng.uniform(0.5, 20, 50) * 1j:
         exact = rational_11(z)

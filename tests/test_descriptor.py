@@ -17,10 +17,9 @@ from greedyrat import (
     ResonanceError,
     check_prop1,
     check_prop2,
-    fit_loewner,
+    fit,
     load_matrix_market,
     make_synthetic,
-    partition_samples,
     state_surrogate,
 )
 from greedyrat.system_model import BAND_MAX
@@ -365,7 +364,7 @@ def test_matrix_market_round_trip_keeps_a_real_system_real(tmp_path):
 def test_identities_hold_on_descriptor_systems(make, f_min, f_max):
     sys = make()
     zs = 1j * np.geomspace(f_min, f_max, 10)
-    sur = fit_loewner(partition_samples([sys.sample(z) for z in zs]))
+    sur = fit([sys.sample(z) for z in zs], "loewner")
     pts = draw_probe_points(sur, f_min, f_max, 30, seed=1)
     gsur = state_surrogate(sur, sys)
     p1 = check_prop1(sys, sur, pts, gsur=gsur)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import rational_11
-from greedyrat import fit_loewner, fit_mri, partition_samples
+import greedyrat
+from greedyrat import fit
 from greedyrat.fitters import _smallest_right_singular_vector, loewner_matrix
 from greedyrat.system_model import FrequencySample
 
@@ -13,43 +14,62 @@ def samples_at(zs, fn):
     return [FrequencySample(z, fn(z)) for z in zs]
 
 
+def test_every_exported_name_resolves():
+    assert all(hasattr(greedyrat, name) for name in greedyrat.__all__)
+    assert greedyrat.fit is greedyrat.fitters.fit
+
+
 def test_partition_single_sample():
-    part = partition_samples(samples_at([1j], rational_11))
-    assert [s.z for s in part.support] == [1j]
-    assert part.test == []
+    samples = samples_at([1j], rational_11)
+    assert list(fit(samples, "loewner").support) == [1j]
+    assert loewner_matrix(samples).shape == (0, 1)  # no test rows
 
 
 def test_partition_alternates_sorted():
     zs = [1j, 2j, 3j, 4j, 5j]
-    part = partition_samples(samples_at(zs, rational_11))
-    assert [s.z for s in part.support] == [1j, 3j, 5j]
-    assert [s.z for s in part.test] == [2j, 4j]
+    samples = samples_at(zs, rational_11)
+    assert list(fit(samples, "loewner").support) == [1j, 3j, 5j]
+    # one row per test frequency 2j, 4j against the support 1j, 3j, 5j
+    H = lambda z: rational_11(z)[0, 0]
+    expected = [[(H(t) - H(z)) / (t - z) for z in (1j, 3j, 5j)] for t in (2j, 4j)]
+    assert np.allclose(loewner_matrix(samples), expected, rtol=1e-14, atol=0)
 
 
 def test_partition_order_insensitive():
     zs = [3j, 1j, 5j, 4j, 2j]
-    a = partition_samples(samples_at(zs, rational_11))
-    b = partition_samples(samples_at(sorted(zs, key=lambda z: z.imag), rational_11))
-    assert [s.z for s in a.support] == [s.z for s in b.support]
-    assert [s.z for s in a.test] == [s.z for s in b.test]
+    a = fit(samples_at(zs, rational_11), "loewner")
+    b = fit(samples_at(sorted(zs, key=lambda z: z.imag), rational_11), "loewner")
+    assert list(a.support) == list(b.support) == [1j, 3j, 5j]
+    assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_partition_rejects_duplicates():
     with pytest.raises(ValueError, match="distinct"):
-        partition_samples(samples_at([1j, 1j], rational_11))
+        fit(samples_at([1j, 1j], rational_11), "loewner")
 
 
 def test_mri_rejects_duplicates():
     # 2-by-2 blocks keep three samples within p*m, so MRI does not warn
     samples = samples_at([1j, 2j, 1j], lambda z: rational_11(z) * np.eye(2))
     with pytest.raises(ValueError, match="distinct"):
-        fit_mri(samples)
+        fit(samples, "mri")
+
+
+@pytest.mark.parametrize("method", ["loewner", "mri"])
+def test_fit_rejects_repeated_frequencies(method):
+    # a repeat on a test row would divide by zero in the Loewner matrix; the
+    # check must come before any arithmetic, so every warning is an error here
+    samples = [FrequencySample(z, [[1 / (z + 1)]]) for z in (1j, 2j, 2j, 3j)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            fit(samples, method)
 
 
 def test_loewner_recovers_type_11():
-    part = partition_samples(samples_at([1j, 2j, 3j, 4j], rational_11))
-    sur = fit_loewner(part)
-    L = loewner_matrix(part)
+    samples = samples_at([1j, 2j, 3j, 4j], rational_11)
+    sur = fit(samples, "loewner")
+    L = loewner_matrix(samples)
     assert np.linalg.norm(L @ sur.coeffs) <= 1e-12
     rng = np.random.default_rng(0)
     for z in rng.uniform(0.5, 10, 50) * 1j:
@@ -58,7 +78,7 @@ def test_loewner_recovers_type_11():
 
 
 def test_loewner_single_support():
-    sur = fit_loewner(partition_samples(samples_at([1j], rational_11)))
+    sur = fit(samples_at([1j], rational_11), "loewner")
     assert sur.coeffs == pytest.approx(np.array([1.0 + 0j]))
     assert sur.eval(5j) == pytest.approx(rational_11(1j))
 
@@ -68,7 +88,7 @@ def test_loewner_normalization_contract(seed):
     rng = np.random.default_rng(seed)
     zs = 1j * np.sort(rng.uniform(1, 100, 7))
     fn = lambda z: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    sur = fit_loewner(partition_samples(samples_at(zs, fn)))
+    sur = fit(samples_at(zs, fn), "loewner")
     assert np.linalg.norm(sur.coeffs) == pytest.approx(1.0, abs=1e-13)
     top = sur.coeffs[np.argmax(np.abs(sur.coeffs))]
     assert top.imag == pytest.approx(0.0, abs=1e-13)
@@ -80,31 +100,33 @@ def test_loewner_is_global_minimizer_on_sphere(seed):
     rng = np.random.default_rng(seed + 20)
     zs = 1j * np.sort(rng.uniform(1, 50, 9))
     fn = lambda z: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    part = partition_samples(samples_at(zs, fn))
-    sur = fit_loewner(part)
-    L = loewner_matrix(part)
+    samples = samples_at(zs, fn)
+    sur = fit(samples, "loewner")
+    L = loewner_matrix(samples)
     best = np.linalg.norm(L @ sur.coeffs)
     for _ in range(20):
-        u = rng.standard_normal(len(part.support)) + 1j * rng.standard_normal(len(part.support))
+        u = rng.standard_normal(sur.n_support) + 1j * rng.standard_normal(sur.n_support)
         u /= np.linalg.norm(u)
         assert best <= np.linalg.norm(L @ u) + 1e-12
 
 
 def test_loewner_interpolates_support():
-    part = partition_samples(samples_at([1j, 2j, 3j, 4j, 5j], rational_11))
-    sur = fit_loewner(part)
-    for s in part.support:
+    samples = samples_at([1j, 2j, 3j, 4j, 5j], rational_11)
+    sur = fit(samples, "loewner")
+    support = [s for s in samples if s.z in sur.support]
+    assert [s.z for s in support] == [1j, 3j, 5j]
+    for s in support:
         assert np.array_equal(sur.eval(s.z), s.value)
 
 
 def test_mri_single_sample():
-    sur = fit_mri(samples_at([1j], rational_11))
+    sur = fit(samples_at([1j], rational_11), "mri")
     assert sur.coeffs == pytest.approx(np.array([1.0 + 0j]))
 
 
 def test_mri_identical_values_null_vector():
     M = np.array([[1.0 + 2j, 0.5], [0.0, 3.0]])
-    sur = fit_mri([FrequencySample(1j, M), FrequencySample(2j, M)])
+    sur = fit([FrequencySample(1j, M), FrequencySample(2j, M)], "mri")
     # exact null vector (1, -1)/sqrt(2) up to the phase rule
     assert np.abs(sur.coeffs) == pytest.approx(np.array([1.0, 1.0]) / np.sqrt(2), abs=1e-13)
     assert np.linalg.norm(sur.coeffs[0] * M + sur.coeffs[1] * M) <= 1e-13
@@ -117,7 +139,7 @@ def test_mri_objective_matches_svd_oracle(seed):
     sys = make_synthetic([1j, 4j, 9j], seed, m=3, p=3)  # p*m = 9 >= S
     zs = 1j * np.array([2.0, 3.0, 6.0, 8.0, 12.0])
     samples = [sys.sample(z) for z in zs]
-    sur = fit_mri(samples)
+    sur = fit(samples, "mri")
     objective = np.linalg.norm(np.tensordot(sur.coeffs, np.array([s.value for s in samples]), 1))
     M = np.column_stack([s.value.ravel() for s in samples])
     smallest = np.linalg.svd(M, compute_uv=False)[-1]
@@ -126,7 +148,7 @@ def test_mri_objective_matches_svd_oracle(seed):
 
 def test_mri_warns_when_value_block_is_small():
     with pytest.warns(UserWarning, match="spurious"):
-        fit_mri(samples_at([1j, 2j, 3j], rational_11))
+        fit(samples_at([1j, 2j, 3j], rational_11), "mri")
 
 
 def test_mri_warns_once_per_greedy_run():
@@ -147,8 +169,8 @@ def test_mri_warns_once_per_greedy_run():
 
 def test_fit_determinism():
     zs = [1j, 2j, 3j, 4j, 5j, 6j]
-    a = fit_loewner(partition_samples(samples_at(zs, rational_11)))
-    b = fit_loewner(partition_samples(samples_at(zs, rational_11)))
+    a = fit(samples_at(zs, rational_11), "loewner")
+    b = fit(samples_at(zs, rational_11), "loewner")
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -164,7 +186,7 @@ def test_exact_recovery_type_kk(k):
 
     n_samples = 2 * k + 2
     zs = 1j * np.geomspace(1.0, 100.0, n_samples)
-    sur = fit_loewner(partition_samples(samples_at(zs, target)))
+    sur = fit(samples_at(zs, target), "loewner")
     for f in np.geomspace(0.5, 200.0, 200):
         z = 1j * f
         exact = target(z)

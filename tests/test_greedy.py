@@ -15,11 +15,9 @@ from greedyrat import (
     batch_test_points,
     build_test_grid,
     estimator_curve,
-    fit_loewner,
-    fit_mri,
+    fit,
     make_synthetic,
     next_point,
-    partition_samples,
     random_test_points,
     run_greedy,
 )
@@ -492,11 +490,7 @@ def test_driver_fits_match_the_list_path_and_own_their_arrays(monkeypatch, fitte
     for sur in trace.surrogates:
         assert not np.shares_memory(sur.values, trace.store.values)
     for rec, sur in zip(trace.records, trace.surrogates):
-        samples = list(trace.samples[: rec.n_samples])
-        if fitter == "loewner":
-            ref = fit_loewner(partition_samples(samples))
-        else:
-            ref = fit_mri(samples)
+        ref = fit(list(trace.samples[: rec.n_samples]), fitter)
         assert surrogate_bytes(ref) == surrogate_bytes(sur)
 
 

@@ -14,9 +14,9 @@ from greedyrat.verify import draw_probe_points
 
 
 def fitted_state(sys, zs, sur=None):
-    from greedyrat import fit_loewner, partition_samples
+    from greedyrat import fit
 
-    sur = sur or fit_loewner(partition_samples([sys.sample(z) for z in zs]))
+    sur = sur or fit([sys.sample(z) for z in zs], "loewner")
     return sur, state_surrogate(sur, sys)
 
 
