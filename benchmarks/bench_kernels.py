@@ -28,9 +28,12 @@ solves only the trailing window of rows that B and C touch (the line's
 last 42 of 400; the chain's ports at both ends need all n). Beside them
 stands the MiB the system holds after its build (tracemalloc). The test
 systems are real, so each is also built from complex128 copies of its
-operands, the twin that returns the same bits from twice the bytes. Each
-timing reports the best of --repeats calls. Set OPENBLAS_NUM_THREADS=1 to
-time the kernels as the benchmark runs them.
+operands, the twin that returns the same bits from twice the bytes. Last,
+parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
+of the test chain's band [1e-2, 3], once held in-process (one usable CPU)
+and once split over every usable CPU, each pooled call forking and joining
+its workers. Each timing reports the best of --repeats calls. Set
+OPENBLAS_NUM_THREADS=1 to time the kernels as the benchmark runs them.
 
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """
@@ -39,10 +42,11 @@ import os
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
-from greedyrat import BarycentricSurrogate, DescriptorSystem, FrequencySample, kernels
+from greedyrat import BarycentricSurrogate, DescriptorSystem, FrequencySample, kernels, parallel
 from greedyrat.fitters import SampleArrays, _smallest_right_singular_vector, fit
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
@@ -157,6 +161,15 @@ def main():
                     f"{label + twin:<34}{system.pencil_path:>12}{system.n:>6}"
                     f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}"
                 )
+
+    chain = spring_chain()
+    points = 1j * np.geomspace(1e-2, 3.0, 1000)
+    print(f"\n{'map_points(chain.eval_transfer)':<33}{'points':>8}{'workers':>9}{'best [ms]':>12}")
+    for label, cpus in (("in-process", 1), ("pooled", parallel.usable_cpus())):
+        with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
+            workers = min(cpus, points.size // parallel.MIN_POINTS_PER_WORKER)
+            t = timeit(lambda: parallel.map_points(chain.eval_transfer, points), args.repeats)
+        print(f"{label:<33}{points.size:>8}{workers:>9}{1e3 * t:>12.3f}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,19 @@
 class GreedyratError(Exception):
     """Base class for all package-specific errors."""
 
+    def __reduce__(self):
+        # Pickle args and attributes without calling __init__ again: the
+        # subclasses' __init__ take z, not their message, and an error made
+        # in a worker process (greedyrat.parallel) must arrive unchanged.
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
 
 class ResonanceError(GreedyratError):
     """The pencil z*E - A is (numerically) singular at the queried frequency."""

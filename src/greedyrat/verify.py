@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycentric import BarycentricSurrogate
+from .errors import ResonanceError
 from .greedy import adjusted_relative_error
+from .parallel import map_points
 
 # Random probe frequencies this close (relatively) to a support node are
 # rejected and redrawn.
@@ -46,10 +48,18 @@ PROBE_STREAM = 1
 EXACT_FIT_RATIO = 1e-12
 
 
+def _solved(results):
+    """map_points results, the first resonance among them raised."""
+    for r in results:
+        if isinstance(r, ResonanceError):
+            raise r
+    return results
+
+
 def state_surrogate(sur, sys):
     """Surrogate over n-by-m state blocks with the same support and coefficients."""
-    values = np.array([sys.eval_state_transfer(z) for z in sur.support])
-    return BarycentricSurrogate(sur.support, values, sur.coeffs)
+    values = _solved(map_points(sys.eval_state_transfer, sur.support))
+    return BarycentricSurrogate(sur.support, np.array(values), sur.coeffs)
 
 
 def _residual(sys, gsur, z, b_norm):
@@ -143,10 +153,14 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
     residuals = []
     errs = []
     rhs = np.hstack([sys.B, btilde])
-    for z in zs:
-        # one factorization per point serves both H(z) and the Delta numerator
+
+    def outputs(z):
+        # one factorization per point serves both H(z) and the Delta
+        # numerator; a worker sends back these p-by-m products, not X
         X = sys.solve_pencil(complex(z), rhs)
-        H, phi_btilde = sys.C @ X[:, : sys.m], sys.C @ X[:, sys.m :]
+        return sys.C @ X[:, : sys.m], sys.C @ X[:, sys.m :]
+
+    for z, (H, phi_btilde) in zip(zs, _solved(map_points(outputs, zs))):
         d = float(np.linalg.norm(phi_btilde) / (np.linalg.norm(H) + delta))
         eps = adjusted_relative_error(H, sur.eval(z), delta)
         lhs = eps * abs(sur.eval_denominator(z))

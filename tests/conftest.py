@@ -10,6 +10,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from greedyrat import BarycentricSurrogate, DescriptorSystem  # noqa: E402
 
 
+def pin_workers(monkeypatch, workers):
+    """Make greedyrat.parallel.map_points split any input of at least
+    `workers` points over `workers` processes; 1 keeps every call in-process.
+    """
+    from greedyrat import parallel
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "MIN_POINTS_PER_WORKER", 1)
+
+
 def random_surrogate(n_support, seed, p=1, m=1, scale=1.0):
     """Random barycentric surrogate with distinct support in the unit box."""
     rng = np.random.default_rng(seed)

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import spring_chain
+from conftest import pin_workers, spring_chain
 from greedyrat import (
     DescriptorSystem,
     GreedyConfig,
@@ -312,6 +312,56 @@ def test_validate_marks_a_resonant_grid_point(tmp_path, capsys):
     others = np.delete(eps, k)
     assert np.all(np.isfinite(others))
     assert printed == float(f"{others.max():.6e}")
+
+
+def test_validate_and_verify_write_the_same_bytes_with_and_without_workers(tmp_path, monkeypatch):
+    # the setup of test_validate_marks_a_resonant_grid_point: a pole on grid point k
+    grid_f = np.geomspace(1.0, 100.0, 1000)
+    k = 400
+    sys = make_synthetic([2j, 1j * grid_f[k], 70j], 0, m=2, p=2)
+    prefix = str(tmp_path / "sys")
+    sys.save_matrix_market(prefix)
+    cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=6)
+    assert main(["run", cfg]) == 0
+    sur_path = str(tmp_path / "out" / "surrogate.json")
+    bodies = {}
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        cfg_w = write_config(
+            tmp_path, prefix, name=f"workers{workers}.cfg", termination="max_count",
+            max_samples=6, output_dir=str(out),
+        )
+        pin_workers(monkeypatch, workers)
+        assert main(["validate", cfg_w, sur_path]) == 0
+        assert main(["verify", cfg_w, sur_path]) == 0
+        # below the `# generated <timestamp>` line
+        bodies[workers] = [(out / name).read_text().split("\n", 1)[1] for name in ("validation.csv", "verify.csv")]
+    assert bodies[1] == bodies[2]
+    rows = [r.split(",") for r in bodies[2][0].splitlines() if not r.startswith("#")]
+    assert rows[1 + k][3] == "1" and np.isnan(float(rows[1 + k][1]))
+    assert [r[3] for r in rows[1:]].count("1") == 1
+
+
+def test_validate_prints_the_effectivity_after_the_grid_maximum(synthetic_setup, capsys):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    assert main(["run", cfg]) == 0
+    estimate = json.loads((tmp_path / "out" / "surrogate.json").read_text())["estimator_value"]
+    capsys.readouterr()
+    assert main(["validate", cfg]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    rows = read_csv_body(tmp_path / "out" / "validation.csv")
+    max_err = max(float(r.split(",")[1]) for r in rows[1:])
+    assert first == f"max adjusted relative error over the grid: {max_err:.6e}"
+    assert second.startswith("effectivity, grid maximum / run's estimator value: ")
+    assert "over the grid" not in second
+    assert float(second.rsplit(" ", 1)[1]) == float(f"{max_err / estimate:.6e}")
+    # max_count records no estimator, so there is no effectivity to print
+    capped = write_config(tmp_path, prefix, name="capped.cfg", termination="max_count", max_samples=6)
+    assert main(["run", capped]) == 0
+    capsys.readouterr()
+    assert main(["validate", capped]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_validate_on_a_grid_of_resonances_prints_nan_and_exits_1(tmp_path, capsys):

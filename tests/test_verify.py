@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from conftest import pin_workers
 from greedyrat import (
     BarycentricSurrogate,
     DescriptorSystem,
@@ -193,6 +196,9 @@ def test_report_csv_solves_each_probe_once(tmp_path, monkeypatch):
     sys = probe_system(31)
     zs = 1j * np.geomspace(1.0, 100.0, 7)
     sur, _ = fitted_state(sys, zs)
+    # `solved` lives in this process, so every solve must run here (the
+    # pooled variant below counts through a file)
+    pin_workers(monkeypatch, 1)
     solved = []
     solve_pencil = DescriptorSystem.solve_pencil
     monkeypatch.setattr(
@@ -203,6 +209,29 @@ def test_report_csv_solves_each_probe_once(tmp_path, monkeypatch):
     # point for both H and the Delta numerator; the CSV reuses check_prop2's eps
     assert solved == list(sur.support) + pts
     assert [float(r.split(",")[4]) for r in rows[1:]] == p2.eps
+
+
+def test_report_csv_solves_each_probe_once_in_workers(tmp_path, monkeypatch):
+    sys = probe_system(31)
+    zs = 1j * np.geomspace(1.0, 100.0, 7)
+    sur, _ = fitted_state(sys, zs)
+    pin_workers(monkeypatch, 2)
+    log = tmp_path / "solved.txt"
+    solve_pencil = DescriptorSystem.solve_pencil
+
+    def logged(s, z, b):
+        # appended from whichever process solves, one line per solve
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {complex(z)!r}\n")
+        return solve_pencil(s, z, b)
+
+    monkeypatch.setattr(DescriptorSystem, "solve_pencil", logged)
+    _, pts, _, _ = verify_report(tmp_path, monkeypatch, sys, sur)
+    pids, solved = zip(*(line.split() for line in log.read_text().splitlines()))
+    assert str(os.getpid()) not in pids
+    # the workers run concurrently, so only the multiset of solves is fixed
+    solved = [complex(z) for z in solved]
+    assert np.array_equal(np.sort_complex(solved), np.sort_complex(list(sur.support) + pts))
 
 
 def test_report_csv_evaluates_the_denominator_twice_per_probe(tmp_path, monkeypatch):
