@@ -30,10 +30,12 @@ stands the MiB the system holds after its build (tracemalloc). The test
 systems are real, so each is also built from complex128 copies of its
 operands, the twin that returns the same bits from twice the bytes. Last,
 parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
-of the test chain's band [1e-2, 3], once held in-process (one usable CPU)
-and once split over every usable CPU, each pooled call forking and joining
-its workers. Each timing reports the best of --repeats calls. Set
-OPENBLAS_NUM_THREADS=1 to time the kernels as the benchmark runs them.
+of the test chain's band [1e-2, 3]: held in-process (one usable CPU),
+pooled (its cost estimate zeroed, so every usable CPU forks a worker for
+each call) and as map_points chooses, with the number of workers forked.
+Each timing reports the best of --repeats calls. Set OPENBLAS_NUM_THREADS=1
+to time the kernels as the benchmark runs them; with a BLAS thread pool
+running, map_points forks no worker.
 
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """
@@ -164,12 +166,19 @@ def main():
 
     chain = spring_chain()
     points = 1j * np.geomspace(1e-2, 3.0, 1000)
-    print(f"\n{'map_points(chain.eval_transfer)':<33}{'points':>8}{'workers':>9}{'best [ms]':>12}")
-    for label, cpus in (("in-process", 1), ("pooled", parallel.usable_cpus())):
-        with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
-            workers = min(cpus, points.size // parallel.MIN_POINTS_PER_WORKER)
+    print(f"\n{'map_points(chain.eval_transfer)':<33}{'points':>8}{'forked':>9}{'best [ms]':>12}")
+    for label, patches in (
+        ("in-process", {"usable_cpus": lambda: 1}),
+        ("pooled", {"FORK_SECONDS": 0.0, "RESULT_SECONDS": 0.0}),
+        ("as chosen", {"usable_cpus": parallel.usable_cpus}),
+    ):
+        with mock.patch.multiple(parallel, **patches):
+            pids = parallel.map_points(lambda z: (os.getpid(), chain.eval_transfer(z))[0], points)
+            workers = len(set(pids) - {os.getpid()})
             t = timeit(lambda: parallel.map_points(chain.eval_transfer, points), args.repeats)
         print(f"{label:<33}{points.size:>8}{workers:>9}{1e3 * t:>12.3f}")
+    if not parallel.fork_is_safe():
+        print("(this process runs threads, so nothing forks: set OPENBLAS_NUM_THREADS=1)")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ Subcommands:
                                          dense ground-truth sweep of a
                                          surrogate; writes validation.csv
                                          (expensive: one high-fidelity
-                                         solve per grid point, the points
-                                         split over every usable CPU)
+                                         solve per grid point, split over
+                                         the usable CPUs when that pays)
   greedyrat verify <config> [surrogate.json]
                                          runs the intrusive residual/error
                                          identity checks on a surrogate,
@@ -18,9 +18,10 @@ Subcommands:
 
 validate and verify read <output_dir>/surrogate.json, the file run wrote,
 unless they are given another path, and reject a surrogate whose blocks
-are not the system's p-by-m. Their solves are independent, so they run
-through greedyrat.parallel.map_points, which forks one worker per usable
-CPU when there are enough of them; run's solves stay in this process,
+are not the system's p-by-m. validate's grid solves and verify's probe
+solves are independent, so they run through greedyrat.parallel.map_points,
+which forks workers, at most one per usable CPU, when the first solves'
+times say they would finish sooner; run's solves stay in this process,
 each pick depending on the fit before it.
 
 Config files are flat ``key = value`` text. The keys are the fields of
@@ -200,8 +201,11 @@ def cmd_validate(args):
     grid = build_test_grid(cfg)
     approx = sur.eval_grid(grid)
     eta = np.full(grid.size, math.nan)
-    estimate = meta.get("estimator_value", math.nan)
-    if "estimator_anchor" in meta and math.isfinite(estimate):
+    estimate = meta.get("estimator_value")
+    # a file from elsewhere may hold null, a string or nan: no estimate then
+    if not (isinstance(estimate, (int, float)) and math.isfinite(estimate)):
+        estimate = None
+    if "estimator_anchor" in meta and estimate is not None:
         eta = estimator_curve(sur, estimate, complex(*meta["estimator_anchor"]), grid)
     exact = map_points(system.eval_transfer, grid)
     p, m = sur.output_shape
@@ -226,7 +230,7 @@ def cmd_validate(args):
     # a grid of resonances only measures no error: print nan and exit 1
     max_err = max(errors, default=math.nan)
     print(f"max adjusted relative error over the grid: {max_err:.6e}")
-    if math.isfinite(estimate):
+    if estimate is not None and estimate > 0:
         print(f"effectivity, grid maximum / run's estimator value: {max_err / estimate:.6e}")
     return 0 if errors else 1
 

@@ -58,8 +58,8 @@ def _solved(results):
 
 def state_surrogate(sur, sys):
     """Surrogate over n-by-m state blocks with the same support and coefficients."""
-    values = _solved(map_points(sys.eval_state_transfer, sur.support))
-    return BarycentricSurrogate(sur.support, np.array(values), sur.coeffs)
+    values = np.array([sys.eval_state_transfer(z) for z in sur.support])
+    return BarycentricSurrogate(sur.support, values, sur.coeffs)
 
 
 def _residual(sys, gsur, z, b_norm):

@@ -1,9 +1,15 @@
 import os
 import sys
 
-import numpy as np
-import pytest
-import scipy.sparse as sp
+# One BLAS thread, set before numpy loads, as ratbench runs: a BLAS thread
+# pool would make this process multi-threaded, and greedyrat.parallel does
+# not fork such a process, so the tests of its workers could not run.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -11,13 +17,16 @@ from greedyrat import BarycentricSurrogate, DescriptorSystem  # noqa: E402
 
 
 def pin_workers(monkeypatch, workers):
-    """Make greedyrat.parallel.map_points split any input of at least
-    `workers` points over `workers` processes; 1 keeps every call in-process.
+    """Make greedyrat.parallel.map_points split the points after the first
+    of any input of more than `workers` points over `workers` processes,
+    however cheap the calls; 1 keeps every call in-process.
     """
     from greedyrat import parallel
 
+    assert workers == 1 or parallel.fork_is_safe(), "this process runs threads: no worker can fork"
     monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(parallel, "MIN_POINTS_PER_WORKER", 1)
+    monkeypatch.setattr(parallel, "FORK_SECONDS", 0.0)
+    monkeypatch.setattr(parallel, "RESULT_SECONDS", 0.0)
 
 
 def random_surrogate(n_support, seed, p=1, m=1, scale=1.0):

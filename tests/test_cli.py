@@ -364,6 +364,21 @@ def test_validate_prints_the_effectivity_after_the_grid_maximum(synthetic_setup,
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", [0, -1.0, None, "1e-3"])
+def test_validate_prints_no_effectivity_for_an_unusable_estimator_value(synthetic_setup, capsys, value):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    assert main(["run", cfg]) == 0
+    path = tmp_path / "out" / "surrogate.json"
+    meta = json.loads(path.read_text())
+    meta["estimator_value"] = value
+    path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["validate", cfg]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("max adjusted relative error over the grid: ")
+
+
 def test_validate_on_a_grid_of_resonances_prints_nan_and_exits_1(tmp_path, capsys):
     # both points of the grid f in {1, 2} are poles, so no error can be measured
     sys = make_synthetic([1j, 2j, 3j], 0)

@@ -2,11 +2,14 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import pin_workers
+from conftest import pin_workers, spring_chain
 from greedyrat import (
     GridExhaustedError,
     ResonanceError,
@@ -52,17 +55,78 @@ def test_results_keep_input_order(monkeypatch, workers):
 def test_each_chunk_runs_whole_in_one_worker(monkeypatch):
     pin_workers(monkeypatch, 2)
     pids = map_points(lambda z: os.getpid(), POINTS)
-    # 37 points on 2 workers: bounds 0, 18, 37. Either worker may take
-    # either chunk, or both when the other starts late.
-    assert pids == [pids[0]] * 18 + [pids[-1]] * 19
-    assert os.getpid() not in pids
+    # the first 3 points are timed here; the other 34 go to 2 workers,
+    # bounds 3, 20, 37. Either worker may take either chunk, or both when
+    # the other starts late.
+    assert parallel.TIMED_CALLS == 3
+    assert pids[:3] == [os.getpid()] * 3
+    assert pids[3:] == [pids[3]] * 17 + [pids[-1]] * 17
+    assert os.getpid() not in pids[3:]
 
 
-def test_too_few_points_stay_in_process(monkeypatch):
+def test_worker_count_weighs_the_pool_against_the_calls(monkeypatch):
+    monkeypatch.setattr(parallel, "fork_is_safe", lambda: True)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    least = parallel.MIN_POINTS_PER_WORKER
-    assert set(map_points(lambda k: os.getpid(), range(2 * least - 1))) == {os.getpid()}
-    assert os.getpid() not in map_points(lambda k: os.getpid(), range(2 * least))
+    # the benchmark chain's 0.7 ms solves: 999 grid points pay for a pool,
+    # 99 do not; the test chain's 0.07 ms solves do not at 999 either
+    assert parallel._worker_count(999, 0.7e-3) == 2
+    assert parallel._worker_count(99, 0.7e-3) == 1
+    assert parallel._worker_count(999, 0.07e-3) == 1
+    assert parallel._worker_count(0, 1.0) == 1
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    assert parallel._worker_count(999, 0.7e-3) == 4
+    assert parallel._worker_count(3, 1.0) == 3
+    monkeypatch.setattr(parallel, "fork_is_safe", lambda: False)
+    assert parallel._worker_count(999, 0.7e-3) == 1
+
+
+def test_cheap_solves_stay_in_process(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    chain = spring_chain()
+    grid = 1j * np.geomspace(1e-2, 3.0, 200)
+    out = map_points(lambda z: (os.getpid(), chain.eval_transfer(z)), grid)
+    assert {pid for pid, _ in out} == {os.getpid()}
+    assert all(np.array_equal(H, chain.eval_transfer(z)) for z, (_, H) in zip(grid, out))
+
+
+def test_costly_calls_are_pooled(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+    def slow(k):
+        time.sleep(0.02)
+        return os.getpid()
+
+    pids = map_points(slow, range(12))
+    timed = parallel.TIMED_CALLS
+    assert pids[:timed] == [os.getpid()] * timed and os.getpid() not in pids[timed:]
+
+
+def test_a_process_running_threads_forks_no_worker(monkeypatch):
+    pin_workers(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not parallel.fork_is_safe()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert set(map_points(lambda z: os.getpid(), POINTS)) == {os.getpid()}
+        assert caught == []
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_back_to_back_pools_fork_without_a_warning(monkeypatch):
+    # Python 3.12 and later warn when os.fork runs beside other threads,
+    # and CPython swallows that warning even under -W error: record it
+    pin_workers(monkeypatch, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            assert os.getpid() not in map_points(lambda z: os.getpid(), POINTS)[3:]
+    assert [str(w.message) for w in caught] == []
 
 
 def test_one_usable_cpu_stays_in_process(monkeypatch):

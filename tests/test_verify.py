@@ -10,6 +10,7 @@ from greedyrat import (
     check_prop1,
     check_prop2,
     make_synthetic,
+    parallel,
     residual_norm,
     state_surrogate,
 )
@@ -227,11 +228,14 @@ def test_report_csv_solves_each_probe_once_in_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(DescriptorSystem, "solve_pencil", logged)
     _, pts, _, _ = verify_report(tmp_path, monkeypatch, sys, sur)
-    pids, solved = zip(*(line.split() for line in log.read_text().splitlines()))
-    assert str(os.getpid()) not in pids
-    # the workers run concurrently, so only the multiset of solves is fixed
-    solved = [complex(z) for z in solved]
-    assert np.array_equal(np.sort_complex(solved), np.sort_complex(list(sur.support) + pts))
+    solves = [line.split() for line in log.read_text().splitlines()]
+    here = [complex(z) for pid, z in solves if pid == str(os.getpid())]
+    away = [complex(z) for pid, z in solves if pid != str(os.getpid())]
+    # the support solves and the first, timed probes run here, in order
+    timed = parallel.TIMED_CALLS
+    assert here == list(sur.support) + pts[:timed]
+    # the workers run concurrently, so only the multiset of their solves is fixed
+    assert np.array_equal(np.sort_complex(away), np.sort_complex(pts[timed:]))
 
 
 def test_report_csv_evaluates_the_denominator_twice_per_probe(tmp_path, monkeypatch):
