@@ -28,7 +28,11 @@ solves only the trailing window of rows that B and C touch (the line's
 last 42 of 400; the chain's ports at both ends need all n). Beside them
 stands the MiB the system holds after its build (tracemalloc). The test
 systems are real, so each is also built from complex128 copies of its
-operands, the twin that returns the same bits from twice the bytes. Last,
+operands, the twin that returns the same bits from twice the bytes. The
+same two columns, eval_transfer and held MiB, are then taken at the
+benchmark's own sizes: ratbench/systems.py's line (n = 50000, tridiagonal)
+and chain (n = 3000, banded) at seed 0, each at the geometric middle of
+its workload's band (f = 1e8 and 1e-2). Last,
 parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
 of the test chain's band [1e-2, 3]: held in-process (one usable CPU),
 pooled (its cost estimate zeroed, so every usable CPU forks a worker for
@@ -40,6 +44,7 @@ running, map_points forks no worker.
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """
 import argparse
+import importlib.util
 import os
 import sys
 import time
@@ -51,8 +56,17 @@ import numpy as np
 from greedyrat import BarycentricSurrogate, DescriptorSystem, FrequencySample, kernels, parallel
 from greedyrat.fitters import SampleArrays, _smallest_right_singular_vector, fit
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 from conftest import densified, long_range, rlc_line, spring_chain  # noqa: E402
+
+
+def benchmark_systems():
+    """ratbench/systems.py, loaded from its file (ratbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("systems", os.path.join(ROOT, "ratbench", "systems.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def timeit(fn, repeats):
@@ -163,6 +177,14 @@ def main():
                     f"{label + twin:<34}{system.pencil_path:>12}{system.n:>6}"
                     f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}"
                 )
+
+    systems = benchmark_systems()
+    head = f"{'benchmark pencil, seed 0':<34}{'path':>12}{'n':>6}{'eval_transfer':>15}{'held':>9}"
+    print(f"\n{head}\n{'':<52}{'[ms]':>15}{'[MiB]':>9}")
+    for name, z in (("line", 1e8j), ("chain", 1e-2j)):
+        system, held = build_held(systems.GENERATORS[name](0))
+        t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
+        print(f"{name:<34}{system.pencil_path:>12}{system.n:>6}{1e3 * t_transfer:>15.3f}{held:>9.3f}")
 
     chain = spring_chain()
     points = 1j * np.geomspace(1e-2, 3.0, 1000)

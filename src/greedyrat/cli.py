@@ -39,7 +39,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import verify as verify_mod
+from . import parallel, verify as verify_mod
 from .barycentric import BarycentricSurrogate
 from .errors import GreedyratError, ResonanceError
 from .greedy import (
@@ -50,7 +50,6 @@ from .greedy import (
     estimator_curve,
     run_greedy,
 )
-from .parallel import map_points
 from .system_model import load_matrix_market
 
 # Largest adjusted relative error between a loaded surrogate's support
@@ -207,7 +206,16 @@ def cmd_validate(args):
         estimate = None
     if "estimator_anchor" in meta and estimate is not None:
         eta = estimator_curve(sur, estimate, complex(*meta["estimator_anchor"]), grid)
-    exact = map_points(system.eval_transfer, grid)
+    # map_points forks no worker in a process that runs threads, as an
+    # unpinned OpenBLAS thread pool makes it when numpy loads
+    cpus = parallel.usable_cpus()
+    if cpus > 1 and not parallel.fork_is_safe():
+        print(
+            f"note: this process runs threads, so validate solves on one of {cpus} usable CPUs;"
+            " set OPENBLAS_NUM_THREADS=1 to let it fork a worker per CPU",
+            file=_sys.stderr,
+        )
+    exact = parallel.map_points(system.eval_transfer, grid)
     p, m = sur.output_shape
     errors = []  # the eps of each grid point that is not a resonance
 

@@ -7,21 +7,26 @@ G(z) = (zE - A)^{-1} B. Evaluations go through an LU factorization of
 the pencil zE - A; the explicit inverse is never formed.
 
 Everything about the pencil that does not depend on z is worked out once,
-when the system is built, and each frequency then only factors and
-solves. The path is fixed by the structure of E and A alone, read from CSC
+when the system is built, and each frequency then only assembles zE - A
+from it, factors and solves. The path is fixed by the structure of E and A alone, read from CSC
 copies of dense arrays; each operand is kept in the storage it was given:
 
   tridiagonal
            half-bandwidth at most 1 after a reverse Cuthill-McKee (RCM)
            ordering of the union pattern of E and A, and n >= 3: E and
            A are scattered once into three contiguous diagonals, and each
-           frequency costs one axpy, gttrf and gttrs
+           frequency costs the band assembly, gttrf and gttrs
   banded   half-bandwidth at most BAND_MAX after the RCM ordering: E and A
            are scattered once into LAPACK band storage, and each frequency
-           costs one axpy, gbtrf and gbtrs
+           costs the band assembly, gbtrf and gbtrs
   dense    a wider band with E or A dense: LAPACK getrf/getrs on the n-by-n
            pencil, the only path that densifies a sparse operand
   sparse   a wider band with E and A sparse: SuperLU on the pencil zE - A
+
+The band assembly writes a fresh complex band of zE - A: z*e - a on each
+band row where E has an entry, and a cast copy of the fixed 0.0 - a,
+kept at build time, on every other row (see ``_PencilBand``). On the
+benchmark's RLC line, whose E is diagonal, that is one z row of three.
 
 On the two band paths H(z) solves only the rows C reads. The window of
 rows runs from kl rows above the first RCM position that B or C touches
@@ -30,16 +35,18 @@ and B and C are stored once in the RCM order, cut to it. It starts kl
 rows early because step j of the forward substitution swaps row j with a
 row at most kl below it and updates the kl rows below it: every step
 above the window finds only zero rows, and the back substitution fills a
-row from the rows below it only. Each frequency then costs one axpy, the
-full gttrf or gbtrf, and a gttrs or gbtrs on the trailing slices of the
-factors, whose rows are bit for bit those of the full solve. H is the
-window's C times them, summed in the RCM order: the same bits as
-C @ solve(z, B) where each row of C reads one state through a real
-entry, as at the benchmark's ports, and the same to rounding otherwise.
+row from the rows below it only. Each frequency then costs the band
+assembly, the full gttrf or gbtrf, and a gttrs or gbtrs on the trailing
+slices of the factors, whose rows are bit for bit those of the full
+solve. H is the window's C times them, summed in the RCM order: the same
+bits as C @ solve(z, B) where each row of C reads one state through a
+real entry, as at the benchmark's ports, and the same to rounding
+otherwise.
 A window of all n rows (ports at both ends of the ordering) is C times
-the full solve. Solves with any other right-hand side
-(eval_state_transfer, verify), and H(z) on the dense and sparse paths,
-solve all n rows.
+the full solve. Either way the window of B is kept gathered into the RCM
+order from the build on, so a frequency only casts it to complex. Solves
+with any other right-hand side (eval_state_transfer, verify), and H(z) on
+the dense and sparse paths, solve all n rows.
 
 Every path raises ResonanceError when a pivot of U vanishes or falls below
 RCOND_MIN times the largest one; it reads the full factor, so a resonance
@@ -47,17 +54,18 @@ whose pivot lies above the window is caught too.
 
 A real system stays real. When none of E, A, B and C has a complex type,
 all four are kept as float64 (int and float32 input is promoted), and the
-band paths scatter them into float64 bands; a system with any complex
-operand keeps all four, and its bands, complex128. Complex numbers appear
+band paths keep float64 band rows; a system with any complex operand
+keeps all four, and its band rows, complex128. Complex numbers appear
 only per frequency: in zE - A, in the copy of the right-hand side and in
 the results. numpy and scipy cast a real operand to x + 0j before any
 complex product, so every product, and with it H(z) and G(z), has the
 bits of the complex-typed twin from half the operands' bytes. The LAPACK
 routines are always the complex ones (z prefix), looked up from the
 complex128 type rather than from a band, whose d routines would drop the
-imaginary parts; the window of B that gbtrs and gttrs overwrite is
+imaginary parts; the copy of B's window that gbtrs and gttrs overwrite is
 therefore complex128 too.
 """
+import cmath
 import os
 from dataclasses import dataclass
 
@@ -168,7 +176,10 @@ class _OrderedPencil(_Pencil):
     right-hand side is gathered into the RCM order and the solution back
     out of it by ``np.take``. The transfer window starts at row w, kl rows
     above the first RCM position that B or C touches (see the module
-    docstring); when w is 0 the base transfer solves all n rows.
+    docstring). The system's own B is kept gathered into the RCM order and
+    cut to the window, in the system's dtype, so transfer(z) only casts it
+    to the complex128 copy the LAPACK solve overwrites; when w is 0 it
+    solves all n rows and gathers the solution back, as solve(z, B) does.
     """
 
     def __init__(self, B, C, perm, inv, kl, min_rows):
@@ -178,38 +189,42 @@ class _OrderedPencil(_Pencil):
         first = touched.min() if touched.size else 0
         # min_rows: the fewest rows the LAPACK solve wrapper accepts
         self.w = int(min(max(first - kl, 0), perm.size - min_rows))
+        rows = perm[self.w :]
+        self.b_w = B[rows]
         if self.w:
-            rows = perm[self.w :]
-            self.b_w = np.asfortranarray(B[rows], dtype=np.complex128)
             self.c_w = np.ascontiguousarray(C[:, rows])
+
+    def _unpermute(self, x):
+        # x.T is C-contiguous, so this gathers whole rows and returns x's
+        # Fortran order; np.take(x, inv, axis=0) reads strided (0.5 against
+        # 0.22 ms on an n = 50000 line with two columns, 2-core x86)
+        return np.take(x.T, self.inv, axis=1).T
 
     def solve(self, z, rhs):
         factors = self._factor(z)
         rhs = np.asarray(rhs, dtype=np.complex128)
         b = np.take(rhs, self.perm, axis=0).reshape(self.perm.size, -1)
-        x = self._solve(factors, b)
-        # x.T is C-contiguous, so this gathers whole rows and returns x's
-        # Fortran order; np.take(x, inv, axis=0) reads strided (0.5 against
-        # 0.22 ms on an n = 50000 line with two columns, 2-core x86)
-        return np.take(x.T, self.inv, axis=1).T.reshape(rhs.shape)
+        return self._unpermute(self._solve(factors, b)).reshape(rhs.shape)
 
     def transfer(self, z):
-        # the full n keeps C in its own order, so C X is summed as C @ solve
-        # sums it; a window sums its rows in the RCM order instead
-        if not self.w:
-            return super().transfer(z)
-        factors = self._trailing(self._factor(z), self.w)
-        return self.c_w @ self._solve(factors, self.b_w.copy(order="F"))
+        factors = self._factor(z)
+        if self.w:
+            factors = self._trailing(factors, self.w)
+        x = self._solve(factors, self.b_w.astype(np.complex128, order="F"))
+        # a window sums C X over its rows in the RCM order; the full n keeps
+        # C in its own order, so C X is summed as C @ solve(z, B) sums it
+        return self.c_w @ x if self.w else self.C @ self._unpermute(x)
 
 
 class _TridiagonalPencil(_OrderedPencil):
     """LAPACK gttrf/gttrs on the RCM-permuted pencil with half-bandwidth <= 1.
 
-    E and A are scattered once into C-ordered 3-by-n band arrays: the
-    permuted entry (r, c) sits in column c of row 1 + r - c, so row 0 from
-    column 1 on is the superdiagonal, row 1 the diagonal and row 2 up to
-    column n - 2 the subdiagonal. Each frequency costs one axpy and hands
-    contiguous row slices to a tridiagonal LU that makes no BLAS calls.
+    The pencil's band is 3-by-n and C-ordered: the permuted entry (r, c)
+    sits in column c of row 1 + r - c, so row 0 from column 1 on is the
+    superdiagonal, row 1 the diagonal and row 2 up to column n - 2 the
+    subdiagonal. Each frequency assembles it (see ``_PencilBand``) and
+    hands contiguous row slices to a tridiagonal LU that makes no BLAS
+    calls.
     """
 
     kind = "tridiagonal"
@@ -217,15 +232,13 @@ class _TridiagonalPencil(_OrderedPencil):
     def __init__(self, E, A, B, C, perm, inv):
         # scipy's gttrs wrapper, like its gttrf, rejects fewer than 3 rows
         super().__init__(B, C, perm, inv, kl=1, min_rows=3)
-        self.tri_e = _band(E, inv, rows=3, diag_row=1, order="C")
-        self.tri_a = _band(A, inv, rows=3, diag_row=1, order="C")
+        self.band = _PencilBand(E, A, inv, rows=3, diag_row=1, order="C")
         self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(
             ("gttrf", "gttrs"), dtype=np.complex128
         )
 
     def _factor(self, z):
-        t = np.multiply(z, self.tri_e)
-        np.subtract(t, self.tri_a, out=t)
+        t = self.band.assemble(z)
         du, d, dl = t[0, 1:], t[1], t[2, :-1]
         dl, d, du, du2, ipiv, info = self.gttrf(
             dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
@@ -248,10 +261,10 @@ class _TridiagonalPencil(_OrderedPencil):
 class _BandedPencil(_OrderedPencil):
     """LAPACK gbtrf/gbtrs on the RCM-permuted pencil in band storage.
 
-    E and A are scattered once into LAPACK's full 2*kl + ku + 1 band rows,
-    whose top kl rows (gbtrf's room for the pivoting fill) stay zero, so
-    each frequency costs one contiguous axpy into a fresh band array, one
-    banded LU and one banded solve.
+    The pencil's band has LAPACK's full 2*kl + ku + 1 rows, Fortran-ordered,
+    whose top kl rows (gbtrf's room for the pivoting fill) are zero. Each
+    frequency assembles it (see ``_PencilBand``) and costs one banded LU
+    and one banded solve.
     """
 
     kind = "banded"
@@ -260,17 +273,14 @@ class _BandedPencil(_OrderedPencil):
         super().__init__(B, C, perm, inv, kl=kl, min_rows=1)
         self.kl, self.ku = kl, ku
         rows = 2 * kl + ku + 1
-        self.band_e = _band(E, inv, rows=rows, diag_row=kl + ku, order="F")
-        self.band_a = _band(A, inv, rows=rows, diag_row=kl + ku, order="F")
+        self.band = _PencilBand(E, A, inv, rows=rows, diag_row=kl + ku, order="F")
         self.gbtrf, self.gbtrs = scipy.linalg.get_lapack_funcs(
             ("gbtrf", "gbtrs"), dtype=np.complex128
         )
 
     def _factor(self, z):
         kl, ku = self.kl, self.ku
-        ab = np.multiply(z, self.band_e, order="F")
-        np.subtract(ab, self.band_a, out=ab)
-        lu, piv, info = self.gbtrf(ab, kl, ku, overwrite_ab=True)
+        lu, piv, info = self.gbtrf(self.band.assemble(z), kl, ku, overwrite_ab=True)
         _check_info(info, "gbtrf")
         _check_pivots(z, lu[kl + ku])
         return lu, piv
@@ -327,6 +337,54 @@ def _band(M, inv, rows, diag_row, order):
     return band
 
 
+def _plus_zero(row):
+    """True when every entry of a band row is +0, in real and imaginary part."""
+    return not any(part.any() or np.signbit(part).any() for part in (row.real, row.imag))
+
+
+class _PencilBand:
+    """zE - A in band storage, assembled per frequency from rows kept once.
+
+    E and A are scattered once into rows-by-n bands (see ``_band``), of
+    which the pencil keeps each row once, in the system's dtype. A row in
+    which E has an entry is a z row: it keeps E's and A's rows, and
+    ``assemble(z)`` forms it as z*e - a with np.multiply and np.subtract,
+    the operations and bits of z*band_e - band_a. Every other row,
+    including the zero padding and gbtrf's fill rows, is fixed: it keeps
+    0.0 - A's row and is cast-copied, and E's all-zero rows are not
+    stored. For Re z >= +0, z*0 is +0+0j, so a fixed row has the bits of
+    z*band_e - band_a too, and so does H(z) on every grid. For Re z < 0
+    (or -0), z*0 may carry signed zeros, so only the sign of a zero may
+    differ from z*band_e - band_a (a structurally zero entry, or the zero
+    imaginary part of a real one), and no value does. A -0 entry of E
+    would change a sign even for Re z >= +0, so it makes its row a z row.
+    """
+
+    def __init__(self, E, A, inv, rows, diag_row, order):
+        band_e = _band(E, inv, rows, diag_row, order)
+        band_a = _band(A, inv, rows, diag_row, order)
+        self.shape, self.order = band_a.shape, order
+        self.z_rows, self.fixed_rows = [], []
+        for i in range(rows):
+            # copies, contiguous, so the bands themselves are not kept
+            e, a = band_e[i].copy(), band_a[i].copy()
+            if _plus_zero(e):
+                self.fixed_rows.append((i, np.subtract(0.0, a, out=a)))
+            else:
+                self.z_rows.append((i, e, a))
+
+    def assemble(self, z):
+        """A fresh complex128 band of zE - A, in the band's order."""
+        band = np.empty(self.shape, dtype=np.complex128, order=self.order)
+        for i, e, a in self.z_rows:
+            row = band[i]
+            np.multiply(z, e, out=row)
+            np.subtract(row, a, out=row)
+        for i, fixed in self.fixed_rows:
+            band[i] = fixed
+        return band
+
+
 def _analyse_pencil(E, A, B, C):
     """The pencil factorizer for E and A, chosen by their structure alone.
 
@@ -366,8 +424,10 @@ class DescriptorSystem:
     indices and indptr arrays), so neither a caller who changes the arrays
     it passed in nor an in-place write to ``sys.A.data`` changes the
     system or its transfer function. The pencil's structure, not its
-    storage, is analysed once, here, so solve_pencil only factors and
-    solves at each frequency (see ``pencil_path``).
+    storage, is analysed once, here, so solve_pencil only assembles,
+    factors and solves at each frequency (see ``pencil_path``); on the
+    band paths the assembly recomputes only the band rows in which E has
+    an entry.
 
     The copies are float64 when none of the operands given has a complex
     type and complex128 otherwise (see the module docstring): a real
@@ -424,9 +484,13 @@ class DescriptorSystem:
         Without rhs, solve for the system's own B and return C X, p-by-m:
         on the band paths only the rows C reads are solved for (see the
         module docstring). z is taken as complex, so X is complex128 on a
-        real system too.
+        real system too. A z with an infinite or NaN part raises
+        ValueError before any arithmetic: the band paths keep the rows of
+        zE - A that z does not touch, which would stay finite.
         """
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise ValueError(f"z = {z} is not finite")
         if rhs is None:
             return self._pencil.transfer(z)
         return self._pencil.solve(z, rhs)

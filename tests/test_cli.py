@@ -275,6 +275,30 @@ def test_run_is_deterministic(synthetic_setup):
     assert ja == jb
 
 
+def test_validate_notes_on_stderr_only_when_it_cannot_fork(synthetic_setup, monkeypatch, capsys):
+    from greedyrat import parallel
+
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=6)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    outputs = set()
+    for cpus, safe, noted in ((2, False, True), (1, False, False), (2, True, False)):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "fork_is_safe", lambda: safe)
+        assert main(["validate", cfg]) == 0
+        out, err = capsys.readouterr()
+        if noted:
+            (line,) = err.splitlines()
+            assert "OPENBLAS_NUM_THREADS=1" in line and "2 usable CPUs" in line
+        else:
+            assert err == ""
+        body = (tmp_path / "out" / "validation.csv").read_text().split("\n", 1)[1]
+        outputs.add((out, body))
+    # stdout and validation.csv below its timestamp line are the same each time
+    assert len(outputs) == 1
+
+
 def test_validate_exact_recovery(synthetic_setup):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix, termination="lookahead_memory", n_memory=2)

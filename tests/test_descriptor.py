@@ -6,6 +6,7 @@ A are stored sparse or dense; long-range couplings push one onto SuperLU,
 or onto the dense path when stored dense.
 """
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from greedyrat import (
     make_synthetic,
     state_surrogate,
 )
-from greedyrat.system_model import BAND_MAX
+from greedyrat.system_model import BAND_MAX, _band
 from greedyrat.verify import draw_probe_points
 
 # (system, f_min, f_max) with frequencies z = i*f spanning the response
@@ -285,9 +286,11 @@ def test_sparse_e_beside_dense_a_stays_sparse(E):
 
 
 def bands(sys):
-    """The band arrays the pencil scattered E and A into (none off the band paths)."""
-    names = ("tri_e", "tri_a", "band_e", "band_a")
-    return [getattr(sys._pencil, name) for name in names if hasattr(sys._pencil, name)]
+    """The band rows the pencil keeps of E and A (none off the band paths)."""
+    band = getattr(sys._pencil, "band", None)
+    if band is None:
+        return []
+    return [M for _, *rows in band.z_rows + band.fixed_rows for M in rows]
 
 
 @pytest.mark.parametrize("case", list(PATH_CASES))
@@ -298,8 +301,10 @@ def test_real_system_has_the_bits_of_its_complex_twin(case):
     assert sys.pencil_path == twin.pencil_path == path
     assert all(M.dtype == np.float64 for M in [sys.E, sys.A, sys.B, sys.C] + bands(sys))
     assert all(M.dtype == np.complex128 for M in [twin.E, twin.A, twin.B, twin.C] + bands(twin))
-    # the window of B that gttrs/gbtrs overwrite is complex on both
-    assert all(s._pencil.b_w.dtype == np.complex128 for s in (sys, twin) if getattr(s._pencil, "w", 0))
+    # the window of B is kept in the system's dtype; the copy that
+    # gttrs/gbtrs overwrite is complex on both
+    if hasattr(sys._pencil, "b_w"):
+        assert sys._pencil.b_w.dtype == np.float64 and twin._pencil.b_w.dtype == np.complex128
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal((sys.n, 3)) + 1j * rng.standard_normal((sys.n, 3))
     for z in 1j * np.geomspace(f_min, f_max, 6):
@@ -345,6 +350,108 @@ def test_real_line_holds_at_most_0_6_of_its_complex_twin():
     twin, twin_held = build_held(*(M.astype(np.complex128) for M in real))
     assert sys.pencil_path == twin.pencil_path == "tridiagonal"
     assert held <= 0.6 * twin_held
+
+
+def test_real_chain_holds_at_most_0_6_of_its_complex_twin():
+    chain = spring_chain(masses=10_000)  # n = 20000, banded path
+    real = (chain.E, chain.A, chain.B, chain.C)
+    sys, held = build_held(*real)
+    twin, twin_held = build_held(*(M.astype(np.complex128) for M in real))
+    assert sys.pencil_path == twin.pencil_path == "banded"
+    assert held <= 0.6 * twin_held
+
+
+BAND_CASES = [case for case, (_, _, path) in PATH_CASES.items() if path in ("tridiagonal", "banded")]
+
+
+def handed_band(sys, z):
+    """The band of zE - A that sys's band path hands LAPACK at z, as rows-by-n."""
+    pencil = sys._pencil
+    name = "gttrf" if sys.pencil_path == "tridiagonal" else "gbtrf"
+    lapack, handed = getattr(pencil, name), []
+
+    def record(*args, **kwargs):
+        handed.extend(np.array(a) for a in args if isinstance(a, np.ndarray))
+        return lapack(*args, **kwargs)
+
+    setattr(pencil, name, record)
+    try:
+        sys.eval_transfer(z)
+    finally:
+        setattr(pencil, name, lapack)
+    if name == "gbtrf":
+        return handed[0]
+    # gttrf gets dl, d, du: rows 2, 1 and 0 without their padding entry
+    dl, d, du = handed
+    return np.stack([np.concatenate([[0], du]), d, np.concatenate([dl, [0]])])
+
+
+def reference_band(sys, z):
+    """z*band_e - band_a from the bands of E and A, as the pencil lays them out."""
+    pencil = sys._pencil
+    if sys.pencil_path == "tridiagonal":
+        rows, diag_row, order = 3, 1, "C"
+    else:
+        rows, diag_row, order = 2 * pencil.kl + pencil.ku + 1, pencil.kl + pencil.ku, "F"
+    band_e, band_a = (
+        _band(sp.csc_matrix(M), pencil.inv, rows, diag_row, order) for M in (sys.E, sys.A)
+    )
+    return z * band_e - band_a
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_band_handed_to_lapack_is_z_band_e_minus_band_a(case):
+    make, (_, f_min, f_max), path = PATH_CASES[case]
+    sys = make()
+    twin = DescriptorSystem(*(M.astype(np.complex128) for M in (sys.E, sys.A, sys.B, sys.C)))
+    grid = [1j * f for f in np.geomspace(f_min, f_max, 4)]
+    # negative real or imaginary parts; complex(0.0, -f) keeps Re z = +0
+    off = [complex(0.0, -f_max), complex(-f_min, f_min), complex(-f_max, -f_min)]
+    for s in (sys, twin):
+        assert s.pencil_path == path
+        for z in grid + off:
+            got, want = handed_band(s, z), reference_band(s, z)
+            if s.pencil_path == "tridiagonal":
+                # the padding entries never reach gttrf
+                want[0, 0] = want[2, -1] = 0
+            assert np.array_equal(got, want)
+            if z.real > 0 or (z.real == 0 and not np.signbit(z.real)):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+                # and H is that of the reference band, bit for bit
+                h = s.eval_transfer(z)
+                s._pencil.band.assemble = lambda z: reference_band(s, z)
+                try:
+                    assert s.eval_transfer(z).tobytes() == h.tobytes()
+                finally:
+                    del s._pencil.band.assemble
+
+
+def test_a_negative_zero_in_e_keeps_its_row_a_z_row():
+    # z*(-0) - 0 is -0 where the fixed row 0.0 - 0 would give +0
+    # -0 stored in E at A's off-diagonal entries, so the pattern stays A's,
+    # and one of those entries of A stored as an explicit 0
+    line = rlc_line()
+    E, A = line.E.tocoo(), line.A.tocoo()
+    off = A.row != A.col
+    rows, cols = np.r_[E.row, A.row[off]], np.r_[E.col, A.col[off]]
+    E = sp.csc_matrix((np.r_[E.data, np.full(off.sum(), -0.0)], (rows, cols)), E.shape)
+    A.data[np.flatnonzero(off)[0]] = 0.0
+    sys = DescriptorSystem(E, A, line.B, line.C)
+    assert [i for i, _, _ in sys._pencil.band.z_rows] == [0, 1, 2]
+    assert sys.pencil_path == "tridiagonal"
+    z = 1j * LINE[1]
+    assert handed_band(sys, z).tobytes() == np.ascontiguousarray(reference_band(sys, z)).tobytes()
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_non_finite_z_raises_before_any_arithmetic(case):
+    sys = PATH_CASES[case][0]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (np.inf, 1j * np.inf, np.nan, 1j * np.nan):
+            for solve in (sys.eval_transfer, sys.eval_state_transfer):
+                with pytest.raises(ValueError, match="not finite"):
+                    solve(z)
 
 
 def test_matrix_market_round_trip_keeps_a_real_system_real(tmp_path):
