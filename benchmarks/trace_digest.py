@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""One digest line per greedy run, to show that a change to the driver
+leaves every run bit for bit as it was.
+
+The configurations are the six termination rules x {loewner, mri} x three
+systems x tol {1e-3, 1e-6}, grid 2000, max_samples 200: 72 runs. The
+systems are the 8-pole 2x2 make_synthetic system (poles i*{2, 5, 11, 19,
+37, 53, 71, 90}, residue seed 1) on f in [1, 100], and tests/conftest.py's
+RLC line on [1e7, 1e10] and spring chain on [1e-2, 3]. The rules take
+density min_gap 0.05, lookahead_memory 3, batch 5 and randomized 20.
+
+Each line gives the samples, the oracle calls and the stop, then a sha256
+over every surrogate's support, values and q bytes, every IterationRecord
+field except elapsed, the sampled sequence, the resonances,
+n_random_solved and the solves in their order (frequency and iteration).
+Each run must also keep the ledger identity
+
+  oracle_calls == samples + sum(test_calls) + n_random_solved
+
+The script reads only what run_greedy's result has offered since the
+sample store was introduced, so it runs unchanged against an older
+checkout's package: diff its output for two source trees,
+
+  python3 benchmarks/trace_digest.py > new.txt
+  python3 benchmarks/trace_digest.py --src ../old/src > old.txt
+
+It pins one BLAS thread before numpy loads, because a run's bits can
+depend on the thread count. The digests also depend on the BLAS build,
+so none is stored here to compare against.
+
+Usage: python3 benchmarks/trace_digest.py [--src PATH]
+"""
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+os.environ["MKL_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import warnings  # noqa: E402
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+RULES = [
+    ("max_count", {}),
+    ("density", {"min_gap": 0.05}),
+    ("lookahead", {}),
+    ("lookahead_memory", {"n_memory": 3}),
+    ("batch", {"n_batch": 5}),
+    ("randomized", {"n_random": 20}),
+]
+
+
+def systems():
+    """(name, system, f_min, f_max) for the three systems."""
+    from greedyrat import make_synthetic
+
+    # conftest puts the repository's src/ on sys.path, but greedyrat is
+    # already loaded by then, from --src
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    from conftest import rlc_line, spring_chain
+
+    poles = [1j * f for f in (2, 5, 11, 19, 37, 53, 71, 90)]
+    return [
+        ("8-pole", make_synthetic(poles, 1, m=2, p=2), 1.0, 100.0),
+        ("line", rlc_line(), 1e7, 1e10),
+        ("chain", spring_chain(), 1e-2, 3.0),
+    ]
+
+
+def digest(run):
+    """sha256 over the run's surrogates, records, samples and solves."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for sur in run.surrogates:
+        for arr in (sur.support, sur.values, sur.coeffs):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    for rec in run.records:
+        fields = [f.name for f in dataclasses.fields(rec) if f.name != "elapsed"]
+        h.update(repr([getattr(rec, name) for name in fields]).encode())
+    h.update(np.asarray(run.sampled_frequencies, dtype=np.complex128).tobytes())
+    h.update(repr(run.resonances).encode())
+    h.update(repr(run.n_random_solved).encode())
+    h.update(repr([(z, it) for z, (_, it) in run.store.solves.items()]).encode())
+    return h.hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds greedyrat")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from greedyrat import GreedyConfig, TerminationRule, run_greedy
+
+    # output-only MRI warns once its samples outnumber p*m; not a failure here
+    warnings.simplefilter("ignore")
+    t0 = time.perf_counter()
+    for name, system, f_min, f_max in systems():
+        for fitter in ("loewner", "mri"):
+            for kind, keys in RULES:
+                for tol in (1e-3, 1e-6):
+                    rule = TerminationRule(kind=kind, **keys)
+                    cfg = GreedyConfig(
+                        f_min=f_min, f_max=f_max, grid_size=2000, tol=tol, fitter=fitter, termination=rule
+                    )
+                    run = run_greedy(system, cfg)
+                    samples = len(run.samples)
+                    tests = sum(r.test_calls for r in run.records)
+                    ledger = samples + tests + run.n_random_solved
+                    assert run.oracle_calls == ledger, f"{name} {fitter} {kind} {tol:g}: ledger broken"
+                    print(
+                        f"{name:<7}{fitter:<8}{kind:<17}{tol:<6g}samples {samples:>3}  "
+                        f"calls {run.oracle_calls:>3}  stop {run.termination_reason:<16}{digest(run)}"
+                    )
+    print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ from .errors import (
 from .fitters import fit
 from .greedy import (
     GreedyConfig,
-    GreedyTrace,
+    GreedyRun,
     TerminationRule,
     adjusted_relative_error,
     batch_test_points,
@@ -36,7 +36,7 @@ __all__ = [
     "DescriptorSystem",
     "FrequencySample",
     "GreedyConfig",
-    "GreedyTrace",
+    "GreedyRun",
     "GreedyratError",
     "GridExhaustedError",
     "ResonanceError",

@@ -194,18 +194,22 @@ def cmd_run(args):
     return 2 if trace.hit_safety_cap else 0
 
 
+def _finite_real(x):
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 def cmd_validate(args):
     cfg, system, outdir = _prepare(args)
     _, sur, meta = _load_surrogate(args, system, outdir)
     grid = build_test_grid(cfg)
     approx = sur.eval_grid(grid)
     eta = np.full(grid.size, math.nan)
-    estimate = meta.get("estimator_value")
-    # a file from elsewhere may hold null, a string or nan: no estimate then
-    if not (isinstance(estimate, (int, float)) and math.isfinite(estimate)):
-        estimate = None
-    if "estimator_anchor" in meta and estimate is not None:
-        eta = estimator_curve(sur, estimate, complex(*meta["estimator_anchor"]), grid)
+    estimate, anchor = meta.get("estimator_value"), meta.get("estimator_anchor")
+    # a file from elsewhere may hold null, a string or nan: no estimate then,
+    # and no eta curve without an anchor of two finite reals
+    estimate = estimate if _finite_real(estimate) else None
+    if estimate is not None and isinstance(anchor, list) and len(anchor) == 2 and all(map(_finite_real, anchor)):
+        eta = estimator_curve(sur, estimate, complex(*anchor), grid)
     # map_points forks no worker in a process that runs threads, as an
     # unpinned OpenBLAS thread pool makes it when numpy loads
     cpus = parallel.usable_cpus()

@@ -47,7 +47,7 @@ check adds only the points it solved before it stopped. The first sample
 
   oracle_calls == len(samples) + sum(test_calls) (+ n_random_solved)
 
-where GreedyTrace.n_random_solved counts the frozen randomized points that
+where GreedyRun.n_random_solved counts the frozen randomized points that
 were solved; a resonant one is dropped and not charged.
 """
 import math
@@ -169,38 +169,6 @@ class SampleStore:
         return SampleArrays(self.z[order], self.values.take(order, axis=0))
 
 
-@dataclass
-class GreedyTrace:
-    records: list = field(default_factory=list)
-    surrogates: list = field(default_factory=list)
-    store: SampleStore = field(default_factory=SampleStore)
-    termination_reason: str = ""
-    oracle_calls: int = 0
-    resonances: list = field(default_factory=list)
-    n_random_solved: int = 0  # frozen randomized test points kept, each one solve
-
-    @property
-    def surrogate(self):
-        return self.surrogates[-1] if self.surrogates else None
-
-    @property
-    def n_iterations(self):
-        return len(self.records)
-
-    @property
-    def samples(self):
-        """The training samples in the order they joined, over the store's arrays."""
-        return SampleArrays(self.store.z, self.store.values)
-
-    @property
-    def sampled_frequencies(self):
-        return self.store.z.tolist()
-
-    @property
-    def hit_safety_cap(self):
-        return self.termination_reason == "max_samples"
-
-
 def build_test_grid(cfg):
     """grid_size geometrically spaced points i*f on [f_min, f_max]."""
     return 1j * np.geomspace(cfg.f_min, cfg.f_max, cfg.grid_size)
@@ -247,70 +215,96 @@ def random_test_points(cfg):
     return [1j * math.exp(x) for x in logf]
 
 
-def _as_oracle(oracle):
-    if isinstance(oracle, DescriptorSystem):
-        return oracle.eval_transfer
-    return oracle
-
-
-def run_greedy(oracle, cfg):
-    """Adaptive sampling loop; returns the full iteration trace.
+class GreedyRun:
+    """One greedy run: the driver, and its own trace.
 
     ``oracle`` is a DescriptorSystem or any callable z -> p-by-m array.
-    Every solve is recorded once in the trace's store, so no frequency
-    is solved twice.
+    The constructor solves nothing. ``run()`` takes the first sample and
+    calls ``step()``, one iteration, until the rule or the max_samples cap
+    stops the run. Every solve is recorded once in ``store``, so no
+    frequency is solved twice, and an exception that escapes leaves the
+    run holding every solve, record and surrogate made before it.
     Sampling failures at resonant frequencies, and replies with a
     non-finite entry, are recorded and the offending grid point is
     excluded rather than aborting the run. A reply whose shape differs
     from the first one raises GreedyratError.
     """
-    rule = cfg.termination
-    grid = build_test_grid(cfg)
-    eval_oracle = _as_oracle(oracle)
-    trace = GreedyTrace()
-    store = trace.store
-    shape = None
-    iteration = 0
 
-    def call(z):
-        nonlocal shape
-        if z in store.solves:
-            return store.solves[z][0]
+    def __init__(self, oracle, cfg):
+        self.cfg = cfg
+        self.oracle = oracle.eval_transfer if isinstance(oracle, DescriptorSystem) else oracle
+        self.grid = build_test_grid(cfg)
+        self.cache = kernels.CauchyColumns(self.grid)
+        self.store = SampleStore()
+        self.records, self.surrogates, self.resonances = [], [], []
+        self.random_pts = []  # the frozen randomized test points that solved
+        self.termination_reason = ""
+        self.iteration = self.n_memory = 0
+        self._shape = None
+
+    @property
+    def oracle_calls(self):
+        return len(self.store.solves)
+
+    @property
+    def n_random_solved(self):
+        return len(self.random_pts)
+
+    @property
+    def surrogate(self):
+        return self.surrogates[-1] if self.surrogates else None
+
+    @property
+    def n_iterations(self):
+        return len(self.records)
+
+    @property
+    def samples(self):
+        """The training samples in the order they joined, over the store's arrays."""
+        return SampleArrays(self.store.z, self.store.values)
+
+    @property
+    def sampled_frequencies(self):
+        return self.store.z.tolist()
+
+    @property
+    def hit_safety_cap(self):
+        return self.termination_reason == "max_samples"
+
+    def _call(self, z):
+        if z in self.store.solves:
+            return self.store.solves[z][0]
         # a copy, in case the oracle reuses its buffer
-        value = np.array(eval_oracle(z), dtype=np.complex128, ndmin=2)
+        value = np.array(self.oracle(z), dtype=np.complex128, ndmin=2)
         if not np.all(np.isfinite(value)):
             raise ResonanceError(z, f"oracle reply at z = {z} is not finite")
-        got = value.shape
-        shape = shape or got
-        if got != shape:
+        self._shape = self._shape or value.shape
+        if value.shape != self._shape:
             raise GreedyratError(
-                f"oracle reply at z = {z} has shape {got}, but the first reply had shape {shape}"
+                f"oracle reply at z = {z} has shape {value.shape}, but the first reply had shape {self._shape}"
             )
-        store.solves[z] = (value, iteration)
+        self.store.solves[z] = (value, self.iteration)
         return value
 
-    cache = kernels.CauchyColumns(grid)
+    def _take(self, z):
+        self.store.take(z)
+        self.cache.add(z)
 
-    def take(z):
-        store.take(z)
-        cache.add(z)
-
-    def ban(k, ind=None):
-        trace.resonances.append(complex(grid[k]))
-        cache.ban(k)
-        if ind is not None:
-            ind[k] = -1.0
-
-    def solves(k, ind=None):
-        """Solve grid point k; a resonant one is banned and gives False."""
+    def _solves(self, z, k=None, ind=None):
+        """Solve z; a resonant z is recorded and gives False, and its grid
+        index k, when given, is banned (and marked -1 in ``ind``)."""
         try:
-            call(complex(grid[k]))
+            self._call(z)
             return True
         except ResonanceError:
-            ban(k, ind)
+            self.resonances.append(z)
+            if k is not None:
+                self.cache.ban(k)
+                if ind is not None:
+                    ind[k] = -1.0
             return False
 
-    def pick(ind, halt=None):
+    def _pick(self, ind, halt=None):
         """Next greedy point on this iteration's indicator, solved.
 
         Resonant grid points are banned and skipped; banning a point only
@@ -319,41 +313,37 @@ def run_greedy(oracle, cfg):
         """
         while True:
             k = next_point(ind)
-            z = complex(grid[k])
-            if (halt is not None and halt(z)) or solves(k, ind):
+            z = complex(self.grid[k])
+            if (halt is not None and halt(z)) or self._solves(z, k, ind):
                 return z
 
-    # First sample: the grid point nearest the geometric midpoint of the
-    # range, walking outward on resonance failures.
-    f_mid = math.sqrt(cfg.f_min * cfg.f_max)
-    for k in np.argsort(np.abs(grid.imag - f_mid)):
-        if solves(k):
-            take(complex(grid[k]))
-            break
-    else:
-        raise GridExhaustedError("no non-resonant grid point for the first sample")
+    def run(self):
+        """Take the first sample, then step until the run stops; returns self."""
+        # First sample: the grid point nearest the geometric midpoint of
+        # the range, walking outward on resonance failures.
+        f_mid = math.sqrt(self.cfg.f_min * self.cfg.f_max)
+        for k in np.argsort(np.abs(self.grid.imag - f_mid)):
+            if self._solves(complex(self.grid[k]), k):
+                self._take(complex(self.grid[k]))
+                break
+        else:
+            raise GridExhaustedError("no non-resonant grid point for the first sample")
+        if self.cfg.termination.kind == "randomized":
+            self.random_pts = [z for z in random_test_points(self.cfg) if self._solves(z)]
+        while not self.termination_reason:
+            self.step()
+        return self
 
-    if rule.kind == "randomized":
-        random_pts = []
-        for z in random_test_points(cfg):
-            try:
-                call(z)
-                random_pts.append(z)
-            except ResonanceError:
-                trace.resonances.append(z)
-        trace.n_random_solved = len(random_pts)
-
-    # consecutive passed checks an estimator rule needs before it stops
-    depth = rule.n_memory if rule.kind == "lookahead_memory" else 1
-    n_memory = 0
-    while True:
+    def step(self):
+        """One iteration: fit, sweep, check the rule, then sample or stop; returns its record."""
+        cfg, rule, store = self.cfg, self.cfg.termination, self.store
         t0 = time.perf_counter()
-        iteration += 1
+        self.iteration += 1
         n_samples = store.z.size
         capped = n_samples >= cfg.max_samples
         sur = fit(store.sorted(), cfg.fitter)
-        trace.surrogates.append(sur)
-        ind = cache.indicator(sur)
+        self.surrogates.append(sur)
+        ind = self.cache.indicator(sur)
 
         estimator = math.nan
         anchor = chosen = complex(math.nan, math.nan)
@@ -366,71 +356,76 @@ def run_greedy(oracle, cfg):
                 return float(np.min(np.abs(np.log10(z.imag) - logf))) < rule.min_gap
 
             # the gap needs only z, so a point that fails it is never solved
-            chosen = pick(ind, halt=lambda z: capped or too_close(z))
+            chosen = self._pick(ind, halt=lambda z: capped or too_close(z))
             flag = stop = too_close(chosen)
         else:
             # the estimator rules differ only in their solved test points
             if rule.kind == "batch":
                 ks = batch_test_points(ind, rule.n_batch)
-                pts = [complex(grid[k]) for k in ks]
+                pts = [complex(self.grid[k]) for k in ks]
                 tested, errs = [], []
                 # one sweep, then solves in indicator order up to the first
                 # point that fails tol (a NaN error fails, as in the max):
                 # that point alone decides the check
                 for k, z, a in zip(ks, pts, sur.eval_grid(pts)):
-                    if solves(k, ind):
+                    if self._solves(z, k, ind):
                         tested.append(z)
-                        errs.append(adjusted_relative_error(call(z), a, cfg.delta))
+                        errs.append(adjusted_relative_error(self._call(z), a, cfg.delta))
                         if not errs[-1] < cfg.tol:
                             break
             else:
                 if rule.kind == "randomized":
-                    tested = random_pts
+                    tested = self.random_pts
                 else:
-                    chosen = pick(ind)
+                    chosen = self._pick(ind)
                     tested = [chosen]
                 errs = [
-                    adjusted_relative_error(call(z), a, cfg.delta)
+                    adjusted_relative_error(self._call(z), a, cfg.delta)
                     for z, a in zip(tested, sur.eval_grid(tested) if tested else ())
                 ]
             if errs:
                 j = int(np.argmax(errs))
                 estimator, anchor = errs[j], tested[j]
             flag = estimator < cfg.tol
-            n_memory = n_memory + 1 if flag else 0
-            stop = n_memory >= depth
+            # consecutive passed checks an estimator rule needs before it stops
+            self.n_memory = self.n_memory + 1 if flag else 0
+            stop = self.n_memory >= (rule.n_memory if rule.kind == "lookahead_memory" else 1)
 
         reason = rule.kind if stop else "max_samples" if capped else ""
         if not stop:
             # at the cap the next point is named but not solved
-            chosen = pick(ind, halt=lambda z: capped)
+            chosen = self._pick(ind, halt=lambda z: capped)
 
-        trace.records.append(
-            IterationRecord(
-                iteration=iteration,
-                n_samples=n_samples,
-                chosen=chosen,
-                anchor=anchor,
-                estimator=estimator,
-                flag=flag,
-                n_memory=n_memory,
-                test_calls=0,  # set when the run ends
-                oracle_calls=len(store.solves),
-                elapsed=time.perf_counter() - t0,
-            )
+        record = IterationRecord(
+            iteration=self.iteration,
+            n_samples=n_samples,
+            chosen=chosen,
+            anchor=anchor,
+            estimator=estimator,
+            flag=flag,
+            n_memory=self.n_memory,
+            test_calls=0,  # set when the run ends
+            oracle_calls=self.oracle_calls,
+            elapsed=time.perf_counter() - t0,
         )
-        if reason:
-            # test_calls of iteration i: the solves first made in iteration i
-            # at frequencies that never joined training
-            training = set(trace.sampled_frequencies)
-            its = [it for z, (_, it) in store.solves.items() if z not in training]
-            wasted = np.bincount(its, minlength=iteration + 1)
-            for rec in trace.records:
-                rec.test_calls = int(wasted[rec.iteration])
-            trace.termination_reason = reason
-            trace.oracle_calls = len(store.solves)
-            return trace
-        take(chosen)
+        self.records.append(record)
+        if not reason:
+            self._take(chosen)
+            return record
+        # test_calls of iteration i: the solves first made in iteration i
+        # at frequencies that never joined training
+        training = set(self.sampled_frequencies)
+        its = [it for z, (_, it) in store.solves.items() if z not in training]
+        wasted = np.bincount(its, minlength=self.iteration + 1)
+        for rec in self.records:
+            rec.test_calls = int(wasted[rec.iteration])
+        self.termination_reason = reason
+        return record
+
+
+def run_greedy(oracle, cfg):
+    """The finished GreedyRun of ``oracle`` under ``cfg``."""
+    return GreedyRun(oracle, cfg).run()
 
 
 def estimator_curve(sur, estimate, anchor, grid):

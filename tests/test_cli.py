@@ -403,6 +403,25 @@ def test_validate_prints_no_effectivity_for_an_unusable_estimator_value(syntheti
     assert line.startswith("max adjusted relative error over the grid: ")
 
 
+@pytest.mark.parametrize("anchor", [None, [1, 2, 3], "x"])
+def test_validate_draws_no_eta_for_a_malformed_estimator_anchor(synthetic_setup, capsys, anchor):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    assert main(["run", cfg]) == 0
+    path = tmp_path / "out" / "surrogate.json"
+    meta = json.loads(path.read_text())
+    meta["estimator_anchor"] = anchor
+    path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["validate", cfg]) == 0
+    # the effectivity line needs only estimator_value, which is intact
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("max adjusted relative error over the grid: ")
+    assert second.startswith("effectivity, grid maximum / run's estimator value: ")
+    rows = read_csv_body(tmp_path / "out" / "validation.csv")
+    assert all(np.isnan(float(r.split(",")[2])) for r in rows[1:])
+
+
 def test_validate_on_a_grid_of_resonances_prints_nan_and_exits_1(tmp_path, capsys):
     # both points of the grid f in {1, 2} are poles, so no error can be measured
     sys = make_synthetic([1j, 2j, 3j], 0)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_surrogate, rational_11, rlc_line
+from conftest import random_surrogate, rational_11, rlc_line, spring_chain
 from greedyrat import (
     BarycentricSurrogate,
     GreedyConfig,
+    GreedyRun,
     GreedyratError,
     GridExhaustedError,
     ResonanceError,
@@ -842,6 +843,48 @@ def test_reply_shape_change_is_rejected():
     with pytest.raises(GreedyratError, match=shapes) as info:
         run_greedy(shrinking, cfg_with("lookahead", tol=1e-3, max_samples=40))
     assert f"z = {calls[2]}" in str(info.value)
+
+
+# the six rules on the spring chain, each making well over 7 solves
+CHAIN_RULES = [
+    ("max_count", {"max_samples": 12}),
+    ("density", {"min_gap": 1e-3, "max_samples": 12}),
+    ("lookahead", {"max_samples": 40}),
+    ("lookahead_memory", {"n_memory": 2, "max_samples": 40}),
+    ("batch", {"n_batch": 3, "max_samples": 40}),
+    ("randomized", {"n_random": 7, "max_samples": 40}),
+]
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("kind,kw", CHAIN_RULES)
+def test_an_oracle_that_raises_leaves_the_run_holding_its_work(kind, kw, k):
+    sys = spring_chain()
+    cfg = cfg_with(kind, f_min=1e-2, f_max=3.0, tol=1e-3, **kw)
+    clean = run_greedy(sys, cfg)
+    assert len(clean.store.solves) > k and not clean.resonances
+    calls = []
+
+    def dies_at_call_k(z):
+        calls.append(z)
+        if len(calls) == k:
+            raise RuntimeError("solver died")
+        return sys.eval_transfer(z)
+
+    run = GreedyRun(dies_at_call_k, cfg)  # solves nothing
+    with pytest.raises(RuntimeError, match="solver died"):
+        run.run()
+    assert list(run.store.solves) == list(clean.store.solves)[: k - 1]
+    # the k-th call fell in the iteration of the clean run's k-th solve,
+    # and every iteration before it left its record and surrogate
+    failed_in = list(clean.store.solves.values())[k - 1][1]
+    assert run.iteration == failed_in
+    assert len(run.records) == max(failed_in - 1, 0)
+    for rec, ref in zip(run.records, clean.records):
+        for name in ("iteration", "n_samples", "chosen", "flag", "n_memory", "oracle_calls"):
+            assert getattr(rec, name) == getattr(ref, name)
+    assert len(run.surrogates) in (len(run.records), len(run.records) + 1)
+    assert run.termination_reason == "" and not run.hit_safety_cap
 
 
 def test_safety_cap_applies():
