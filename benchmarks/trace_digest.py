@@ -17,6 +17,11 @@ Each run must also keep the ledger identity
 
   oracle_calls == samples + sum(test_calls) + n_random_solved
 
+and each record's test_calls must equal the solves first made in its
+iteration at frequencies that never joined training, recounted from
+run.store.solves, so the driver's running count is checked against an
+independent one.
+
 The script reads only what run_greedy's result has offered since the
 sample store was introduced, so it runs unchanged against an older
 checkout's package: diff its output for two source trees,
@@ -37,6 +42,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 os.environ["MKL_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -70,6 +76,13 @@ def systems():
         ("line", rlc_line(), 1e7, 1e10),
         ("chain", spring_chain(), 1e-2, 3.0),
     ]
+
+
+def recounted_test_calls(run):
+    """Each record's test_calls, recounted from the store's solves."""
+    training = set(run.sampled_frequencies)
+    its = collections.Counter(it for z, (_, it) in run.store.solves.items() if z not in training)
+    return [its[rec.iteration] for rec in run.records]
 
 
 def digest(run):
@@ -110,9 +123,11 @@ def main():
                     )
                     run = run_greedy(system, cfg)
                     samples = len(run.samples)
-                    tests = sum(r.test_calls for r in run.records)
-                    ledger = samples + tests + run.n_random_solved
-                    assert run.oracle_calls == ledger, f"{name} {fitter} {kind} {tol:g}: ledger broken"
+                    ledger = samples + sum(r.test_calls for r in run.records) + run.n_random_solved
+                    label = f"{name} {fitter} {kind} {tol:g}"
+                    assert run.oracle_calls == ledger, f"{label}: ledger broken"
+                    test_calls = [r.test_calls for r in run.records]
+                    assert test_calls == recounted_test_calls(run), f"{label}: test_calls differ from the store"
                     print(
                         f"{name:<7}{fitter:<8}{kind:<17}{tol:<6g}samples {samples:>3}  "
                         f"calls {run.oracle_calls:>3}  stop {run.termination_reason:<16}{digest(run)}"

@@ -38,14 +38,15 @@ next greedy point is named (IterationRecord.chosen) but not solved; only
 lookahead's probe and batch's test points, which decide the rule, are.
 
 Every oracle solve is recorded once, in one SampleStore that is also the
-memo, so no frequency is solved twice. The ledger is exact:
-IterationRecord.oracle_calls is the cumulative count of distinct solves,
-and IterationRecord.test_calls counts the solves first made in that
-iteration at frequencies that never joined training; a failing batch
-check adds only the points it solved before it stopped. The first sample
-(and the frozen randomized points) belong to iteration 0, so
+memo, so no frequency is solved twice. The ledger is exact after every
+step: IterationRecord.oracle_calls counts the distinct solves so far, and
+IterationRecord.test_calls the solves made in that iteration at
+frequencies that have not joined training (a point that joins later is
+taken off the record that solved it; a failing batch check adds only the
+points it solved). The first sample and the frozen randomized points
+belong to iteration 0, so, over the finished records of any run,
 
-  oracle_calls == len(samples) + sum(test_calls) (+ n_random_solved)
+  records[-1].oracle_calls == len(samples) + sum(test_calls) (+ n_random_solved)
 
 where GreedyRun.n_random_solved counts the frozen randomized points that
 were solved; a resonant one is dropped and not charged.
@@ -223,7 +224,9 @@ class GreedyRun:
     calls ``step()``, one iteration, until the rule or the max_samples cap
     stops the run. Every solve is recorded once in ``store``, so no
     frequency is solved twice, and an exception that escapes leaves the
-    run holding every solve, record and surrogate made before it.
+    run holding every solve, record and surrogate made before it. A run
+    runs once: ``run()`` after the first sample, and ``step()`` once the
+    run has stopped or a step has raised, raise GreedyratError.
     Sampling failures at resonant frequencies, and replies with a
     non-finite entry, are recorded and the offending grid point is
     excluded rather than aborting the run. A reply whose shape differs
@@ -239,7 +242,7 @@ class GreedyRun:
         self.records, self.surrogates, self.resonances = [], [], []
         self.random_pts = []  # the frozen randomized test points that solved
         self.termination_reason = ""
-        self.iteration = self.n_memory = 0
+        self.iteration = 0
         self._shape = None
 
     @property
@@ -287,6 +290,10 @@ class GreedyRun:
         return value
 
     def _take(self, z):
+        # a taken solve is no test call of the iteration that made it
+        it = self.store.solves[z][1]
+        if it:
+            self.records[it - 1].test_calls -= 1
         self.store.take(z)
         self.cache.add(z)
 
@@ -319,6 +326,8 @@ class GreedyRun:
 
     def run(self):
         """Take the first sample, then step until the run stops; returns self."""
+        if self.store.z.size:
+            raise GreedyratError("run() on a run that has already taken its first sample")
         # First sample: the grid point nearest the geometric midpoint of
         # the range, walking outward on resonance failures.
         f_mid = math.sqrt(self.cfg.f_min * self.cfg.f_max)
@@ -336,8 +345,11 @@ class GreedyRun:
 
     def step(self):
         """One iteration: fit, sweep, check the rule, then sample or stop; returns its record."""
+        if self.termination_reason or not self.store.z.size or len(self.records) != self.iteration:
+            raise GreedyratError("step() on a run that has no first sample, has stopped or has raised")
         cfg, rule, store = self.cfg, self.cfg.termination, self.store
         t0 = time.perf_counter()
+        calls = self.oracle_calls
         self.iteration += 1
         n_samples = store.z.size
         capped = n_samples >= cfg.max_samples
@@ -345,7 +357,7 @@ class GreedyRun:
         self.surrogates.append(sur)
         ind = self.cache.indicator(sur)
 
-        estimator = math.nan
+        estimator, n_memory = math.nan, 0
         anchor = chosen = complex(math.nan, math.nan)
         if rule.kind == "max_count":
             flag = stop = capped
@@ -359,37 +371,33 @@ class GreedyRun:
             chosen = self._pick(ind, halt=lambda z: capped or too_close(z))
             flag = stop = too_close(chosen)
         else:
-            # the estimator rules differ only in their solved test points
+            # the estimator rules differ only in their test points, each a
+            # (grid index or None, z); lookahead's and the frozen points are
+            # solved already
             if rule.kind == "batch":
-                ks = batch_test_points(ind, rule.n_batch)
-                pts = [complex(self.grid[k]) for k in ks]
-                tested, errs = [], []
-                # one sweep, then solves in indicator order up to the first
-                # point that fails tol (a NaN error fails, as in the max):
-                # that point alone decides the check
-                for k, z, a in zip(ks, pts, sur.eval_grid(pts)):
-                    if self._solves(z, k, ind):
-                        tested.append(z)
-                        errs.append(adjusted_relative_error(self._call(z), a, cfg.delta))
-                        if not errs[-1] < cfg.tol:
-                            break
+                tests = [(k, complex(self.grid[k])) for k in batch_test_points(ind, rule.n_batch)]
+            elif rule.kind == "randomized":
+                tests = [(None, z) for z in self.random_pts]
             else:
-                if rule.kind == "randomized":
-                    tested = self.random_pts
-                else:
-                    chosen = self._pick(ind)
-                    tested = [chosen]
-                errs = [
-                    adjusted_relative_error(self._call(z), a, cfg.delta)
-                    for z, a in zip(tested, sur.eval_grid(tested) if tested else ())
-                ]
+                chosen = self._pick(ind)
+                tests = [(None, chosen)]
+            tested, errs = [], []
+            # one sweep, then solves in order; a resonant point is skipped
+            for (k, z), a in zip(tests, sur.eval_grid([z for _, z in tests])):
+                if self._solves(z, k, ind):
+                    tested.append(z)
+                    errs.append(adjusted_relative_error(self._call(z), a, cfg.delta))
+                    # batch stops at the first point that fails tol (a NaN
+                    # error fails, as in the max): that point decides the check
+                    if rule.kind == "batch" and not errs[-1] < cfg.tol:
+                        break
             if errs:
                 j = int(np.argmax(errs))
                 estimator, anchor = errs[j], tested[j]
             flag = estimator < cfg.tol
             # consecutive passed checks an estimator rule needs before it stops
-            self.n_memory = self.n_memory + 1 if flag else 0
-            stop = self.n_memory >= (rule.n_memory if rule.kind == "lookahead_memory" else 1)
+            n_memory = 1 + (self.records[-1].n_memory if self.records else 0) if flag else 0
+            stop = n_memory >= (rule.n_memory if rule.kind == "lookahead_memory" else 1)
 
         reason = rule.kind if stop else "max_samples" if capped else ""
         if not stop:
@@ -403,23 +411,15 @@ class GreedyRun:
             anchor=anchor,
             estimator=estimator,
             flag=flag,
-            n_memory=self.n_memory,
-            test_calls=0,  # set when the run ends
+            n_memory=n_memory,
+            test_calls=self.oracle_calls - calls,  # until _take claims one
             oracle_calls=self.oracle_calls,
             elapsed=time.perf_counter() - t0,
         )
         self.records.append(record)
+        self.termination_reason = reason
         if not reason:
             self._take(chosen)
-            return record
-        # test_calls of iteration i: the solves first made in iteration i
-        # at frequencies that never joined training
-        training = set(self.sampled_frequencies)
-        its = [it for z, (_, it) in store.solves.items() if z not in training]
-        wasted = np.bincount(its, minlength=self.iteration + 1)
-        for rec in self.records:
-            rec.test_calls = int(wasted[rec.iteration])
-        self.termination_reason = reason
         return record
 
 

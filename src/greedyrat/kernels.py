@@ -7,10 +7,8 @@ methods are one-point calls of them. One rule, ``_collides``, decides
 support collisions (|z - zeta_j| <= SNAP_TOL * (1 + |zeta_j|)), and one
 helper, ``_cauchy_weights``, zeroes a colliding row before any division
 for every sweep; the sweeps then resolve it:
-Q is inf there, 1/|Q| is 0 and H~ is the stored sample. Q at a point is
-the same in a sweep of any length; H~ of a many-point sweep may differ
-from a one-point call in the last bits, as BLAS may order one row's sum
-differently.
+Q is inf there, 1/|Q| is 0 and H~ is the stored sample. Q and H~ at a
+point are the same, bit for bit, in a sweep of any length.
 
 The greedy driver does not rebuild that matrix every iteration.
 ``CauchyColumns`` keeps one column per *sample* on the driver's fixed
@@ -85,7 +83,8 @@ def eval_sweep(points, support, coeffs, values):
     den = w.sum(axis=1)
     pole = den == 0  # the zeroed colliding rows too; they are refilled last
     den[pole] = 1.0
-    out = w @ values.reshape(len(values), -1) / den[:, None]
+    # a stack of one-row products: BLAS sums each row as for a one-point call
+    out = np.matmul(w[:, None, :], values.reshape(len(values), -1))[:, 0] / den[:, None]
     out = out.reshape(len(den), *values.shape[1:])
     out[pole] = np.inf
     if k.size:

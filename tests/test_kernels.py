@@ -118,3 +118,17 @@ def test_cauchy_columns_are_real_float64_blocks():
         ref, _, _ = kernels._cauchy_weights(grid, [grid[k]], [1.0])
         np.testing.assert_allclose(-1j * block[:, j], ref[:, 0], rtol=1e-15)
         assert block[k, j] == 0.0
+
+
+@pytest.mark.parametrize("s,p,m", [(6, 2, 2), (57, 2, 2), (10, 3000, 2)])
+def test_eval_sweep_rows_equal_one_point_calls_bit_for_bit(s, p, m):
+    # BLAS may sum a matrix product's rows in another order than a
+    # vector product's; each row of the sweep must not depend on that
+    rng = np.random.default_rng(s)
+    support = 1j * np.sort(rng.uniform(1.0, 100.0, s))
+    coeffs = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    values = rng.standard_normal((s, p, m)) + 1j * rng.standard_normal((s, p, m))
+    grid = 1j * np.geomspace(1.0, 100.0, 777)
+    sweep = kernels.eval_sweep(grid, support, coeffs, values)
+    for k in range(grid.size):
+        assert np.array_equal(sweep[k], kernels.eval_sweep(grid[k : k + 1], support, coeffs, values)[0])
