@@ -82,7 +82,7 @@ class ConfigError(GreedyratError):
 
 
 def parse_config(path):
-    raw = {}
+    raw, lines = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -94,6 +94,9 @@ def parse_config(path):
             key, value = key.strip(), value.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
             try:
                 raw[key] = CONFIG_KEYS[key](value)
             except ValueError as exc:

@@ -10,12 +10,12 @@ The phase of q is normalized so the entry of largest modulus is real and
 positive, which makes the fits reproducible (the underlying function is
 invariant under rescaling of q).
 
-`fit(samples, method)` is the one entry point. It fits samples in
-canonical order (ascending imaginary, then real part) as a frequency array
-and a (S, p, m) value array: Loewner takes the even rows as support and the
-odd ones as test points, MRI every row. A list of FrequencySample is sorted
-and stacked first; the greedy driver passes SampleArrays already in that
-order.
+`fit(samples, method)` is the one entry point. It sorts and checks every
+input: the samples, a list of FrequencySample stacked first or SampleArrays,
+are gathered into canonical order (ascending imaginary, then real part) as a
+frequency array and a (S, p, m) value array, and a repeated frequency is an
+error. Loewner takes the even rows as support and the odd ones as test
+points, MRI every row.
 """
 import warnings
 from collections.abc import Sequence
@@ -42,12 +42,15 @@ class SampleArrays(Sequence):
 
 
 def _sorted_arrays(samples):
-    """FrequencySamples in canonical order as a frequency and a value array."""
-    samples = sorted(samples, key=lambda s: (s.z.imag, s.z.real))
-    z = np.array([s.z for s in samples])
+    """Samples in canonical order as a frequency and a value array."""
+    if not isinstance(samples, SampleArrays):
+        samples = list(samples)  # any iterable, read once
+        samples = SampleArrays(np.array([s.z for s in samples]), np.array([s.value for s in samples]))
+    order = np.lexsort((samples.z.real, samples.z.imag))
+    z = samples.z[order]
     if np.any(z[1:] == z[:-1]):  # sorting puts equal frequencies side by side
         raise ValueError("sample frequencies must be pairwise distinct")
-    return z, np.array([s.value for s in samples])
+    return z, samples.values.take(order, axis=0)
 
 
 def _smallest_right_singular_vector(M, ncols):
@@ -120,11 +123,8 @@ def _fit_sorted(z, values, method):
 
 
 def fit(samples, method):
-    """Fit with 'loewner' or 'mri': FrequencySamples with distinct frequencies,
-    sorted and stacked here, or SampleArrays in canonical order, fitted as they
-    stand (an MRI surrogate keeps their arrays)."""
+    """Fit with 'loewner' or 'mri': FrequencySamples or SampleArrays with
+    distinct frequencies, in any order."""
     if method not in ("loewner", "mri"):
         raise ValueError(f"unknown fitter {method!r}")
-    if isinstance(samples, SampleArrays):
-        return _fit_sorted(samples.z, samples.values, method)
     return _fit_sorted(*_sorted_arrays(samples), method)

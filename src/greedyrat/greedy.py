@@ -164,11 +164,6 @@ class SampleStore:
         self.z = np.append(self.z, z)
         self.z.flags.writeable = self.values.flags.writeable = False
 
-    def sorted(self):
-        """The training samples by ascending f, gathered into new arrays."""
-        order = np.argsort(self.z.imag, kind="stable")
-        return SampleArrays(self.z[order], self.values.take(order, axis=0))
-
 
 def build_test_grid(cfg):
     """grid_size geometrically spaced points i*f on [f_min, f_max]."""
@@ -191,7 +186,7 @@ def next_point(ind):
         raise GridExhaustedError("empty test grid")
     k = int(np.argmax(ind))
     if ind[k] < 0:
-        raise GridExhaustedError("all grid points already sampled")
+        raise GridExhaustedError("every grid point is sampled or banned")
     return k
 
 
@@ -299,7 +294,7 @@ class GreedyRun:
 
     def _solves(self, z, k=None, ind=None):
         """Solve z; a resonant z is recorded and gives False, and its grid
-        index k, when given, is banned (and marked -1 in ``ind``)."""
+        index k, when given, is banned and marked -1 in ``ind``."""
         try:
             self._call(z)
             return True
@@ -307,8 +302,7 @@ class GreedyRun:
             self.resonances.append(z)
             if k is not None:
                 self.cache.ban(k)
-                if ind is not None:
-                    ind[k] = -1.0
+                ind[k] = -1.0
             return False
 
     def _pick(self, ind, halt=None):
@@ -328,15 +322,13 @@ class GreedyRun:
         """Take the first sample, then step until the run stops; returns self."""
         if self.store.z.size:
             raise GreedyratError("run() on a run that has already taken its first sample")
-        # First sample: the grid point nearest the geometric midpoint of
-        # the range, walking outward on resonance failures.
+        # First sample: the greedy pick on a ranking of the grid by distance
+        # from the geometric midpoint of the range, nearest highest, so it
+        # walks outward past resonant points as every later pick does.
         f_mid = math.sqrt(self.cfg.f_min * self.cfg.f_max)
-        for k in np.argsort(np.abs(self.grid.imag - f_mid)):
-            if self._solves(complex(self.grid[k]), k):
-                self._take(complex(self.grid[k]))
-                break
-        else:
-            raise GridExhaustedError("no non-resonant grid point for the first sample")
+        near = np.empty(self.grid.size)
+        near[np.argsort(np.abs(self.grid.imag - f_mid))] = np.arange(self.grid.size, 0, -1)
+        self._take(self._pick(near))
         if self.cfg.termination.kind == "randomized":
             self.random_pts = [z for z in random_test_points(self.cfg) if self._solves(z)]
         while not self.termination_reason:
@@ -353,7 +345,7 @@ class GreedyRun:
         self.iteration += 1
         n_samples = store.z.size
         capped = n_samples >= cfg.max_samples
-        sur = fit(store.sorted(), cfg.fitter)
+        sur = fit(self.samples, cfg.fitter)
         self.surrogates.append(sur)
         ind = self.cache.indicator(sur)
 

@@ -27,7 +27,7 @@ never due.
 
 Only work whose calls are independent and have no effect outside their
 result belongs here: a call made in a worker leaves no trace in this
-process (``run_greedy``'s oracle memo, or a user oracle counting its
+process (a ``GreedyRun``'s store, or a user oracle counting its
 calls, would not see it).
 """
 import os
@@ -132,15 +132,17 @@ def map_points(fn, points):
 
         bounds = [done + (n - done) * w // workers for w in range(workers + 1)]
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            futures = [pool.submit(_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            out = head + [r for future in futures for r in future.result()]
-        # The executor has joined its threads, but the kernel lists each for
-        # a few ms more (0.7-7.7 ms measured): wait, so that the next call
-        # finds this process single-threaded again and may fork.
-        deadline = time.monotonic() + 0.05
-        while not fork_is_safe() and time.monotonic() < deadline:
-            time.sleep(0.0005)
-        return out
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = [pool.submit(_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+                return head + [r for future in futures for r in future.result()]
+        finally:
+            # The executor has joined its threads, but the kernel lists each
+            # for a few ms more (0.7-7.7 ms measured): wait, also when fn
+            # raised, so that the next call finds this process
+            # single-threaded again and may fork.
+            deadline = time.monotonic() + 0.05
+            while not fork_is_safe() and time.monotonic() < deadline:
+                time.sleep(0.0005)
     finally:
         _work = None

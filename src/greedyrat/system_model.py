@@ -170,16 +170,17 @@ class _DensePencil(_Pencil):
 class _OrderedPencil(_Pencil):
     """A pencil factored in the RCM order perm, whose inverse is inv.
 
-    Subclasses factor the permuted pencil (``_factor``), cut the factors to
-    their trailing rows from w (``_trailing``) and solve with them
-    (``_solve``, which returns LAPACK's Fortran-ordered solution). A
-    right-hand side is gathered into the RCM order and the solution back
-    out of it by ``np.take``. The transfer window starts at row w, kl rows
-    above the first RCM position that B or C touches (see the module
-    docstring). The system's own B is kept gathered into the RCM order and
-    cut to the window, in the system's dtype, so transfer(z) only casts it
-    to the complex128 copy the LAPACK solve overwrites; when w is 0 it
-    solves all n rows and gathers the solution back, as solve(z, B) does.
+    Subclasses factor the permuted pencil (``_factor``) and solve with the
+    factors' rows from w on (``_solve(factors, b, w)``, which takes that
+    window itself and returns LAPACK's Fortran-ordered solution); solve
+    passes 0, transfer the window's w. A right-hand side is gathered into
+    the RCM order and the solution back out of it by ``np.take``. The
+    transfer window starts at row w, kl rows above the first RCM position
+    that B or C touches (see the module docstring). The system's own B is
+    kept gathered into the RCM order and cut to the window, in the
+    system's dtype, so transfer(z) only casts it to the complex128 copy
+    the LAPACK solve overwrites; when w is 0 it solves all n rows and
+    gathers the solution back, as solve(z, B) does.
     """
 
     def __init__(self, B, C, perm, inv, kl, min_rows):
@@ -204,13 +205,10 @@ class _OrderedPencil(_Pencil):
         factors = self._factor(z)
         rhs = np.asarray(rhs, dtype=np.complex128)
         b = np.take(rhs, self.perm, axis=0).reshape(self.perm.size, -1)
-        return self._unpermute(self._solve(factors, b)).reshape(rhs.shape)
+        return self._unpermute(self._solve(factors, b, 0)).reshape(rhs.shape)
 
     def transfer(self, z):
-        factors = self._factor(z)
-        if self.w:
-            factors = self._trailing(factors, self.w)
-        x = self._solve(factors, self.b_w.astype(np.complex128, order="F"))
+        x = self._solve(self._factor(z), self.b_w.astype(np.complex128, order="F"), self.w)
         # a window sums C X over its rows in the RCM order; the full n keeps
         # C in its own order, so C X is summed as C @ solve(z, B) sums it
         return self.c_w @ x if self.w else self.C @ self._unpermute(x)
@@ -247,13 +245,9 @@ class _TridiagonalPencil(_OrderedPencil):
         _check_pivots(z, d)
         return dl, d, du, du2, ipiv
 
-    @staticmethod
-    def _trailing(factors, w):
+    def _solve(self, factors, b, w):
         dl, d, du, du2, ipiv = factors
-        return dl[w:], d[w:], du[w:], du2[w:], ipiv[w:] - w
-
-    def _solve(self, factors, b):
-        x, info = self.gttrs(*factors, b, overwrite_b=True)
+        x, info = self.gttrs(dl[w:], d[w:], du[w:], du2[w:], ipiv[w:] - w, b, overwrite_b=True)
         _check_info(info, "gttrs")
         return x
 
@@ -285,14 +279,9 @@ class _BandedPencil(_OrderedPencil):
         _check_pivots(z, lu[kl + ku])
         return lu, piv
 
-    @staticmethod
-    def _trailing(factors, w):
+    def _solve(self, factors, b, w):
         lu, piv = factors
-        return lu[:, w:], piv[w:] - w
-
-    def _solve(self, factors, b):
-        lu, piv = factors
-        x, info = self.gbtrs(lu, self.kl, self.ku, b, piv, overwrite_b=True)
+        x, info = self.gbtrs(lu[:, w:], self.kl, self.ku, b, piv[w:] - w, overwrite_b=True)
         _check_info(info, "gbtrs")
         return x
 

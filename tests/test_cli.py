@@ -115,8 +115,12 @@ def test_unknown_config_key_reports_line(tmp_path):
         ("system = x\nf_min = 1\nf_max\n", r"bad\.cfg:3: expected 'key = value'"),
         ("system = x\nf_min = one\nf_max = 2\n", r"bad\.cfg:2: bad value for 'f_min'"),
         ("system = x\nf_min = 1\n", r"bad\.cfg: missing required key 'f_max'"),
+        (
+            "system = x\nf_min = 1\n# f_min = 3\nf_max = 2\nf_min = 1\n",
+            r"bad\.cfg:5: key 'f_min' repeats line 2",
+        ),
     ],
-    ids=["no-equals", "bad-value", "missing-key"],
+    ids=["no-equals", "bad-value", "missing-key", "repeated-key"],
 )
 def test_malformed_config_is_rejected(tmp_path, text, message):
     path = tmp_path / "bad.cfg"

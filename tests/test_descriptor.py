@@ -160,6 +160,37 @@ def test_exact_pole_raises_resonance_on_every_path(kind, wide):
     assert np.all(np.isfinite(sys.eval_transfer(17.5j)))
 
 
+MISSES_POLES = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 4: the pivot ratio misses 44 of the 200 exact poles "
+    "of the banded system and 137j of the sparse one",
+)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "tridiagonal",
+        pytest.param("banded", marks=MISSES_POLES),
+        pytest.param("sparse", marks=MISSES_POLES),
+        "dense",
+    ],
+)
+def test_every_exact_pole_raises_resonance(kind):
+    sys = triangular_system(200, kind in ("sparse", "dense"), kind)
+    assert sys.pencil_path == kind
+    missed = []
+    for k in range(1, 201):
+        try:
+            sys.eval_transfer(1j * k)
+        except ResonanceError as err:
+            assert err.z == 1j * k
+        else:
+            missed.append(k)
+    assert missed == []
+
+
 @pytest.mark.parametrize("kind", ["tridiagonal", "banded"])
 def test_resonance_above_the_window_raises(kind):
     # B and C touch only the state RCM puts last, so the window is the last

@@ -6,7 +6,7 @@ import pytest
 from conftest import rational_11
 import greedyrat
 from greedyrat import fit
-from greedyrat.fitters import _smallest_right_singular_vector, loewner_matrix
+from greedyrat.fitters import SampleArrays, _smallest_right_singular_vector, loewner_matrix
 from greedyrat.system_model import FrequencySample
 
 
@@ -64,6 +64,32 @@ def test_fit_rejects_repeated_frequencies(method):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="pairwise distinct"):
             fit(samples, method)
+
+
+def sample_arrays(zs):
+    """SampleArrays at zs, in the order given, of a 3 x 3 rational function:
+    9 entries a sample, so MRI fits up to 9 samples without a warning."""
+    shifts = np.arange(1.0, 10.0).reshape(3, 3)
+    return SampleArrays(np.array(zs), np.array([1 / (z + shifts) for z in zs]))
+
+
+@pytest.mark.parametrize("method", ["loewner", "mri"])
+def test_sample_arrays_fit_as_the_sorted_list(method):
+    # samples in the order they joined, as the greedy driver holds them
+    arrays = sample_arrays([10j, 3j, 31j, 1.5j, 7j, 55j, 2j, 19j])
+    listed = sorted(arrays, key=lambda s: s.z.imag)
+    a, b = fit(arrays, method), fit(listed, method)
+    for name in ("support", "values", "coeffs"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("method", ["loewner", "mri"])
+def test_sample_arrays_with_a_repeated_frequency_are_rejected(method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the fitter's own check, before the surrogate sees a repeated support point
+        with pytest.raises(ValueError, match="sample frequencies must be pairwise distinct"):
+            fit(sample_arrays([3j, 1j, 2j, 1j]), method)
 
 
 def test_loewner_recovers_type_11():

@@ -295,6 +295,38 @@ def test_first_sample_at_geometric_midpoint():
     assert trace.samples[0].z == complex(nearest)
 
 
+def test_first_sample_walks_outward_past_resonant_points():
+    # the 3 grid points nearest the midpoint resonate: the 4th nearest is
+    # the first sample, and the 3 are banned nearest first
+    cfg = cfg_with("max_count", max_samples=1)
+    ranked = sorted((complex(z) for z in build_test_grid(cfg)), key=lambda z: abs(z.imag - 10.0))
+    sys = order4_system()
+
+    def oracle(z):
+        if z in ranked[:3]:
+            raise ResonanceError(z)
+        return sys.eval_transfer(z)
+
+    run = run_greedy(oracle, cfg)
+    assert run.sampled_frequencies == [ranked[3]]
+    assert run.resonances == ranked[:3]
+
+
+def test_a_grid_resonant_everywhere_is_exhausted_after_one_call_a_point():
+    cfg = cfg_with("lookahead", grid_size=50)
+    requests = []
+
+    def oracle(z):
+        requests.append(z)
+        raise ResonanceError(z)
+
+    run = GreedyRun(oracle, cfg)
+    with pytest.raises(GridExhaustedError, match="every grid point is sampled or banned"):
+        run.run()
+    assert len(requests) == 50
+    assert sorted(run.resonances, key=lambda z: z.imag) == [complex(z) for z in build_test_grid(cfg)]
+
+
 RULES = [
     ("max_count", {"max_samples": 6}),
     ("density", {"min_gap": 0.2, "max_samples": 40}),

@@ -165,6 +165,8 @@ def test_other_errors_propagate(monkeypatch, workers, k):
 
     with pytest.raises(ValueError, match=f"^bad point {k}$"):
         map_points(fn, list(range(37)))
+    # a pool that raised has let its threads go, so the next call may fork
+    assert parallel.fork_is_safe()
 
 
 @pytest.mark.parametrize(
