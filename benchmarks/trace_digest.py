@@ -33,6 +33,16 @@ It pins one BLAS thread before numpy loads, because a run's bits can
 depend on the thread count. The digests also depend on the BLAS build,
 so none is stored here to compare against.
 
+The CLI section then runs `greedyrat run`, `validate` and `verify`, each
+in a child process on the package under --src, on three configurations:
+the cli_roundtrip workload's (ratbench/systems.py's chain at seed 0 on f
+in [1e-3, 0.03], grid 1000, randomized with n_random 100), the conftest
+line with lookahead and the conftest chain with batch, n_batch 5, both on
+the ranges above with grid 2000; tol 1e-3 and delta 1e-8 throughout. The
+systems go to Matrix Market files first. It prints one line per command
+(exit code, sha256 of its stdout and of its stderr) and one per artifact
+(sha256 of everything below its `# generated` line).
+
 Usage: python3 benchmarks/trace_digest.py [--src PATH]
 """
 import os
@@ -45,7 +55,10 @@ import argparse  # noqa: E402
 import collections  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
 
@@ -65,9 +78,6 @@ def systems():
     """(name, system, f_min, f_max) for the three systems."""
     from greedyrat import make_synthetic
 
-    # conftest puts the repository's src/ on sys.path, but greedyrat is
-    # already loaded by then, from --src
-    sys.path.insert(0, os.path.join(ROOT, "tests"))
     from conftest import rlc_line, spring_chain
 
     poles = [1j * f for f in (2, 5, 11, 19, 37, 53, 71, 90)]
@@ -76,6 +86,60 @@ def systems():
         ("line", rlc_line(), 1e7, 1e10),
         ("chain", spring_chain(), 1e-2, 3.0),
     ]
+
+
+def cli_systems():
+    """(name, system, config lines) for the CLI section's three configurations."""
+    from greedyrat import DescriptorSystem
+
+    from conftest import rlc_line, spring_chain
+
+    path = os.path.join(ROOT, "ratbench", "systems.py")
+    spec = importlib.util.spec_from_file_location("ratbench_systems", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return [
+        (
+            "roundtrip",
+            DescriptorSystem(*bench.chain_matrices(0)),
+            "f_min = 1e-3\nf_max = 0.03\ngrid_size = 1000\ntermination = randomized\nn_random = 100\n",
+        ),
+        ("line", rlc_line(), "f_min = 1e7\nf_max = 1e10\ngrid_size = 2000\ntermination = lookahead\n"),
+        ("chain", spring_chain(), "f_min = 1e-2\nf_max = 3\ngrid_size = 2000\ntermination = batch\nn_batch = 5\n"),
+    ]
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_lines(src):
+    """One line per CLI command and per artifact it wrote, run on the package in src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, system, keys in cli_systems():
+            prefix = os.path.join(workdir, name)
+            system.save_matrix_market(prefix)
+            out = os.path.join(workdir, f"{name}_out")
+            config = os.path.join(workdir, f"{name}.cfg")
+            with open(config, "w") as f:
+                f.write(
+                    f"system = {prefix}\n{keys}tol = 1e-3\ndelta = 1e-8\nfitter = loewner\n"
+                    f"seed = 0\noutput_dir = {out}\n"
+                )
+            for command in ("run", "validate", "verify"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "greedyrat.cli", command, config], env=env, capture_output=True
+                )
+                # a message that names a file names it in this temporary directory
+                stdout, stderr = (b.replace(workdir.encode(), b"<dir>") for b in (proc.stdout, proc.stderr))
+                yield f"{name:<10}{command:<9}exit {proc.returncode}  stdout {sha(stdout)}  stderr {sha(stderr)}"
+            for artifact in sorted(os.listdir(out)):
+                with open(os.path.join(out, artifact), "rb") as f:
+                    data = f.read()
+                if data.startswith(b"# generated"):
+                    data = data.split(b"\n", 1)[1]
+                yield f"{name:<10}{artifact:<16}{sha(data)}"
 
 
 def recounted_test_calls(run):
@@ -110,6 +174,10 @@ def main():
     sys.path.insert(0, os.path.abspath(args.src))
     from greedyrat import GreedyConfig, TerminationRule, run_greedy
 
+    # conftest puts the repository's src/ on sys.path, but greedyrat is
+    # already loaded by then, from --src
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+
     # output-only MRI warns once its samples outnumber p*m; not a failure here
     warnings.simplefilter("ignore")
     t0 = time.perf_counter()
@@ -130,8 +198,10 @@ def main():
                     assert test_calls == recounted_test_calls(run), f"{label}: test_calls differ from the store"
                     print(
                         f"{name:<7}{fitter:<8}{kind:<17}{tol:<6g}samples {samples:>3}  "
-                        f"calls {run.oracle_calls:>3}  stop {run.termination_reason:<16}{digest(run)}"
+                        f"calls {run.oracle_calls:>3}  stop {run.termination_reason:<16} {digest(run)}"
                     )
+    for line in cli_lines(os.path.abspath(args.src)):
+        print(line)
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
 
 

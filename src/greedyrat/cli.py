@@ -22,7 +22,9 @@ are not the system's p-by-m. validate's grid solves and verify's probe
 solves are independent, so they run through greedyrat.parallel.map_points,
 which forks workers, at most one per usable CPU, when the first solves'
 times say they would finish sooner; run's solves stay in this process,
-each pick depending on the fit before it.
+each pick depending on the fit before it. A grid point where the pencil is
+singular is a validation.csv row with resonance 1; at such a probe verify
+fails with the error.
 
 Config files are flat ``key = value`` text. The keys are the fields of
 ``GreedyConfig`` and of its ``TerminationRule`` (whose ``kind`` is spelled
@@ -222,7 +224,15 @@ def cmd_validate(args):
             " set OPENBLAS_NUM_THREADS=1 to let it fork a worker per CPU",
             file=_sys.stderr,
         )
-    exact = parallel.map_points(system.eval_transfer, grid)
+
+    def transfer(z):
+        # a resonant grid point is a row of the report, not a failure
+        try:
+            return system.eval_transfer(z)
+        except ResonanceError as exc:
+            return exc
+
+    exact = parallel.map_points(transfer, grid)
     p, m = sur.output_shape
     errors = []  # the eps of each grid point that is not a resonance
 

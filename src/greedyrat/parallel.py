@@ -1,15 +1,17 @@
 """Order-keeping map of independent per-frequency work over the usable CPUs.
 
-``map_points(fn, points)`` returns ``[fn(z) for z in points]``, with a
-``ResonanceError`` raised by ``fn`` in place of its result. The first
-``TIMED_CALLS`` points run in this process and are timed. When the fastest
-of them says a pool would finish the rest sooner, they are cut into equal contiguous chunks, one per worker
-and at most one worker per usable CPU, and each chunk runs in a worker
-forked for this one call. The workers inherit ``fn`` and ``points`` through
-the fork, so ``fn`` may be a closure or a bound method of a large system;
-only chunk bounds and results cross the pipe. Otherwise the same chunk
-function runs in this process: for cheap or few calls, on one usable CPU,
-and wherever forking is not safe.
+``map_points(fn, points)`` returns ``[fn(z) for z in points]``; an
+exception from ``fn`` propagates, the first in point order. What a failed
+point means, such as validate's resonance row, is for the caller's ``fn``
+to say. The first ``TIMED_CALLS`` points run in this process and are
+timed. When the fastest of them says a pool would finish the rest sooner,
+they are cut into equal contiguous chunks, one per worker and at most one
+worker per usable CPU, and each chunk runs in a worker forked for this one
+call. The workers inherit ``fn`` and ``points`` through the fork, so
+``fn`` may be a closure or a bound method of a large system; only chunk
+bounds and results cross the pipe. Otherwise the same chunk function runs
+in this process: for cheap or few calls, on one usable CPU, and wherever
+forking is not safe.
 
 Processes, not threads: scipy's LAPACK wrappers hold the GIL, and two
 threads over 1000 solves of the benchmark's n = 3000 chain took 0.69 s
@@ -33,8 +35,6 @@ calls, would not see it).
 import os
 import sys
 import time
-
-from .errors import ResonanceError
 
 # The pool's estimated cost: FORK_SECONDS per worker for its fork and join,
 # and RESULT_SECONDS per result sent back (pickling, the pipe, copy-on-write
@@ -95,24 +95,18 @@ def _worker_count(count, seconds_per_call):
 
 
 def _chunk(lo, hi):
-    """fn over points[lo:hi], a ResonanceError kept as that point's result."""
+    """fn over points[lo:hi]."""
     fn, points = _work
-    out = []
-    for z in points[lo:hi]:
-        try:
-            out.append(fn(z))
-        except ResonanceError as exc:
-            out.append(exc)
-    return out
+    return [fn(z) for z in points[lo:hi]]
 
 
 def map_points(fn, points):
     """[fn(z) for z in points] in input order, split over the usable CPUs when it pays.
 
-    A ``ResonanceError`` from ``fn`` is returned at its point's position;
-    any other exception propagates. ``points`` must support ``len`` and
-    slicing (a list or a NumPy array). Every worker has exited when this
-    returns or raises.
+    An exception from ``fn`` propagates, the one at the first failing point
+    in point order, whether that point ran here or in a worker. ``points``
+    must support ``len`` and slicing (a list or a NumPy array). Every
+    worker has exited when this returns or raises.
     """
     global _work
     n = len(points)

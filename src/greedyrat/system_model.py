@@ -66,7 +66,10 @@ imaginary parts; the copy of B's window that gbtrs and gttrs overwrite is
 therefore complex128 too.
 """
 import cmath
+import contextlib
 import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,6 +289,30 @@ class _BandedPencil(_OrderedPencil):
         return x
 
 
+# Descriptor 1 is the process's: two threads that swapped it at once could
+# leave it pointing at descriptor 2.
+_FD1_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at descriptor 2 while the block runs.
+
+    At an exactly singular pencil SuperLU's OpenBLAS calls print
+    "** On entry to ZTRSV ... illegal value" lines to descriptor 1 before
+    splu raises, which would mix them into a command's stdout report.
+    """
+    with _FD1_LOCK:
+        sys.stdout.flush()
+        saved = os.dup(1)
+        try:
+            os.dup2(2, 1)
+            yield
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+
+
 class _SparsePencil(_Pencil):
     """SuperLU on the pencil zE - A."""
 
@@ -296,8 +323,10 @@ class _SparsePencil(_Pencil):
         self.E, self.A = E, A
 
     def solve(self, z, rhs):
+        pencil = (z * self.E - self.A).tocsc()
         try:
-            lu = spla.splu((z * self.E - self.A).tocsc())
+            with _stdout_to_stderr():
+                lu = spla.splu(pencil)
         except RuntimeError as exc:
             raise ResonanceError(z, f"sparse LU failed at z = {z}: {exc}") from exc
         _check_pivots(z, lu.U.diagonal())

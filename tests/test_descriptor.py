@@ -160,6 +160,19 @@ def test_exact_pole_raises_resonance_on_every_path(kind, wide):
     assert np.all(np.isfinite(sys.eval_transfer(17.5j)))
 
 
+def test_sparse_exact_pole_keeps_stdout_clean(capfd):
+    # at an exactly singular pencil OpenBLAS, called by SuperLU, prints
+    # "illegal value" lines to file descriptor 1 before splu raises
+    sys = triangular_system(200, True, "sparse")
+    for k in (4, 5):
+        with pytest.raises(ResonanceError) as raised:
+            sys.eval_transfer(1j * k)
+        assert raised.value.z == 1j * k
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert all("illegal value" in line for line in err.splitlines())
+
+
 MISSES_POLES = pytest.mark.xfail(
     raises=AssertionError,
     strict=True,

@@ -7,6 +7,7 @@ from conftest import pin_workers
 from greedyrat import (
     BarycentricSurrogate,
     DescriptorSystem,
+    ResonanceError,
     check_prop1,
     check_prop2,
     make_synthetic,
@@ -121,6 +122,21 @@ def test_prop2_identity(seed):
     rep = check_prop2(sys, sur, pts, 1e-8, gsur=gsur)
     assert max(rep.identity_residuals) <= 1e-10
     assert np.isfinite(rep.delta_max)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prop2_raises_the_first_resonant_probe(monkeypatch, workers):
+    # two probes are exact poles, the second in a later worker's chunk
+    pts = list(1j * np.geomspace(1.0, 100.0, 37))
+    first, second = pts[10], pts[25]
+    sys = make_synthetic([2j, first, 70j, second], 0, m=2, p=2)
+    sur, gsur = fitted_state(sys, 1j * np.array([1.5, 4.0, 9.0, 30.0, 80.0]))
+    pin_workers(monkeypatch, workers)
+    with pytest.raises(ResonanceError) as raised:
+        check_prop2(sys, sur, pts, 1e-8, gsur=gsur)
+    assert raised.value.z == first
+    with pytest.raises(ResonanceError):
+        sys.eval_transfer(second)
 
 
 def test_prop2_identity_output_specialization():
