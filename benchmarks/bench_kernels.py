@@ -30,10 +30,10 @@ last 42 of 400; the chain's ports at both ends need all n). Beside them
 stands the MiB the system holds after its build (tracemalloc). The test
 systems are real, so each is also built from complex128 copies of its
 operands, the twin that returns the same bits from twice the bytes. The
-same two columns, eval_transfer and held MiB, are then taken at the
-benchmark's own sizes: ratbench/systems.py's line (n = 50000, tridiagonal)
-and chain (n = 3000, banded) at seed 0, each at the geometric middle of
-its workload's band (f = 1e8 and 1e-2). Last,
+same three columns, solve_pencil(z, B), eval_transfer and held MiB, are
+then taken at the benchmark's own sizes: ratbench/systems.py's line
+(n = 50000, tridiagonal) and chain (n = 3000, banded) at seed 0, each at
+the geometric middle of its workload's band (f = 1e8 and 1e-2). Last,
 parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
 of the test chain's band [1e-2, 3]: held in-process (one usable CPU),
 pooled (its cost estimate zeroed, so every usable CPU forks a worker for
@@ -180,12 +180,16 @@ def main():
                 )
 
     systems = benchmark_systems()
-    head = f"{'benchmark pencil, seed 0':<34}{'path':>12}{'n':>6}{'eval_transfer':>15}{'held':>9}"
-    print(f"\n{head}\n{'':<52}{'[ms]':>15}{'[MiB]':>9}")
+    head = f"{'benchmark pencil, seed 0':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}"
+    print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}")
     for name, z in (("line", 1e8j), ("chain", 1e-2j)):
         system, held = build_held(systems.GENERATORS[name](0))
+        t_solve = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
         t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
-        print(f"{name:<34}{system.pencil_path:>12}{system.n:>6}{1e3 * t_transfer:>15.3f}{held:>9.3f}")
+        print(
+            f"{name:<34}{system.pencil_path:>12}{system.n:>6}"
+            f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}"
+        )
 
     chain = spring_chain()
     points = 1j * np.geomspace(1e-2, 3.0, 1000)

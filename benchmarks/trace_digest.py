@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""One digest line per greedy run, to show that a change to the driver
-leaves every run bit for bit as it was.
+"""One digest line per greedy run, per pencil solve path and per CLI
+command and artifact, to show that a change leaves every run, solve and
+artifact bit for bit as it was.
 
 The configurations are the six termination rules x {loewner, mri} x three
 systems x tol {1e-3, 1e-6}, grid 2000, max_samples 200: 72 runs. The
@@ -33,6 +34,16 @@ It pins one BLAS thread before numpy loads, because a run's bits can
 depend on the thread count. The digests also depend on the BLAS build,
 so none is stored here to compare against.
 
+The pencils section prints one line per descriptor system: each case of
+tests/test_descriptor.py's PATH_CASES (the four solve paths on the RLC
+line and the spring chain), ratbench/systems.py's line and chain at seed
+0 (loaded from that file, not edited, on their workloads' ranges [1e7,
+1e9] and [1e-3, 0.1]), and the complex twin of each, built from
+complex128 copies of its operands. A line gives the sha256 over the bytes
+of eval_transfer(z) and over those of eval_state_transfer(z) at 12
+geometrically spaced z = i*f on the case's range, and the indices of the
+z at which either raises ResonanceError.
+
 The CLI section then runs `greedyrat run`, `validate` and `verify`, each
 in a child process on the package under --src, on three configurations:
 the cli_roundtrip workload's (ratbench/systems.py's chain at seed 0 on f
@@ -62,6 +73,8 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 RULES = [
@@ -88,16 +101,22 @@ def systems():
     ]
 
 
+def ratbench_systems():
+    """ratbench/systems.py, loaded from its file (ratbench is not a package)."""
+    path = os.path.join(ROOT, "ratbench", "systems.py")
+    spec = importlib.util.spec_from_file_location("ratbench_systems", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
 def cli_systems():
     """(name, system, config lines) for the CLI section's three configurations."""
     from greedyrat import DescriptorSystem
 
     from conftest import rlc_line, spring_chain
 
-    path = os.path.join(ROOT, "ratbench", "systems.py")
-    spec = importlib.util.spec_from_file_location("ratbench_systems", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = ratbench_systems()
     return [
         (
             "roundtrip",
@@ -111,6 +130,41 @@ def cli_systems():
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def pencil_systems():
+    """(name, system, f_min, f_max) for the pencils section, twins included."""
+    from greedyrat import DescriptorSystem
+
+    from test_descriptor import PATH_CASES
+
+    bench = ratbench_systems()
+    cases = [(name, make(), f_min, f_max) for name, (make, (_, f_min, f_max), _) in PATH_CASES.items()]
+    cases += [
+        ("bench line", DescriptorSystem(*bench.line_matrices(0)), 1e7, 1e9),
+        ("bench chain", DescriptorSystem(*bench.chain_matrices(0)), 1e-3, 0.1),
+    ]
+    for name, system, f_min, f_max in cases:
+        yield name, system, f_min, f_max
+        twin = DescriptorSystem(*(M.astype(np.complex128) for M in (system.E, system.A, system.B, system.C)))
+        yield f"{name}, complex", twin, f_min, f_max
+
+
+def pencil_lines():
+    """One line per pencil system: the bytes of H(z) and G(z) at 12 z, and the resonant z."""
+    from greedyrat import ResonanceError
+
+    for name, system, f_min, f_max in pencil_systems():
+        transfer, state, resonant = hashlib.sha256(), hashlib.sha256(), []
+        for k, z in enumerate(1j * np.geomspace(f_min, f_max, 12)):
+            try:
+                H, G = system.eval_transfer(z), system.eval_state_transfer(z)
+            except ResonanceError:
+                resonant.append(k)
+                continue
+            transfer.update(H.tobytes())
+            state.update(G.tobytes())
+        yield f"{name:<30}transfer {transfer.hexdigest()}  state {state.hexdigest()}  resonant {resonant}"
 
 
 def cli_lines(src):
@@ -151,8 +205,6 @@ def recounted_test_calls(run):
 
 def digest(run):
     """sha256 over the run's surrogates, records, samples and solves."""
-    import numpy as np
-
     h = hashlib.sha256()
     for sur in run.surrogates:
         for arr in (sur.support, sur.values, sur.coeffs):
@@ -200,6 +252,8 @@ def main():
                         f"{name:<7}{fitter:<8}{kind:<17}{tol:<6g}samples {samples:>3}  "
                         f"calls {run.oracle_calls:>3}  stop {run.termination_reason:<16} {digest(run)}"
                     )
+    for line in pencil_lines():
+        print(line)
     for line in cli_lines(os.path.abspath(args.src)):
         print(line)
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)

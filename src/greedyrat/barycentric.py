@@ -36,6 +36,8 @@ class BarycentricSurrogate:
             raise ValueError("values must be one p-by-m block per support point")
         if coeffs.size != support.size:
             raise ValueError("one coefficient per support point is required")
+        if not all(np.isfinite(a).all() for a in (support, coeffs, values)):
+            raise ValueError("support points, coefficients and values must be finite")
         if support.size > 1:
             d = np.abs(support[:, None] - support[None, :])
             np.fill_diagonal(d, np.inf)

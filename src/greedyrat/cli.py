@@ -200,7 +200,7 @@ def cmd_run(args):
 
 
 def _finite_real(x):
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    return type(x) in (int, float) and math.isfinite(x)  # JSON's true is a bool, an int subclass
 
 
 def cmd_validate(args):
@@ -317,7 +317,7 @@ def main(argv=None):
     handlers = {"run": cmd_run, "validate": cmd_validate, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, GreedyratError) as exc:
+    except (OSError, GreedyratError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

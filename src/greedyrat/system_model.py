@@ -48,9 +48,14 @@ order from the build on, so a frequency only casts it to complex. Solves
 with any other right-hand side (eval_state_transfer, verify), and H(z) on
 the dense and sparse paths, solve all n rows.
 
-Every path raises ResonanceError when a pivot of U vanishes or falls below
-RCOND_MIN times the largest one; it reads the full factor, so a resonance
-whose pivot lies above the window is caught too.
+solve_pencil raises ResonanceError by one rule on every path: at an
+exactly zero pivot (info > 0 from getrf, gttrf or gbtrf, or SuperLU's
+"exactly singular"; the band paths factor the full band, so above the
+window too), and where its reply Y, C X or X, fails the growth test
+||Y||_1 (|z| ||E||_1 + ||A||_1) RCOND_MIN <= ||C||_1 ||B||_1 (or ||rhs||_1),
+as a non-finite Y does. Its left side over RCOND_MIN times its right
+bounds cond_1(zE - A) from below, up to the bound on ||zE - A||_1 (Higham,
+SIAM 2002); a pole that B and C do not reach may return an inexact H.
 
 A real system stays real. When none of E, A, B and C has a complex type,
 all four are kept as float64 (int and float32 input is promoted), and the
@@ -81,8 +86,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ResonanceError
 
-# Reciprocal-condition estimate below this means the pencil is treated as
-# singular at the queried frequency.
+# A reply whose growth test (see the module docstring) bounds the pencil's
+# reciprocal condition below this is treated as singular at its frequency.
 RCOND_MIN = 1e-14
 
 # Largest half-bandwidth, after the reverse Cuthill-McKee ordering, that a
@@ -121,17 +126,17 @@ def _frozen(M):
     return M
 
 
-def _check_info(info, routine):
-    """Raise ValueError when a LAPACK routine reports an illegal argument."""
+def _check_info(info, routine, z=None):
+    """Raise ValueError on an illegal argument, ResonanceError(z) on a zero pivot."""
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
-
-
-def _check_pivots(z, diag):
-    """Raise ResonanceError when U's diagonal says the pencil is singular at z."""
-    du = np.abs(diag)
-    if du.min() <= RCOND_MIN * max(du.max(), 1e-300):
+    if info > 0:
         raise ResonanceError(z)
+
+
+def _norm1(M):
+    """The 1-norm of a sparse or dense M: its largest column sum of |M|."""
+    return float(np.asarray(abs(M).sum(axis=0)).max(initial=0.0))
 
 
 class _Pencil:
@@ -160,13 +165,12 @@ class _DensePencil(_Pencil):
     def solve(self, z, rhs):
         P = z * self.E - self.A
         # LAPACK getrf directly rather than lu_factor: lu_factor warns on an
-        # exactly singular pencil, which the pivot check below reports as a
+        # exactly singular pencil, whose zero pivot _check_info reports as a
         # ResonanceError, and silencing that warning per call would reset
         # every once-per-location warning filter in the process.
         getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (P,))
         lu, piv, info = getrf(P, overwrite_a=True)
-        _check_info(info, "getrf")
-        _check_pivots(z, np.diag(lu))
+        _check_info(info, "getrf", z)
         return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
@@ -244,8 +248,7 @@ class _TridiagonalPencil(_OrderedPencil):
         dl, d, du, du2, ipiv, info = self.gttrf(
             dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )
-        _check_info(info, "gttrf")
-        _check_pivots(z, d)
+        _check_info(info, "gttrf", z)
         return dl, d, du, du2, ipiv
 
     def _solve(self, factors, b, w):
@@ -276,10 +279,8 @@ class _BandedPencil(_OrderedPencil):
         )
 
     def _factor(self, z):
-        kl, ku = self.kl, self.ku
-        lu, piv, info = self.gbtrf(self.band.assemble(z), kl, ku, overwrite_ab=True)
-        _check_info(info, "gbtrf")
-        _check_pivots(z, lu[kl + ku])
+        lu, piv, info = self.gbtrf(self.band.assemble(z), self.kl, self.ku, overwrite_ab=True)
+        _check_info(info, "gbtrf", z)
         return lu, piv
 
     def _solve(self, factors, b, w):
@@ -329,7 +330,6 @@ class _SparsePencil(_Pencil):
                 lu = spla.splu(pencil)
         except RuntimeError as exc:
             raise ResonanceError(z, f"sparse LU failed at z = {z}: {exc}") from exc
-        _check_pivots(z, lu.U.diagonal())
         return lu.solve(np.asarray(rhs, dtype=np.complex128))
 
 
@@ -469,10 +469,9 @@ class DescriptorSystem:
         if C.shape[1] != n:
             raise ValueError(f"C has {C.shape[1]} columns, expected {n}")
         self.E, self.A, self.B, self.C = E, A, B, C
-        self.n = n
-        self.m = B.shape[1]
-        self.p = C.shape[0]
+        self.n, self.m, self.p = n, B.shape[1], C.shape[0]
         self._pencil = _analyse_pencil(E, A, B, C)
+        self._norm_e, self._norm_a, self._norm_b, self._norm_c = (_norm1(M) for M in (E, A, B, C))
 
     @staticmethod
     def _as_square(M, name, dtype):
@@ -497,21 +496,28 @@ class DescriptorSystem:
         return self._pencil.kind
 
     def solve_pencil(self, z, rhs=None):
-        """Solve (zE - A) X = rhs with a cheap singularity guard.
+        """Solve (zE - A) X = rhs, raising ResonanceError where it is singular.
 
         Without rhs, solve for the system's own B and return C X, p-by-m:
         on the band paths only the rows C reads are solved for (see the
         module docstring). z is taken as complex, so X is complex128 on a
         real system too. A z with an infinite or NaN part raises
         ValueError before any arithmetic: the band paths keep the rows of
-        zE - A that z does not touch, which would stay finite.
+        zE - A that z does not touch, which would stay finite. The reply
+        passes the module docstring's growth test or raises.
         """
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"z = {z} is not finite")
         if rhs is None:
-            return self._pencil.transfer(z)
-        return self._pencil.solve(z, rhs)
+            Y, bound = self._pencil.transfer(z), self._norm_c * self._norm_b
+        else:
+            Y = self._pencil.solve(z, rhs)
+            bound = self._norm_b if rhs is self.B else _norm1(np.asarray(rhs))
+        # written so that a NaN on the left fails it
+        if not _norm1(Y) * (abs(z) * self._norm_e + self._norm_a) * RCOND_MIN <= bound:
+            raise ResonanceError(z)
+        return Y
 
     def eval_transfer(self, z):
         """H(z) = C (zE - A)^{-1} B as a dense p-by-m array."""

@@ -152,6 +152,17 @@ def test_rejects_unnormalized_coeffs():
         BarycentricSurrogate([0.0, 1.0], np.zeros((2, 1, 1)), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("part", ["support", "coeffs", "values"])
+def test_rejects_non_finite_input(part, bad):
+    args = {"support": [1j, 2j], "values": np.ones((2, 1, 1)), "coeffs": np.array([1.0, 1.0]) / np.sqrt(2)}
+    arr = np.array(args[part], dtype=np.complex128)
+    arr.flat[0] = bad
+    args[part] = arr
+    with pytest.raises(ValueError, match="finite"):
+        BarycentricSurrogate(**args)
+
+
 def test_warns_on_near_zero_coefficient():
     with pytest.warns(UserWarning, match="near-zero"):
         BarycentricSurrogate([0.0, 1.0], np.zeros((2, 1, 1)), [1.0, 1e-16])

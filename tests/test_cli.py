@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from dataclasses import fields
@@ -178,6 +179,42 @@ def test_readme_config_block_names_every_config_key(tmp_path):
 def test_missing_files_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, str(tmp_path / "nope"))
     assert main(["run", cfg]) == 1
+
+
+@pytest.mark.parametrize("key", ["coeffs", "support"])
+def test_a_surrogate_with_a_nan_exits_1(synthetic_setup, capsys, key):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    assert main(["run", cfg]) == 0
+    path = tmp_path / "out" / "surrogate.json"
+    d = json.loads(path.read_text())
+    d[key][0][0] = math.nan
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["validate", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot load {path}: ") and "finite" in err
+
+
+def test_a_directory_for_the_surrogate_exits_1(synthetic_setup, capsys):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    (tmp_path / "a_dir").mkdir()
+    assert main(["validate", cfg, str(tmp_path / "a_dir")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "a_dir") in err
+    assert len(err.splitlines()) == 1
+
+
+def test_an_output_dir_that_is_a_file_exits_1(synthetic_setup, capsys):
+    tmp_path, prefix = synthetic_setup
+    (tmp_path / "taken").write_text("")
+    cfg = write_config(tmp_path, prefix, output_dir=str(tmp_path / "taken"))
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "taken") in err
+    assert len(err.splitlines()) == 1
 
 
 NOT_MTX = "not a matrix market file\n"
@@ -392,7 +429,7 @@ def test_validate_prints_the_effectivity_after_the_grid_maximum(synthetic_setup,
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
-@pytest.mark.parametrize("value", [0, -1.0, None, "1e-3"])
+@pytest.mark.parametrize("value", [0, -1.0, None, "1e-3", True])
 def test_validate_prints_no_effectivity_for_an_unusable_estimator_value(synthetic_setup, capsys, value):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix)
@@ -407,7 +444,7 @@ def test_validate_prints_no_effectivity_for_an_unusable_estimator_value(syntheti
     assert line.startswith("max adjusted relative error over the grid: ")
 
 
-@pytest.mark.parametrize("anchor", [None, [1, 2, 3], "x"])
+@pytest.mark.parametrize("anchor", [None, [1, 2, 3], "x", [True, False]])
 def test_validate_draws_no_eta_for_a_malformed_estimator_anchor(synthetic_setup, capsys, anchor):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix)

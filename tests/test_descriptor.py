@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from conftest import densified, long_range, random_pairs, rlc_line, spring_chain
 from greedyrat import (
@@ -173,23 +174,10 @@ def test_sparse_exact_pole_keeps_stdout_clean(capfd):
     assert all("illegal value" in line for line in err.splitlines())
 
 
-MISSES_POLES = pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="ROADMAP item 4: the pivot ratio misses 44 of the 200 exact poles "
-    "of the banded system and 137j of the sparse one",
-)
+KINDS = ["tridiagonal", "banded", "sparse", "dense"]
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "tridiagonal",
-        pytest.param("banded", marks=MISSES_POLES),
-        pytest.param("sparse", marks=MISSES_POLES),
-        "dense",
-    ],
-)
+@pytest.mark.parametrize("kind", KINDS)
 def test_every_exact_pole_raises_resonance(kind):
     sys = triangular_system(200, kind in ("sparse", "dense"), kind)
     assert sys.pencil_path == kind
@@ -202,6 +190,78 @@ def test_every_exact_pole_raises_resonance(kind):
         else:
             missed.append(k)
     assert missed == []
+
+
+def rcm_order(sys):
+    """The states in the reverse Cuthill-McKee order of E's and A's union pattern."""
+    union = abs(sp.csc_matrix(sys.E)) + abs(sp.csc_matrix(sys.A))
+    return reverse_cuthill_mckee((union + union.T).tocsr(), symmetric_mode=True)
+
+
+# At an exact pole that B and C do not reach the pencil is singular, but
+# the growth test sees only the reply. On the banded path X grows to 2e16
+# and 3e16 in rows C does not read, and H is off by 1.4 and 1.2 relative
+# (ports first and middle in RCM order, at 99j and 199j; the pivot ratio
+# missed these too). On the sparse path SuperLU leaves a tiny nonzero
+# pivot and a bounded X, and H is off by up to 5.9e-4 relative (at 126j,
+# 163j and 173j), where the pivot ratio raised.
+MISSES_HIDDEN_POLES = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 13: the growth test misses a singular pencil whose "
+    "growth C does not read",
+)
+
+
+@pytest.mark.parametrize(
+    "kind,position",
+    [
+        (kind, position)
+        if kind in ("tridiagonal", "dense") or position == "last"
+        else pytest.param(kind, position, marks=MISSES_HIDDEN_POLES)
+        for kind in KINDS
+        for position in ("first", "middle", "last")
+    ],
+)
+def test_single_state_port_resonates_only_where_it_must(kind, position):
+    # with B = C.T = e_s, H(z) = 1/(z - a_ss) for the triangular A: the
+    # pencil's other exact poles are out of reach of the ports, so there
+    # a reply either raises or is that reduced transfer function
+    full = triangular_system(200, kind in ("sparse", "dense"), kind)
+    order = rcm_order(full)
+    s = order[{"first": 0, "middle": order.size // 2, "last": -1}[position]]
+    port = np.zeros((full.n, 1))
+    port[s] = 1.0
+    sys = DescriptorSystem(full.E, full.A, port, port.T)
+    assert sys.pencil_path == kind
+    a_ss = 1j * (s + 1)
+    with pytest.raises(ResonanceError) as err:
+        sys.eval_transfer(a_ss)
+    assert err.value.z == a_ss
+    for k in range(1, 201):
+        z = 1j * k
+        if z == a_ss:
+            continue
+        try:
+            h = sys.eval_transfer(z)
+        except ResonanceError as err:
+            assert err.z == z
+        else:
+            assert abs(h[0, 0] - 1 / (z - a_ss)) <= 1e-12 * abs(1 / (z - a_ss))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_ports_and_zero_right_hand_sides_give_zeros(kind):
+    # the growth test compares 0 with 0 there, and passes
+    full = triangular_system(200, kind in ("sparse", "dense"), kind)
+    n, z = full.n, 17.5j
+    zero_b = DescriptorSystem(full.E, full.A, np.zeros((n, 1)), full.C)
+    zero_c = DescriptorSystem(full.E, full.A, full.B, np.zeros((1, n)))
+    for sys in (zero_b, zero_c):
+        assert sys.pencil_path == kind
+        assert np.array_equal(sys.eval_transfer(z), np.zeros((1, 1)))
+    assert np.array_equal(zero_b.eval_state_transfer(z), np.zeros((n, 1)))
+    assert np.array_equal(full.solve_pencil(z, np.zeros((n, 2))), np.zeros((n, 2)))
 
 
 @pytest.mark.parametrize("kind", ["tridiagonal", "banded"])
