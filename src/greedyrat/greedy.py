@@ -88,9 +88,12 @@ class TerminationRule:
                 f"unknown termination kind {self.kind!r}; "
                 f"expected one of {', '.join(TERMINATION_KINDS)}"
             )
-        count = {"lookahead_memory": "n_memory", "batch": "n_batch", "randomized": "n_random"}.get(self.kind)
-        if count and getattr(self, count) < 1:
-            raise ValueError(f"{count} must be >= 1")
+        if self.kind == "lookahead_memory" and self.n_memory < 1:
+            raise ValueError("n_memory must be >= 1")
+        if self.kind == "batch" and self.n_batch < 1:
+            raise ValueError("n_batch must be >= 1")
+        if self.kind == "randomized" and self.n_random < 1:
+            raise ValueError("n_random must be >= 1")
         if self.kind == "density" and self.min_gap <= 0:
             raise ValueError("min_gap must be positive")
 
@@ -169,7 +172,8 @@ def build_test_grid(cfg):
 
 def adjusted_relative_error(exact, approx, delta):
     """||approx - exact||_F / (||exact||_F + delta)."""
-    exact, approx = np.asarray(exact), np.asarray(approx)
+    exact = np.asarray(exact)
+    approx = np.asarray(approx)
     return float(np.linalg.norm(approx - exact) / (np.linalg.norm(exact) + delta))
 
 

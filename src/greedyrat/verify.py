@@ -114,7 +114,9 @@ def check_prop1(sys, sur, zs, gsur=None):
     rhs_norm = np.linalg.norm(rhs)
     b_norm = np.linalg.norm(sys.B)
     terms = sum(abs(q) * np.linalg.norm(sys.E @ G) for q, G in zip(sur.coeffs, gsur.values))
-    absq, prods, ident = [], [], []
+    absq = []
+    prods = []
+    ident = []
     for z in zs:
         q = sur.eval_denominator(z)
         r, rho = _residual(sys, gsur, z, b_norm)
@@ -139,7 +141,9 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
     """eps * |Q| = Delta pointwise; also reports max Delta over zs."""
     gsur = gsur or state_surrogate(sur, sys)
     btilde = _coeff_state_sum(sys, sur, gsur)
-    deltas, residuals, errs = [], [], []
+    deltas = []
+    residuals = []
+    errs = []
     rhs = np.hstack([sys.B, btilde])
 
     def outputs(z):
