@@ -9,9 +9,9 @@ they are cut into equal contiguous chunks, one per worker and at most one
 worker per usable CPU, and each chunk runs in a worker forked for this one
 call. The workers inherit ``fn`` and ``points`` through the fork, so
 ``fn`` may be a closure or a bound method of a large system; only chunk
-bounds and results cross the pipe. Otherwise the same chunk function runs
-in this process: for cheap or few calls, on one usable CPU, and wherever
-forking is not safe.
+bounds and results cross the pipe. Otherwise ``fn`` runs over the rest
+here: for cheap or few calls, on one usable CPU, and wherever forking is
+unsafe. That path reads no shared state, so two threads may map at once.
 
 Processes, not threads: scipy's LAPACK wrappers hold the GIL, and two
 threads over 1000 solves of the benchmark's n = 3000 chain took 0.69 s
@@ -54,7 +54,8 @@ RESULT_SECONDS = 1.1e-5
 # the benchmark chain), and a single call can be preempted.
 TIMED_CALLS = 3
 
-# (fn, points) of the map_points call in progress; forked workers read it.
+# (fn, points) for the workers of the pool in progress, set just before it
+# forks, which it does only while no other thread runs (see fork_is_safe).
 _work = None
 
 
@@ -95,7 +96,7 @@ def _worker_count(count, seconds_per_call):
 
 
 def _chunk(lo, hi):
-    """fn over points[lo:hi]."""
+    """fn over points[lo:hi], in a forked worker."""
     fn, points = _work
     return [fn(z) for z in points[lo:hi]]
 
@@ -110,33 +111,31 @@ def map_points(fn, points):
     """
     global _work
     n = len(points)
+    head, seconds = [], []
+    for z in points[:TIMED_CALLS]:
+        start = time.perf_counter()
+        head.append(fn(z))
+        seconds.append(time.perf_counter() - start)
+    done = len(head)
+    workers = _worker_count(n - done, min(seconds, default=0.0))
+    if workers <= 1:
+        return head + [fn(z) for z in points[done:]]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [done + (n - done) * w // workers for w in range(workers + 1)]
+    context = multiprocessing.get_context("fork")
     _work = (fn, points)
     try:
-        head, seconds = [], []
-        for k in range(min(n, TIMED_CALLS)):
-            start = time.perf_counter()
-            head += _chunk(k, k + 1)
-            seconds.append(time.perf_counter() - start)
-        done = len(head)
-        workers = _worker_count(n - done, min(seconds, default=0.0))
-        if workers <= 1:
-            return head + _chunk(done, n)
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [done + (n - done) * w // workers for w in range(workers + 1)]
-        context = multiprocessing.get_context("fork")
-        try:
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = [pool.submit(_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-                return head + [r for future in futures for r in future.result()]
-        finally:
-            # The executor has joined its threads, but the kernel lists each
-            # for a few ms more (0.7-7.7 ms measured): wait, also when fn
-            # raised, so that the next call finds this process
-            # single-threaded again and may fork.
-            deadline = time.monotonic() + 0.05
-            while not fork_is_safe() and time.monotonic() < deadline:
-                time.sleep(0.0005)
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            return head + [r for future in futures for r in future.result()]
     finally:
         _work = None
+        # The executor has joined its threads, but the kernel lists each
+        # for a few ms more (0.7-7.7 ms measured): wait, also when fn
+        # raised, so that the next call finds this process
+        # single-threaded again and may fork.
+        deadline = time.monotonic() + 0.05
+        while not fork_is_safe() and time.monotonic() < deadline:
+            time.sleep(0.0005)

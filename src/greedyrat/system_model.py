@@ -51,14 +51,15 @@ the dense and sparse paths, solve all n rows.
 solve_pencil raises ResonanceError on every path at an exactly zero
 pivot (info > 0 from getrf, gttrf or gbtrf, or SuperLU's "exactly
 singular"; the band paths factor the full band, so above the window too),
-and where its reply Y, C X or X, fails the growth test
-||Y||_1 (|z| ||E||_1 + ||A||_1) RCOND_MIN <= ||C||_1 ||B||_1 (or ||rhs||_1),
-as a non-finite Y does. Its left side over RCOND_MIN times its right
+and where the rows X it solved (H's window, or all n) fail the growth test
+||X||_1 (|z| ||E||_1 + ||A||_1) RCOND_MIN <= ||B||_1 (or ||rhs||_1), as
+non-finite rows do; only then is C X formed. Since ||X||_1 <=
+||(zE - A)^{-1}||_1 ||B||_1, the left side over RCOND_MIN times the right
 bounds cond_1(zE - A) from below, up to the bound on ||zE - A||_1 (Higham,
-SIAM 2002). The test reads only the reply, so at a pole that B and C do
-not reach it can pass an inexact H. The banded and sparse paths, where it
-does so, also raise when a pivot of U falls below RCOND_MIN times the
-largest one; no probe has found such a reply on the other two.
+SIAM 2002). At a pole that B and C do not reach, X can stay bounded and
+be wrong, so the test can pass an inexact H. The banded and sparse paths,
+where it does so, also raise when a pivot of U falls below RCOND_MIN times
+the largest one, which refuses most such H; no probe found one elsewhere.
 
 A real system stays real. When none of E, A, B and C has a complex type,
 all four are kept as float64 (int and float32 input is promoted), and the
@@ -89,9 +90,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ResonanceError
 
-# A reply whose growth test (see the module docstring) bounds the pencil's
-# reciprocal condition below this, or a banded or sparse factor whose
-# pivot ratio falls below it, is treated as singular at its frequency.
+# Solved rows whose growth test (see the module docstring) bounds the
+# pencil's reciprocal condition below this, or a banded or sparse factor
+# whose pivot ratio falls below it, make the pencil singular at that z.
 RCOND_MIN = 1e-14
 
 # Largest half-bandwidth, after the reverse Cuthill-McKee ordering, that a
@@ -154,17 +155,18 @@ def _norm1(M):
 
 
 class _Pencil:
-    """A factorizer for one system: solve(z, rhs) gives X, transfer(z) gives C X.
+    """A factorizer for one system: solve(z, rhs) gives X, window(z) the rows C reads.
 
-    The base transfer solves all n rows for the system's own B; the band
-    paths override it with the trailing-window solve.
+    window(z) solves for the system's own B and returns those rows of X
+    with the columns of C that read them; the base solves all n rows, and
+    the band paths override it with the trailing-window solve.
     """
 
     def __init__(self, B, C):
         self.B, self.C = B, C
 
-    def transfer(self, z):
-        return self.C @ self.solve(z, self.B)
+    def window(self, z):
+        return self.solve(z, self.B), self.C
 
 
 class _DensePencil(_Pencil):
@@ -194,14 +196,14 @@ class _OrderedPencil(_Pencil):
     Subclasses factor the permuted pencil (``_factor``) and solve with the
     factors' rows from w on (``_solve(factors, b, w)``, which takes that
     window itself and returns LAPACK's Fortran-ordered solution); solve
-    passes 0, transfer the window's w. A right-hand side is gathered into
+    passes 0, window the window's w. A right-hand side is gathered into
     the RCM order and the solution back out of it by ``np.take``. The
-    transfer window starts at row w, kl rows above the first RCM position
-    that B or C touches (see the module docstring). The system's own B is
-    kept gathered into the RCM order and cut to the window, in the
-    system's dtype, so transfer(z) only casts it to the complex128 copy
-    the LAPACK solve overwrites; when w is 0 it solves all n rows and
-    gathers the solution back, as solve(z, B) does.
+    window starts at row w, kl rows above the first RCM position that B
+    or C touches (see the module docstring). The system's own B is kept
+    gathered into the RCM order and cut to the window, in the system's
+    dtype, so window(z) only casts it to the complex128 copy the LAPACK
+    solve overwrites; C is cut to the same columns. When w is 0, C stays
+    whole and window(z) gathers the solution back, as solve(z, B) does.
     """
 
     def __init__(self, B, C, perm, inv, kl, min_rows):
@@ -213,8 +215,7 @@ class _OrderedPencil(_Pencil):
         self.w = int(min(max(first - kl, 0), perm.size - min_rows))
         rows = perm[self.w :]
         self.b_w = B[rows]
-        if self.w:
-            self.c_w = np.ascontiguousarray(C[:, rows])
+        self.c_w = np.ascontiguousarray(C[:, rows]) if self.w else C
 
     def _unpermute(self, x):
         # x.T is C-contiguous, so this gathers whole rows and returns x's
@@ -228,11 +229,9 @@ class _OrderedPencil(_Pencil):
         b = np.take(rhs, self.perm, axis=0).reshape(self.perm.size, -1)
         return self._unpermute(self._solve(factors, b, 0)).reshape(rhs.shape)
 
-    def transfer(self, z):
+    def window(self, z):
         x = self._solve(self._factor(z), self.b_w.astype(np.complex128, order="F"), self.w)
-        # a window sums C X over its rows in the RCM order; the full n keeps
-        # C in its own order, so C X is summed as C @ solve(z, B) sums it
-        return self.c_w @ x if self.w else self.C @ self._unpermute(x)
+        return (x if self.w else self._unpermute(x)), self.c_w
 
 
 class _TridiagonalPencil(_OrderedPencil):
@@ -425,7 +424,7 @@ def _analyse_pencil(E, A, B, C):
 
     A pattern too wide for the band paths goes to SuperLU when E and A
     are both sparse and to getrf otherwise. B and C are the system's own,
-    which the factorizer's transfer(z) solves for.
+    which the factorizer's window(z) solves for and returns.
     """
     sparse = sp.issparse(E) and sp.issparse(A)
     if not sparse:
@@ -490,7 +489,7 @@ class DescriptorSystem:
         self.m = B.shape[1]
         self.p = C.shape[0]
         self._pencil = _analyse_pencil(E, A, B, C)
-        self._norm_e, self._norm_a, self._norm_b, self._norm_c = (_norm1(M) for M in (E, A, B, C))
+        self._norm_e, self._norm_a, self._norm_b = (_norm1(M) for M in (E, A, B))
 
     @staticmethod
     def _as_square(M, name, dtype):
@@ -522,21 +521,23 @@ class DescriptorSystem:
         module docstring). z is taken as complex, so X is complex128 on a
         real system too. A z with an infinite or NaN part raises
         ValueError before any arithmetic: the band paths keep the rows of
-        zE - A that z does not touch, which would stay finite. The reply
-        passes the module docstring's growth test or raises.
+        zE - A that z does not touch, which would stay finite. The rows
+        solved must pass the module docstring's growth test before C X is formed.
         """
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"z = {z} is not finite")
         if rhs is None:
-            Y, bound = self._pencil.transfer(z), self._norm_c * self._norm_b
+            X, C = self._pencil.window(z)
         else:
-            Y = self._pencil.solve(z, rhs)
-            bound = self._norm_b if rhs is self.B else _norm1(np.asarray(rhs))
+            X = self._pencil.solve(z, rhs)
+        bound = self._norm_b if rhs is None or rhs is self.B else _norm1(np.asarray(rhs))
         # written so that a NaN on the left fails it
-        if not _norm1(Y) * (abs(z) * self._norm_e + self._norm_a) * RCOND_MIN <= bound:
+        if not _norm1(X) * (abs(z) * self._norm_e + self._norm_a) * RCOND_MIN <= bound:
             raise ResonanceError(z)
-        return Y
+        # a band window sums C X over its rows in the RCM order; all n rows
+        # come back in the system's order, so C X is summed as C @ solve(z, B)
+        return C @ X if rhs is None else X
 
     def eval_transfer(self, z):
         """H(z) = C (zE - A)^{-1} B as a dense p-by-m array."""

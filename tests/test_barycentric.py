@@ -37,6 +37,9 @@ def test_reproduces_fitted_rational():
 def test_denominator_single_node():
     sur = BarycentricSurrogate([0.0], np.array([[[1.0]]]), [1.0])
     assert sur.eval_denominator(2.0) == pytest.approx(0.5)
+    # Q = 1/z has no finite root, and the arrowhead needs two nodes
+    with pytest.raises(ValueError, match="at least two support points"):
+        sur.denominator_roots()
 
 
 def test_denominator_symmetric_root():
@@ -145,6 +148,19 @@ def test_root_consistency_and_degree_bound(seed):
 def test_rejects_duplicate_support():
     with pytest.raises(ValueError, match="distinct"):
         BarycentricSurrogate([1.0, 1.0], np.zeros((2, 1, 1)), np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "values,coeffs,match",
+    [
+        (np.zeros((2, 1)), [0.6, 0.8], "one p-by-m block per support point"),
+        (np.zeros((3, 1, 1)), [0.6, 0.8], "one p-by-m block per support point"),
+        (np.zeros((2, 1, 1)), [1.0], "one coefficient per support point"),
+    ],
+)
+def test_rejects_mismatched_shapes(values, coeffs, match):
+    with pytest.raises(ValueError, match=match):
+        BarycentricSurrogate([0.0, 1.0], values, coeffs)
 
 
 def test_rejects_unnormalized_coeffs():

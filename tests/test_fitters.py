@@ -66,6 +66,19 @@ def test_fit_rejects_repeated_frequencies(method):
             fit(samples, method)
 
 
+@pytest.mark.parametrize(
+    "samples,method,match",
+    [
+        ([], "loewner", "at least one sample"),
+        ([], "mri", "at least one sample"),
+        ([FrequencySample(1j, [[1.0]])], "aaa", "unknown fitter 'aaa'"),
+    ],
+)
+def test_fit_rejects_no_samples_and_unknown_methods(samples, method, match):
+    with pytest.raises(ValueError, match=match):
+        fit(samples, method)
+
+
 def sample_arrays(zs):
     """SampleArrays at zs, in the order given, of a 3 x 3 rational function:
     9 entries a sample, so MRI fits up to 9 samples without a warning."""

@@ -192,6 +192,8 @@ def test_next_point_grid_exhausted():
     sur = BarycentricSurrogate([1j], np.array([[[1.0]]]), [1.0])
     with pytest.raises(GridExhaustedError):
         next_point(reference_indicator(sur, grid, {1j, 2j}))
+    with pytest.raises(GridExhaustedError, match="empty test grid"):
+        next_point(np.array([]))
 
 
 def test_batch_monotone_indicator_single_max():

@@ -118,6 +118,47 @@ def test_a_process_running_threads_forks_no_worker(monkeypatch):
     assert not thread.is_alive()
 
 
+def test_two_threads_map_at_once_without_mixing():
+    # thread a stops in its first call until b's first call has started,
+    # and b's waits until a has finished: a runs its other calls while b's
+    # map is in progress, and b its others after a's has returned
+    a_waiting, b_started, a_done = threading.Event(), threading.Event(), threading.Event()
+    out = {}
+
+    def fn_a(z):
+        if z == POINTS[0]:
+            a_waiting.set()
+            assert b_started.wait(10)
+        return "a", z
+
+    def fn_b(z):
+        if z == POINTS[0]:
+            b_started.set()
+            assert a_done.wait(10)
+        return "b", z
+
+    def map_a():
+        try:
+            out["a"] = map_points(fn_a, POINTS)
+        finally:
+            a_done.set()
+
+    thread = threading.Thread(target=map_a)
+    thread.start()
+    try:
+        assert a_waiting.wait(10)
+        out["b"] = map_points(fn_b, POINTS)
+    finally:
+        b_started.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert out == {name: [(name, z) for z in POINTS] for name in "ab"}
+    # the kernel lists a joined thread for a few ms more; the next test forks
+    deadline = time.monotonic() + 1.0
+    while not parallel.fork_is_safe() and time.monotonic() < deadline:
+        time.sleep(0.0005)
+
+
 def test_back_to_back_pools_fork_without_a_warning(monkeypatch):
     # Python 3.12 and later warn when os.fork runs beside other threads,
     # and CPython swallows that warning even under -W error: record it

@@ -82,6 +82,8 @@ def test_dimension_mismatch_rejected():
         DescriptorSystem(np.eye(3), np.eye(3), np.ones((3, 1)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="E is"):
         DescriptorSystem(np.eye(2), np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match=r"A is \(3, 2\), not square"):
+        DescriptorSystem(None, np.ones((3, 2)), np.ones((3, 1)), np.ones((1, 3)))
 
 
 def test_frequency_sample_rejects_nonfinite():
