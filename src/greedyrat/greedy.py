@@ -128,6 +128,14 @@ class GreedyConfig:
             raise ValueError("seed must be nonnegative")
         if self.fitter not in ("loewner", "mri"):
             raise ValueError(f"unknown fitter {self.fitter!r}")
+        # the grid is densest against the snap tolerance at its first two
+        # points; where they collide, a sample bans its neighbours with it
+        z0, z1 = build_test_grid(self)[:2]
+        if kernels._collides(abs(z1 - z0), z0):
+            raise ValueError(
+                f"the first two of the grid_size {self.grid_size} points on [f_min, f_max] "
+                "coincide under the snap tolerance"
+            )
 
 
 @dataclass

@@ -94,6 +94,16 @@ def test_nan_tolerance_is_a_config_error(synthetic_setup, capsys):
     assert err.startswith("error:") and "tol must be finite" in err
 
 
+def test_a_range_the_grid_cannot_resolve_is_a_config_error(synthetic_setup, capsys):
+    # the run used to stop with GridExhaustedError after its first solve
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, f_max=1.0 + 1e-13)
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid_size 1000 points on" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_is_a_config_error(synthetic_setup, capsys):
     # numpy's default_rng rejects a negative seed only when randomized draws
     tmp_path, prefix = synthetic_setup

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import densified, long_range, random_pairs, rlc_line, spring_chain
@@ -211,23 +212,14 @@ def test_every_exact_pole_raises_resonance(kind):
     assert missed == []
 
 
-# At an exact pole that B and C do not reach the pencil is singular, but
-# the growth test sees only the rows solved for H and the pivot ratio
-# only U's diagonal. X can stay bounded there and be wrong: banded state
-# 73 (RCM position 126) is off by 0.49 to 0.83 relative at 75j, 76j and
-# 77j, and sparse state 33 by 1.3e-8 at 137j.
-MISSES_HIDDEN_POLES = pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="ROADMAP item 13: neither the growth test nor the pivot ratio sees "
-    "every singular pencil whose growth the solved rows do not show",
-)
-
-
+# banded state 73 (RCM position 126) and sparse state 33: at 75j to 77j
+# and at 137j the pencil is singular, yet B's column stays in its range, so
+# X is bounded and wrong (H off by up to 0.83 and by 1.3e-8 relative)
+# unless the solve's random column refuses the pencil
 @pytest.mark.parametrize(
     "kind,position",
     [(kind, position) for kind in KINDS for position in ("first", "middle", "last")]
-    + [pytest.param(kind, s, marks=MISSES_HIDDEN_POLES) for kind, s in (("banded", 73), ("sparse", 33))],
+    + [("banded", 73), ("sparse", 33)],
 )
 def test_single_state_port_resonates_only_where_it_must(kind, position):
     # with B = C.T = e_s, H(z) = 1/(z - a_ss) for the triangular A: the
@@ -258,6 +250,36 @@ def test_single_state_port_resonates_only_where_it_must(kind, position):
             assert err.z == z
         else:
             assert abs(h[0, 0] - 1 / (z - a_ss)) <= 1e-12 * abs(1 / (z - a_ss))
+
+
+# trace_digest.py's 8-pole system beside the PATH_CASES
+REGULAR_CASES = {
+    **PATH_CASES,
+    "8-pole": (
+        lambda: make_synthetic(1j * np.array([2, 5, 11, 19, 37, 53, 71, 90.0]), 1, m=2, p=2),
+        (None, 1.0, 100.0),
+        "tridiagonal",
+    ),
+}
+
+
+# the driver's grid size on the band paths, coarser on the slower ones
+REGULAR_GRID = {"tridiagonal": 2000, "banded": 2000, "sparse": 60, "dense": 15}
+
+
+# line-dense and chain-dense are left out: they solve with the bits of
+# line-tridiagonal and chain-banded
+@pytest.mark.parametrize("case", [c for c in REGULAR_CASES if c not in ("line-dense", "chain-dense")])
+def test_no_regular_point_is_refused(case):
+    # the pencil is regular at every grid point and geometric midpoint, so
+    # no solve may raise there
+    make, (_, f_min, f_max), path = REGULAR_CASES[case]
+    sys = make()
+    assert sys.pencil_path == path
+    f = np.geomspace(f_min, f_max, REGULAR_GRID[path])
+    for z in 1j * np.concatenate([f, np.sqrt(f[:-1] * f[1:])]):
+        sys.eval_transfer(z)
+        sys.eval_state_transfer(z)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -419,17 +441,38 @@ def test_real_system_has_the_bits_of_its_complex_twin(case):
     # gttrs/gbtrs overwrite is complex on both
     if hasattr(sys._pencil, "b_w"):
         assert sys._pencil.b_w.dtype == np.float64 and twin._pencil.b_w.dtype == np.complex128
+    # the random column is real on both, so both solve for the same bits
+    assert sys._pencil.R.dtype == twin._pencil.R.dtype == np.float64
+    assert sys._pencil.R.tobytes() == twin._pencil.R.tobytes()
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal((sys.n, 3)) + 1j * rng.standard_normal((sys.n, 3))
-    for z in 1j * np.geomspace(f_min, f_max, 6):
+
+    def reply(solve, s):
+        """The bytes of solve(s), which is complex128, or None where it raises."""
+        try:
+            got = solve(s)
+        except ResonanceError:
+            return None
+        assert got.dtype == np.complex128
+        return got.tobytes()
+
+    # besides the grid, 8 of the pencil's computed eigenvalues, at some of
+    # which the random column refuses the pencil: both twins raise at the
+    # same z, and return the same bits at every other
+    E, A = (M.toarray() if sp.issparse(M) else M for M in (sys.E, sys.A))
+    eig = np.sort(scipy.linalg.eigvals(A, E))
+    eig = eig[np.isfinite(eig)]
+    raised = 0
+    for z in np.concatenate([1j * np.geomspace(f_min, f_max, 6), eig[:: -(-eig.size // 8)]]):
         for solve in (
             lambda s: s.eval_transfer(z),
             lambda s: s.eval_state_transfer(z),
             lambda s: s.solve_pencil(z, rhs),
         ):
-            got, want = solve(sys), solve(twin)
-            assert got.dtype == want.dtype == np.complex128
-            assert got.tobytes() == want.tobytes()
+            got = reply(solve, sys)
+            assert got == reply(solve, twin)
+            raised += got is None
+    assert raised
 
 
 @pytest.mark.parametrize("storage", ["sparse", "dense"])

@@ -105,6 +105,19 @@ def test_rule_rejects_out_of_range_values(kind, name, value):
         TerminationRule(kind=kind, **{name: value})
 
 
+@pytest.mark.parametrize("kind", greedy.TERMINATION_KINDS)
+def test_config_rejects_a_range_the_grid_cannot_resolve(kind):
+    # on [1, 1 + 1e-13] all 1000 grid points lie within the snap tolerance
+    # of each other, so the first sample banned the whole grid and the run
+    # raised GridExhaustedError (randomized stopped) after one or two solves
+    with pytest.raises(ValueError, match="grid_size 1000 points on"):
+        cfg_with(kind, f_min=1.0, f_max=1.0 + 1e-13, grid_size=1000)
+    # two points 4e-13 apart clear the tolerance 2e-13 at f = 1; 1e-13 does not
+    assert GreedyConfig(f_min=1.0, f_max=1.0 + 4e-13, grid_size=2).grid_size == 2
+    with pytest.raises(ValueError, match="grid_size 2 points on"):
+        GreedyConfig(f_min=1.0, f_max=1.0 + 1e-13, grid_size=2)
+
+
 # -- adjusted relative error ----------------------------------------------
 
 
