@@ -56,13 +56,17 @@ gbtrf, or SuperLU's "exactly singular"; the band paths factor the full
 band, so above the window too), and where either block fails the growth
 test ||Y||_1 (|z| ||E||_1 + ||A||_1) RCOND_MIN <= ||b||_1, as non-finite
 rows do: Y is the rows of X solved (H's window, or all n) with b = B (or
-rhs), or the same rows of R's solution with b those rows of R. Only then
-is C X formed. Since ||Y||_1 <= ||(zE - A)^{-1}||_1 ||b||_1, the left side
-over RCOND_MIN times the right bounds cond_1(zE - A) from below, up to the
-bound on ||zE - A||_1: Higham's random-vector condition estimate (Accuracy
+rhs), or R's block with b = R. On a band window that block is the
+trailing factors' solve for R's window rows R[w:] alone, not rows w: of
+the solve with R (R is dense above w); those factors are a Schur
+complement's, whose inverse is a block of (zE - A)^{-1} with permuted
+columns. Only then is C X formed. Either way, since
+||Y||_1 <= ||(zE - A)^{-1}||_1 ||b||_1, the left side over RCOND_MIN
+times the right bounds cond_1(zE - A) from below, up to the bound on
+||zE - A||_1: Higham's random-vector condition estimate (Accuracy
 and Stability of Numerical Algorithms, SIAM 2002). B's block alone misses
 a pole that B and C do not reach, where B can lie in the singular pencil's
-range and X stay bounded and wrong. R's rows in the window cannot see a
+range and X stay bounded and wrong. R's window block cannot see a
 singular block wholly above the window; there H is bit for bit the full
 solve's rows, and benchmarks/hidden_poles.py found no inexact reply.
 
