@@ -27,11 +27,12 @@ getrf). Each system has two columns: DescriptorSystem.solve_pencil(z, B),
 which solves all n rows, and eval_transfer(z), which on the band paths
 solves only the trailing window of rows that B and C touch (the line's
 last 42 of 400; the chain's ports at both ends need all n). Beside them
-stands the MiB the system holds after its build (tracemalloc). The test
-systems are real, so each is also built from complex128 copies of its
-operands, the twin that returns the same bits from twice the bytes. The
-same three columns, solve_pencil(z, B), eval_transfer and held MiB, are
-then taken at the benchmark's own sizes: ratbench/systems.py's line
+stand the MiB the system holds after its build and the most MiB its build
+held at once (tracemalloc). The test systems are real, so each is also
+built from complex128 copies of its operands, the twin that returns the
+same bits from twice the bytes. The same four columns, solve_pencil(z, B),
+eval_transfer, held and peak MiB, are then taken at the benchmark's own
+sizes: ratbench/systems.py's line
 (n = 50000, tridiagonal) and chain (n = 3000, banded) at seed 0, each at
 the geometric middle of its workload's band (f = 1e8 and 1e-2). Last,
 parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
@@ -81,14 +82,14 @@ def timeit(fn, repeats):
 
 
 def build_held(operands):
-    """The system built from operands and the MiB it holds (tracemalloc)."""
+    """The system built from operands, the MiB it holds and the MiB its build peaked at (tracemalloc)."""
     tracemalloc.start()
     try:
         system = DescriptorSystem(*operands)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return system, held / 2**20
+    return system, held / 2**20, peak / 2**20
 
 
 def main():
@@ -160,8 +161,8 @@ def main():
         t = timeit(lambda: fit(samples, "loewner"), args.repeats)
         print(f"{label:<33}{s:>12}{1e3 * t:>12.3f}")
 
-    head = f"{'pencil':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}"
-    print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}")
+    head = f"{'pencil':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}{'peak':>9}"
+    print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}{'[MiB]':>9}")
     for name, make, z in (("line", rlc_line, 2j * np.pi * 1e9), ("chain", spring_chain, 0.3j)):
         for label, base in (
             (name, make()),
@@ -171,24 +172,24 @@ def main():
         ):
             operands = (base.E, base.A, base.B, base.C)
             for twin, ops in (("", operands), (", complex", [M.astype(np.complex128) for M in operands])):
-                system, held = build_held(ops)
+                system, held, peak = build_held(ops)
                 t_solve = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
                 t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
                 print(
                     f"{label + twin:<34}{system.pencil_path:>12}{system.n:>6}"
-                    f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}"
+                    f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}{peak:>9.3f}"
                 )
 
     systems = benchmark_systems()
-    head = f"{'benchmark pencil, seed 0':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}"
-    print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}")
+    head = f"{'benchmark pencil, seed 0':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}{'peak':>9}"
+    print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}{'[MiB]':>9}")
     for name, z in (("line", 1e8j), ("chain", 1e-2j)):
-        system, held = build_held(systems.GENERATORS[name](0))
+        system, held, peak = build_held(systems.GENERATORS[name](0))
         t_solve = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
         t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
         print(
             f"{name:<34}{system.pencil_path:>12}{system.n:>6}"
-            f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}"
+            f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}{peak:>9.3f}"
         )
 
     chain = spring_chain()

@@ -128,8 +128,9 @@ class GreedyConfig:
             raise ValueError("seed must be nonnegative")
         if self.fitter not in ("loewner", "mri"):
             raise ValueError(f"unknown fitter {self.fitter!r}")
-        # the grid is densest against the snap tolerance at its first two
-        # points; where they collide, a sample bans its neighbours with it
+        # a geometric grid steps by one ratio and the snap tolerance is
+        # relative, so its first two points stand for every neighbouring
+        # pair; where they collide, a sample bans its neighbours with it
         z0, z1 = build_test_grid(self)[:2]
         if kernels._collides(abs(z1 - z0), z0):
             raise ValueError(

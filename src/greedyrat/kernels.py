@@ -4,7 +4,7 @@ H~(z) = sum_j q_j V_j / (z - zeta_j) / Q(z) with Q(z) = sum_j q_j / (z - zeta_j)
 is evaluated only by the sweeps here, each one numpy pass over a
 points-by-support Cauchy matrix; ``BarycentricSurrogate``'s scalar
 methods are one-point calls of them. One rule, ``_collides``, decides
-support collisions (|z - zeta_j| <= SNAP_TOL * (1 + |zeta_j|)), and one
+support collisions (|z - zeta_j| <= SNAP_TOL * |zeta_j|), and one
 helper, ``_cauchy_weights``, zeroes a colliding row before any division
 for every sweep; the sweeps then resolve it:
 Q is inf there, 1/|Q| is 0 and H~ is the stored sample. Q and H~ at a
@@ -33,8 +33,13 @@ SNAP_TOL = 1e-13
 
 
 def _collides(distance, zeta):
-    """Whether a point at the given distance from the node zeta coincides with it."""
-    return distance <= (np.abs(zeta) + 1.0) * SNAP_TOL
+    """Whether a point at the given distance from the node zeta coincides with it.
+
+    The tolerance is relative to |zeta| at every scale, so rescaling the
+    frequency axis changes no answer away from rounding at the boundary,
+    and a node at exactly 0 snaps only exact hits.
+    """
+    return distance <= np.abs(zeta) * SNAP_TOL
 
 
 def _cauchy_weights(points, support, coeffs):

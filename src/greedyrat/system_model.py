@@ -28,6 +28,13 @@ band row where E has an entry, and a cast copy of the fixed 0.0 - a,
 kept at build time, on every other row (see ``_PencilBand``). On the
 benchmark's RLC line, whose E is diagonal, that is one z row of three.
 
+The build holds little scratch beside what the system keeps. A sparse
+operand is converted to CSC once, in the system's dtype; the norms of E
+and A copy no indices and are taken before the pencil's scratch exists;
+and the band paths hold one scratch band at a time (see ``_PencilBand``).
+On the benchmark's line the build peaks at 1.21 times the 6.40 MiB it
+keeps (tracemalloc). A dense E or A costs one dense copy for its norm.
+
 On the two band paths H(z) solves only the rows C reads. The window of
 rows runs from kl rows above the first RCM position that B or C touches
 to the end (kl is the lower half-bandwidth, 1 on the tridiagonal path),
@@ -153,11 +160,18 @@ def _check_info(info, routine, z=None):
 
 
 def _norm1(M):
-    """The 1-norm of a sparse or dense M: its largest column sum of |M|."""
-    # a dense |M| is summed down contiguous columns: on a C-ordered
-    # complex 3000-by-2 array that takes 24 us against 68 us in place (x86)
-    col_sums = abs(M).sum(axis=0) if sp.issparse(M) else np.asfortranarray(abs(M)).sum(axis=0)
-    return float(np.asarray(col_sums).max(initial=0.0))
+    """The 1-norm of a canonical CSC or a dense M: its largest column sum of |M|."""
+    if sp.issparse(M):
+        # the sums of scipy's abs(M).sum(axis=0), one np.add.reduceat over
+        # the starts of the non-empty columns, with no copy of M's indices
+        # and no dense row; an empty column sums to 0, which initial covers
+        starts = M.indptr[:-1][np.diff(M.indptr) > 0]
+        col_sums = np.add.reduceat(np.abs(M.data), starts)
+    else:
+        # a dense |M| is summed down contiguous columns: on a C-ordered
+        # complex 3000-by-2 array that takes 24 us against 68 us in place (x86)
+        col_sums = np.asfortranarray(abs(M)).sum(axis=0)
+    return float(col_sums.max(initial=0.0))
 
 
 def _beside(b, r):
@@ -381,19 +395,23 @@ def _pattern(M):
 
 
 def _permuted_entries(M, inv):
-    """(row, col) of each stored entry of a CSC matrix under the permutation inv."""
-    return inv[M.indices], np.repeat(inv, np.diff(M.indptr))
+    """(r - c, c) for each stored entry (r, c) of M[perm][:, perm]; M is CSC, inv inverts perm."""
+    c = np.repeat(inv, np.diff(M.indptr))
+    offsets = inv[M.indices]
+    offsets -= c
+    return offsets, c
 
 
-def _band(M, inv, rows, diag_row, order):
+def _band(M, inv, rows, diag_row):
     """M[perm][:, perm] in band storage; M is canonical CSC, inv inverts perm.
 
     Entry (r, c) of the permuted matrix goes to row diag_row + r - c of
-    column c in a zero rows-by-n array of M's dtype.
+    column c in a zero C-ordered rows-by-n array of M's dtype.
     """
-    r, c = _permuted_entries(M, inv)
-    band = np.zeros((rows, inv.size), dtype=M.dtype, order=order)
-    band[diag_row + r - c, c] = M.data
+    offsets, c = _permuted_entries(M, inv)
+    offsets += diag_row
+    band = np.zeros((rows, inv.size), dtype=M.dtype)
+    band[offsets, c] = M.data
     return band
 
 
@@ -405,33 +423,36 @@ def _plus_zero(row):
 class _PencilBand:
     """zE - A in band storage, assembled per frequency from rows kept once.
 
-    E and A are scattered once into rows-by-n bands (see ``_band``), of
-    which the pencil keeps each row once, in the system's dtype. A row in
-    which E has an entry is a z row: it keeps E's and A's rows, and
-    ``assemble(z)`` forms it as z*e - a with np.multiply and np.subtract,
-    the operations and bits of z*band_e - band_a. Every other row,
-    including the zero padding and gbtrf's fill rows, is fixed: it keeps
-    0.0 - A's row and is cast-copied, and E's all-zero rows are not
-    stored. For Re z >= +0, z*0 is +0+0j, so a fixed row has the bits of
-    z*band_e - band_a too, and so does H(z) on every grid. For Re z < 0
-    (or -0), z*0 may carry signed zeros, so only the sign of a zero may
-    differ from z*band_e - band_a (a structurally zero entry, or the zero
-    imaginary part of a real one), and no value does. A -0 entry of E
-    would change a sign even for Re z >= +0, so it makes its row a z row.
+    E and A are scattered into rows-by-n bands (see ``_band``) in the
+    system's dtype, one after the other. A row in which E has an entry is
+    a z row: it keeps E's and A's rows, and ``assemble(z)`` forms it as
+    z*e - a with np.multiply and np.subtract, the operations and bits of
+    z*band_e - band_a. Every other row, including the zero padding and
+    gbtrf's fill rows, is fixed: it keeps 0.0 - A's row and is cast-copied,
+    and E's all-zero rows are not stored. For Re z >= +0, z*0 is +0+0j, so
+    a fixed row has the bits of z*band_e - band_a too, and so does H(z) on
+    every grid. For Re z < 0 (or -0), z*0 may carry signed zeros, so only
+    the sign of a zero may differ from z*band_e - band_a (a structurally
+    zero entry, or the zero imaginary part of a real one), and no value
+    does. A -0 entry of E would change a sign even for Re z >= +0, so it
+    makes its row a z row.
+
+    The build holds one band at a time: E's z rows are copied out of E's
+    band, which is freed before A's is scattered, and A's band is kept
+    whole, each C-contiguous row a z row's a or, negated in place, a fixed
+    row. So it peaks at what it keeps plus the larger of E's band and A's
+    scatter indices.
     """
 
     def __init__(self, E, A, inv, rows, diag_row, order):
-        band_e = _band(E, inv, rows, diag_row, order)
-        band_a = _band(A, inv, rows, diag_row, order)
-        self.shape, self.order = band_a.shape, order
-        self.z_rows, self.fixed_rows = [], []
-        for i in range(rows):
-            # copies, contiguous, so the bands themselves are not kept
-            e, a = band_e[i].copy(), band_a[i].copy()
-            if _plus_zero(e):
-                self.fixed_rows.append((i, np.subtract(0.0, a, out=a)))
-            else:
-                self.z_rows.append((i, e, a))
+        band_e = _band(E, inv, rows, diag_row)
+        z = [i for i in range(rows) if not _plus_zero(band_e[i])]
+        e = band_e[z]  # a copy, contiguous
+        del band_e
+        a = _band(A, inv, rows, diag_row)
+        self.shape, self.order = a.shape, order
+        self.z_rows = [(i, e_i, a[i]) for i, e_i in zip(z, e)]
+        self.fixed_rows = [(i, np.subtract(0.0, a[i], out=a[i])) for i in range(rows) if i not in z]
 
     def assemble(self, z):
         """A fresh complex128 band of zE - A, in the band's order."""
@@ -443,6 +464,20 @@ class _PencilBand:
         for i, fixed in self.fixed_rows:
             band[i] = fixed
         return band
+
+
+def _ordering(E, A):
+    """The RCM ordering perm of the union pattern of CSC E and A, its inverse, kl and ku.
+
+    kl and ku are the permuted union's lower and upper half-bandwidths.
+    The pattern and the index arrays are freed on return.
+    """
+    union = _pattern(E) + _pattern(A)
+    perm = reverse_cuthill_mckee((union + union.T).tocsr(), symmetric_mode=True)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    offsets, _ = _permuted_entries(union, inv)
+    return perm, inv, int(offsets.max(initial=0)), int(-offsets.min(initial=0))
 
 
 def _analyse_pencil(E, A, B, C):
@@ -460,13 +495,7 @@ def _analyse_pencil(E, A, B, C):
         if any((M.nnz if sp.issparse(M) else np.count_nonzero(M)) > band_nnz for M in (A, E)):
             return _DensePencil(E, A, B, C)
     Ec, Ac = (M if sp.issparse(M) else sp.csc_matrix(M) for M in (E, A))
-    union = _pattern(Ec) + _pattern(Ac)
-    perm = reverse_cuthill_mckee((union + union.T).tocsr(), symmetric_mode=True)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    r, c = _permuted_entries(union, inv)
-    offsets = r - c
-    kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+    perm, inv, kl, ku = _ordering(Ec, Ac)
     # scipy's gttrf wrapper rejects n < 3, so such pencils stay banded
     if max(kl, ku) <= 1 and perm.size >= 3:
         return _TridiagonalPencil(Ec, Ac, B, C, perm, inv)
@@ -514,14 +543,20 @@ class DescriptorSystem:
         self.n = n
         self.m = B.shape[1]
         self.p = C.shape[0]
-        self._pencil = _analyse_pencil(E, A, B, C)
+        # the norms' scratch comes before the pencil's, not on top of it
         self._norm_e, self._norm_a, self._norm_b = (_norm1(M) for M in (E, A, B))
+        self._pencil = _analyse_pencil(E, A, B, C)
 
     @staticmethod
     def _as_square(M, name, dtype):
         if sp.issparse(M):
-            # astype copies even when M already has the dtype
-            M = M.tocsc().astype(dtype)
+            if M.format == "csc":
+                M = M.astype(dtype)  # a copy even when M already has the dtype
+            else:
+                # tocsc makes the system's own copy; the cast then copies
+                # only data, and only when its dtype is not the system's
+                M = M.tocsc()
+                M.data = M.data.astype(dtype, copy=False)
             M.sum_duplicates()
             for part in (M.data, M.indices, M.indptr):
                 _frozen(part)

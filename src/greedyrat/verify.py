@@ -25,12 +25,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycentric import BarycentricSurrogate
+from .errors import GreedyratError
 from .greedy import adjusted_relative_error
 from .parallel import map_points
 
 # Random probe frequencies this close (relatively) to a support node are
 # rejected and redrawn.
 NODE_REJECT = 1e-6
+
+# Draws rejected in a row before a range is refused as lying within
+# NODE_REJECT of the nodes. Node f_j rejects an interval about
+# 2 NODE_REJECT (1 + f_j) wide, so a redraw is rare on any range those
+# intervals leave mostly open, and one that needs this many in a row is
+# all but covered by them.
+PROBE_REDRAWS = 1000
 
 # ``greedyrat verify`` draws its probes from default_rng([seed,
 # PROBE_STREAM]), apart from greedy.random_test_points' default_rng(seed):
@@ -70,15 +78,23 @@ def residual_norm(sys, gsur, z):
 def draw_probe_points(sur, f_min, f_max, count, seed=0):
     """Log-uniform random frequencies i*f, redrawn away from support nodes.
 
-    ``seed`` is anything np.random.default_rng takes.
+    ``seed`` is anything np.random.default_rng takes. Raises GreedyratError
+    when PROBE_REDRAWS draws in a row land within NODE_REJECT of a node.
     """
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        z = 1j * math.exp(rng.uniform(math.log(f_min), math.log(f_max)))
-        d = np.abs(z - sur.support) / (1.0 + np.abs(sur.support))
-        if d.min() > NODE_REJECT:
-            out.append(z)
+        for _ in range(PROBE_REDRAWS):
+            z = 1j * math.exp(rng.uniform(math.log(f_min), math.log(f_max)))
+            d = np.abs(z - sur.support) / (1.0 + np.abs(sur.support))
+            if d.min() > NODE_REJECT:
+                out.append(z)
+                break
+        else:
+            raise GreedyratError(
+                f"no probe frequency in [{f_min}, {f_max}]: {PROBE_REDRAWS} draws in a row "
+                f"fell within {NODE_REJECT} (relative) of a support node"
+            )
     return out
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 import sys
 
 # One BLAS thread, set before numpy loads, as ratbench runs: a BLAS thread
@@ -27,6 +29,22 @@ def pin_workers(monkeypatch, workers):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
     monkeypatch.setattr(parallel, "FORK_SECONDS", 0.0)
     monkeypatch.setattr(parallel, "RESULT_SECONDS", 0.0)
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Fail, rather than hang, a block still running after `seconds` (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_surrogate(n_support, seed, p=1, m=1, scale=1.0):

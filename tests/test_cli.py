@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import pin_workers, spring_chain
+from conftest import pin_workers, spring_chain, time_bound
 from greedyrat import (
     DescriptorSystem,
     GreedyConfig,
@@ -532,6 +532,21 @@ def test_verify_subcommand(synthetic_setup, capsys):
     assert (tmp_path / "out" / "verify.csv").exists()
     out = capsys.readouterr().out
     assert "gamma" in out and "Delta_max" in out
+
+
+def test_verify_on_a_range_within_node_reject_of_the_nodes_is_an_error(tmp_path, capsys):
+    # every probe drawn on [1, 1 + 1e-7] is rejected: verify used to hang
+    prefix = str(tmp_path / "sys3")
+    make_synthetic([2j, 5j, 11j], 1, m=2, p=2).save_matrix_market(prefix)
+    cfg = write_config(
+        tmp_path, prefix, f_max=1.0 + 1e-7, grid_size=100, termination="max_count", max_samples=5
+    )
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    with time_bound(5):
+        assert main(["verify", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: no probe frequency in [1.0, 1.0000001]")
+    assert not (tmp_path / "out" / "verify.csv").exists()
 
 
 @pytest.mark.parametrize("case", ["exact-8-pole", "chain"])

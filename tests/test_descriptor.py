@@ -25,7 +25,7 @@ from greedyrat import (
     state_surrogate,
     system_model,
 )
-from greedyrat.system_model import BAND_MAX, _band
+from greedyrat.system_model import BAND_MAX, _band, _norm1
 from greedyrat.verify import draw_probe_points
 
 # (system, f_min, f_max) with frequencies z = i*f spanning the response
@@ -397,10 +397,12 @@ def test_mixed_sparse_and_dense_inputs_agree():
 
 
 def build_held(E, A, B, C):
-    """The system of E, A, B, C and the bytes its build leaves held (tracemalloc)."""
+    """The system of E, A, B, C, the bytes its build leaves held and the
+    most bytes it held at once (tracemalloc).
+    """
     tracemalloc.start()
     try:
-        return DescriptorSystem(E, A, B, C), tracemalloc.get_traced_memory()[0]
+        return DescriptorSystem(E, A, B, C), *tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -414,7 +416,7 @@ def test_sparse_e_beside_dense_a_stays_sparse(E):
     A[i, i], A[i[1:], i[:-1]], A[i[:-1], i[1:]] = -2.0, 1.0, 1.0
     B, C = np.ones((n, 1)), np.ones((1, n))
     E = sp.identity(n, format="csc") if E == "identity" else E
-    sys, held = build_held(E, A, B, C)
+    sys, held, _ = build_held(E, A, B, C)
     assert sys.pencil_path == "tridiagonal"
     # the system holds its private copy of A and nothing of E's dense size
     assert sp.issparse(sys.E) and sys.A is not A and np.array_equal(sys.A, A)
@@ -511,8 +513,8 @@ def test_a_complex_operand_keeps_the_system_complex():
 def test_real_line_holds_at_most_0_6_of_its_complex_twin():
     line = rlc_line(sections=10_000)  # n = 20000, tridiagonal path
     real = (line.E, line.A, line.B, line.C)
-    sys, held = build_held(*real)
-    twin, twin_held = build_held(*(M.astype(np.complex128) for M in real))
+    sys, held, _ = build_held(*real)
+    twin, twin_held, _ = build_held(*(M.astype(np.complex128) for M in real))
     assert sys.pencil_path == twin.pencil_path == "tridiagonal"
     assert held <= 0.6 * twin_held
 
@@ -520,10 +522,44 @@ def test_real_line_holds_at_most_0_6_of_its_complex_twin():
 def test_real_chain_holds_at_most_0_6_of_its_complex_twin():
     chain = spring_chain(masses=10_000)  # n = 20000, banded path
     real = (chain.E, chain.A, chain.B, chain.C)
-    sys, held = build_held(*real)
-    twin, twin_held = build_held(*(M.astype(np.complex128) for M in real))
+    sys, held, _ = build_held(*real)
+    twin, twin_held, _ = build_held(*(M.astype(np.complex128) for M in real))
     assert sys.pencil_path == twin.pencil_path == "banded"
     assert held <= 0.6 * twin_held
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize(
+    "make, path",
+    [(lambda: rlc_line(sections=10_000), "tridiagonal"), (lambda: spring_chain(masses=10_000), "banded")],
+    ids=["line", "chain"],
+)
+def test_build_peaks_at_most_1_5_times_what_it_keeps(make, path, dtype):
+    # n = 20000; the build used to peak at 1.73 to 2.05 times what it keeps
+    base = make()
+    operands = [M.astype(dtype) for M in (base.E, base.A, base.B, base.C)]
+    del base
+    sys, held, peak = build_held(*operands)
+    assert sys.pencil_path == path
+    assert peak <= 1.5 * held
+
+
+def test_norm1_of_a_sparse_operand_has_the_bits_of_abs_m_summed():
+    n = 9
+    filled = [2, 3, 5, 6]  # columns 0 and 1, 4, and 7 and 8 are empty
+    rng = np.random.default_rng(8)
+    for imag in (0, 1j):
+        M = np.zeros((n, n), dtype=np.complex128 if imag else np.float64)
+        for j in filled:
+            M[rng.choice(n, 6, replace=False), j] = rng.standard_normal(6) + imag * rng.standard_normal(6)
+        # each non-empty column in turn the largest, the last one before
+        # the trailing empty columns too
+        for j in filled:
+            S = M.copy()
+            S[:, j] *= np.pi * 1e3
+            S = sp.csc_matrix(S)
+            assert _norm1(S) == float(abs(S).sum(axis=0).max())
+    assert _norm1(sp.csc_matrix((n, n))) == 0.0
 
 
 BAND_CASES = [case for case, (_, _, path) in PATH_CASES.items() if path in ("tridiagonal", "banded")]
@@ -555,12 +591,10 @@ def reference_band(sys, z):
     """z*band_e - band_a from the bands of E and A, as the pencil lays them out."""
     pencil = sys._pencil
     if sys.pencil_path == "tridiagonal":
-        rows, diag_row, order = 3, 1, "C"
+        rows, diag_row = 3, 1
     else:
-        rows, diag_row, order = 2 * pencil.kl + pencil.ku + 1, pencil.kl + pencil.ku, "F"
-    band_e, band_a = (
-        _band(sp.csc_matrix(M), pencil.inv, rows, diag_row, order) for M in (sys.E, sys.A)
-    )
+        rows, diag_row = 2 * pencil.kl + pencil.ku + 1, pencil.kl + pencil.ku
+    band_e, band_a = (_band(sp.csc_matrix(M), pencil.inv, rows, diag_row) for M in (sys.E, sys.A))
     return z * band_e - band_a
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,10 +113,29 @@ def test_config_rejects_a_range_the_grid_cannot_resolve(kind):
     # raised GridExhaustedError (randomized stopped) after one or two solves
     with pytest.raises(ValueError, match="grid_size 1000 points on"):
         cfg_with(kind, f_min=1.0, f_max=1.0 + 1e-13, grid_size=1000)
-    # two points 4e-13 apart clear the tolerance 2e-13 at f = 1; 1e-13 does not
+    # two points 4e-13 apart clear the tolerance 1e-13 at f = 1; 1e-13 does not
     assert GreedyConfig(f_min=1.0, f_max=1.0 + 4e-13, grid_size=2).grid_size == 2
     with pytest.raises(ValueError, match="grid_size 2 points on"):
         GreedyConfig(f_min=1.0, f_max=1.0 + 1e-13, grid_size=2)
+
+
+def test_config_accepts_a_range_below_f_1_whose_grid_steps_are_relative():
+    # the grid points are 1.4% apart; an absolute 1e-13 below f = 1 refused them
+    assert GreedyConfig(f_min=1e-12, f_max=1.0, grid_size=2000).grid_size == 2000
+
+
+@pytest.mark.parametrize("kind", ["lookahead", "randomized"])
+def test_a_run_far_below_f_1_stops_by_its_rule_without_warning(kind):
+    # poles from 3e-12 to 0.5: with a snap tolerance absolute below f = 1,
+    # nodes near 1e-12 drew near-zero coefficients and randomized ran to
+    # max_samples
+    sys = make_synthetic(1j * np.array([3e-12, 2e-9, 1e-6, 1e-3, 0.5]), 1)
+    cfg = cfg_with(kind, f_min=1e-12, f_max=1.0, n_random=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_greedy(sys, cfg)
+    assert run.termination_reason == kind
+    assert len(run.samples) < 20
 
 
 # -- adjusted relative error ----------------------------------------------

@@ -22,6 +22,20 @@ def test_denominator_inf_at_support_collision():
     assert np.isfinite(out[2])
 
 
+@pytest.mark.parametrize("zeta", [1j, 3.7j, 0.2 - 0.05j])
+def test_snap_rule_is_the_same_at_every_scale(zeta):
+    tol = abs(zeta) * kernels.SNAP_TOL
+    distances = tol * np.array([0.0, 0.5, 0.999, 1.001, 2.0, 1e3])
+    want = [True, True, True, False, False, False]
+    for s in np.logspace(-12, 12, 25):
+        assert kernels._collides(distances * s, zeta * s).tolist() == want
+
+
+def test_a_node_at_zero_snaps_only_exact_hits():
+    assert kernels._collides(0.0, 0.0)
+    assert not kernels._collides(np.array([5e-324, 1e-300, 1e-13]), 0.0).any()
+
+
 def test_indicator_zero_at_support_collision():
     sur = random_surrogate(4, 4)
     out = kernels.indicator_sweep(sur.support, sur.support, sur.coeffs)

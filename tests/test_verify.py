@@ -1,21 +1,27 @@
+import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import pin_workers
+from conftest import pin_workers, time_bound
 from greedyrat import (
     BarycentricSurrogate,
     DescriptorSystem,
+    GreedyConfig,
+    GreedyratError,
     ResonanceError,
+    TerminationRule,
     check_prop1,
     check_prop2,
     make_synthetic,
     parallel,
     residual_norm,
+    run_greedy,
     state_surrogate,
 )
-from greedyrat.verify import draw_probe_points
+from greedyrat.verify import NODE_REJECT, PROBE_STREAM, draw_probe_points
 
 
 def fitted_state(sys, zs, sur=None):
@@ -166,6 +172,38 @@ def test_probe_points_avoid_support():
     for z in pts:
         rel = np.min(np.abs(z - sur.support) / (1.0 + np.abs(sur.support)))
         assert rel > 1e-6
+
+
+def unbounded_draws(sur, f_min, f_max, count, seed):
+    """draw_probe_points with no bound on its redraws, as the reference."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        z = 1j * math.exp(rng.uniform(math.log(f_min), math.log(f_max)))
+        if np.min(np.abs(z - sur.support) / (1.0 + np.abs(sur.support))) > NODE_REJECT:
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("f_min, f_max", [(1.0, 100.0), (1e-7, 1e-5)])
+def test_probe_points_keep_the_draws_of_an_unbounded_redraw(f_min, f_max):
+    # below f = 5e-6 every draw lies within NODE_REJECT of a node, so on
+    # [1e-7, 1e-5] about 85% of the draws are redrawn
+    sur = SimpleNamespace(support=1j * np.array([1e-6, 3e-6, 2.0, 30.0]))
+    for seed in (0, [7, PROBE_STREAM]):
+        want = unbounded_draws(sur, f_min, f_max, 200, seed)
+        assert draw_probe_points(sur, f_min, f_max, 200, seed=seed) == want
+
+
+def test_probe_points_refuse_a_range_within_node_reject_of_the_nodes():
+    # every frequency in [1, 1 + 1e-7] lies within NODE_REJECT of a node,
+    # where the redraws used to go on for ever
+    sys = make_synthetic([2j, 5j, 11j], 1, 2, 2)
+    rule = TerminationRule("max_count")
+    cfg = GreedyConfig(f_min=1.0, f_max=1.0 + 1e-7, grid_size=100, termination=rule, max_samples=5)
+    sur = run_greedy(sys, cfg).surrogate
+    with time_bound(5), pytest.raises(GreedyratError, match=r"in \[1\.0, 1\.0000001\]"):
+        draw_probe_points(sur, 1.0, 1.0 + 1e-7, 100, seed=[0, 1])
 
 
 def verify_report(tmp_path, monkeypatch, sys, sur):
