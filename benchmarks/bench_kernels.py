@@ -36,9 +36,9 @@ sizes: ratbench/systems.py's line
 (n = 50000, tridiagonal) and chain (n = 3000, banded) at seed 0, each at
 the geometric middle of its workload's band (f = 1e8 and 1e-2). Last,
 parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
-of the test chain's band [1e-2, 3]: held in-process (one usable CPU),
-pooled (its cost estimate zeroed, so every usable CPU forks a worker for
-each call) and as map_points chooses, with the number of workers forked.
+of the test chain's band [1e-2, 3]: held in-process (one usable CPU) and
+as map_points chooses (a worker per usable CPU wherever forking is safe),
+with the number of workers forked.
 Each timing reports the best of --repeats calls. Set OPENBLAS_NUM_THREADS=1
 to time the kernels as the benchmark runs them; with a BLAS thread pool
 running, map_points forks no worker.
@@ -197,7 +197,6 @@ def main():
     print(f"\n{'map_points(chain.eval_transfer)':<33}{'points':>8}{'forked':>9}{'best [ms]':>12}")
     for label, patches in (
         ("in-process", {"usable_cpus": lambda: 1}),
-        ("pooled", {"FORK_SECONDS": 0.0, "RESULT_SECONDS": 0.0}),
         ("as chosen", {"usable_cpus": parallel.usable_cpus}),
     ):
         with mock.patch.multiple(parallel, **patches):

@@ -9,7 +9,7 @@ Subcommands:
                                          surrogate; writes validation.csv
                                          (expensive: one high-fidelity
                                          solve per grid point, split over
-                                         the usable CPUs when that pays)
+                                         the usable CPUs)
   greedyrat verify <config> [surrogate.json]
                                          runs the intrusive residual/error
                                          identity checks on a surrogate,
@@ -18,13 +18,13 @@ Subcommands:
 
 validate and verify read <output_dir>/surrogate.json, the file run wrote,
 unless they are given another path, and reject a surrogate whose blocks
-are not the system's p-by-m. validate's grid solves and verify's probe
-solves are independent, so they run through greedyrat.parallel.map_points,
-which forks workers, at most one per usable CPU, when the first solves'
-times say they would finish sooner; run's solves stay in this process,
-each pick depending on the fit before it. A grid point where the pencil is
-singular is a validation.csv row with resonance 1; at such a probe verify
-fails with the error.
+are not the system's p-by-m. validate's grid solves are independent, so
+they run through greedyrat.parallel.map_points, which forks a worker per
+usable CPU wherever forking is safe. verify's probe solves stay in this
+process, too few to pay for the fork, and so do run's, each pick depending
+on the fit before it. A grid point where the pencil is singular is a
+validation.csv row with resonance 1; at such a probe verify fails with
+the error.
 
 Config files are flat ``key = value`` text. The keys are the fields of
 ``GreedyConfig`` and of its ``TerminationRule`` (whose ``kind`` is spelled

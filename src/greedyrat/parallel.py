@@ -3,15 +3,22 @@
 ``map_points(fn, points)`` returns ``[fn(z) for z in points]``; an
 exception from ``fn`` propagates, the first in point order. What a failed
 point means, such as validate's resonance row, is for the caller's ``fn``
-to say. The first ``TIMED_CALLS`` points run in this process and are
-timed. When the fastest of them says a pool would finish the rest sooner,
-they are cut into equal contiguous chunks, one per worker and at most one
-worker per usable CPU, and each chunk runs in a worker forked for this one
-call. The workers inherit ``fn`` and ``points`` through the fork, so
-``fn`` may be a closure or a bound method of a large system; only chunk
-bounds and results cross the pipe. Otherwise ``fn`` runs over the rest
-here: for cheap or few calls, on one usable CPU, and wherever forking is
-unsafe. That path reads no shared state, so two threads may map at once.
+to say. Where forking is safe and more than one CPU is usable, the points
+are cut into equal contiguous chunks, one per worker and at most one
+worker per usable CPU or per point, and each chunk runs in a worker forked
+for this one call. The workers inherit ``fn`` and ``points`` through the
+fork, so ``fn`` may be a closure or a bound method of a large system; only
+chunk bounds and results cross the pipe. Otherwise ``fn`` runs over every
+point here: on one usable CPU, and wherever forking is unsafe. That path
+reads no shared state, so two threads may map at once.
+
+The choice reads only what the code can see, not how long a call takes.
+Forking and joining 2 workers costs about 20 ms on a 2-core x86 machine,
+so a short map loses to the pool: 100 solves of the benchmark's
+n = 3000 chain took 53 ms in-process and 65 ms on 2 workers, 1000 took
+500 ms and 417 ms (medians of 5, one BLAS thread). Callers with few calls,
+such as ``greedyrat verify``'s 100 probes, therefore loop in-process and do
+not come here; ``greedyrat validate``'s dense grid does.
 
 Processes, not threads: scipy's LAPACK wrappers hold the GIL, and two
 threads over 1000 solves of the benchmark's n = 3000 chain took 0.69 s
@@ -36,24 +43,6 @@ import os
 import sys
 import time
 
-# The pool's estimated cost: FORK_SECONDS per worker for its fork and join,
-# and RESULT_SECONDS per result sent back (pickling, the pipe, copy-on-write
-# faults). On a 2-core x86 machine (one BLAS thread, an 80-110 MB process)
-# pooled times over 40-4000 points of the benchmark's n = 3000 chain
-# (0.7 ms a call) and the tests' n = 200 spring chain (0.07 ms a call) fit
-# 17-23 ms for forking and joining 2 workers and 0.011 ms a result.
-# FORK_SECONDS is twice the measured share of a worker, so a pool is
-# chosen only where it should save about what it costs: from about 120
-# calls of the benchmark chain and 1500 of the spring chain.
-FORK_SECONDS = 0.02
-RESULT_SECONDS = 1.1e-5
-
-# Calls timed in this process before the choice, of which the fastest
-# counts: a process's first call can take 4 times as long as the next
-# (0.32 against 0.07-0.09 ms on the spring chain, 1.0 against 0.7 ms on
-# the benchmark chain), and a single call can be preempted.
-TIMED_CALLS = 3
-
 # (fn, points) for the workers of the pool in progress, set just before it
 # forks, which it does only while no other thread runs (see fork_is_safe).
 _work = None
@@ -77,24 +66,6 @@ def fork_is_safe():
         return False
 
 
-def _worker_count(count, seconds_per_call):
-    """Workers for ``count`` calls of about ``seconds_per_call`` each.
-
-    The number, at most one per usable CPU, with the least estimated time:
-    ``count * seconds_per_call`` in this process, or for w workers
-    ``w * FORK_SECONDS + count * (seconds_per_call / w + RESULT_SECONDS)``.
-    """
-    if not fork_is_safe():
-        return 1
-
-    def estimate(w):
-        if w == 1:
-            return count * seconds_per_call
-        return w * FORK_SECONDS + count * (seconds_per_call / w + RESULT_SECONDS)
-
-    return min(range(1, max(1, min(usable_cpus(), count)) + 1), key=estimate)
-
-
 def _chunk(lo, hi):
     """fn over points[lo:hi], in a forked worker."""
     fn, points = _work
@@ -102,7 +73,7 @@ def _chunk(lo, hi):
 
 
 def map_points(fn, points):
-    """[fn(z) for z in points] in input order, split over the usable CPUs when it pays.
+    """[fn(z) for z in points] in input order, split over the usable CPUs where forking is safe.
 
     An exception from ``fn`` propagates, the one at the first failing point
     in point order, whether that point ran here or in a worker. ``points``
@@ -111,25 +82,19 @@ def map_points(fn, points):
     """
     global _work
     n = len(points)
-    head, seconds = [], []
-    for z in points[:TIMED_CALLS]:
-        start = time.perf_counter()
-        head.append(fn(z))
-        seconds.append(time.perf_counter() - start)
-    done = len(head)
-    workers = _worker_count(n - done, min(seconds, default=0.0))
+    workers = min(usable_cpus(), n) if fork_is_safe() else 1
     if workers <= 1:
-        return head + [fn(z) for z in points[done:]]
+        return [fn(z) for z in points]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [done + (n - done) * w // workers for w in range(workers + 1)]
+    bounds = [n * w // workers for w in range(workers + 1)]
     context = multiprocessing.get_context("fork")
     _work = (fn, points)
     try:
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             futures = [pool.submit(_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            return head + [r for future in futures for r in future.result()]
+            return [r for future in futures for r in future.result()]
     finally:
         _work = None
         # The executor has joined its threads, but the kernel lists each

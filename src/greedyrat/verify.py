@@ -16,8 +16,10 @@ indicator from the true output error; it cannot be observed without the
 system matrices, which is why these diagnostics ship as a module.
 
 The module only computes: ``greedyrat verify`` writes the reports'
-per-point values to verify.csv. A probe where the pencil is singular fails
-the check: ``check_prop2`` raises the first such probe's ResonanceError.
+per-point values to verify.csv. Its solves run in this process, one after
+another: about 100 probes are too few to pay for forking workers
+(greedyrat.parallel). A probe where the pencil is singular fails the
+check: ``check_prop2`` raises the first such probe's ResonanceError.
 """
 import math
 from dataclasses import dataclass, field
@@ -27,7 +29,6 @@ import numpy as np
 from .barycentric import BarycentricSurrogate
 from .errors import GreedyratError
 from .greedy import adjusted_relative_error
-from .parallel import map_points
 
 # Random probe frequencies this close (relatively) to a support node are
 # rejected and redrawn.
@@ -35,9 +36,9 @@ NODE_REJECT = 1e-6
 
 # Draws rejected in a row before a range is refused as lying within
 # NODE_REJECT of the nodes. Node f_j rejects an interval about
-# 2 NODE_REJECT (1 + f_j) wide, so a redraw is rare on any range those
-# intervals leave mostly open, and one that needs this many in a row is
-# all but covered by them.
+# 2 NODE_REJECT f_j wide, at any scale of f, so a redraw is rare on any
+# range those intervals leave mostly open, and one that needs this many in
+# a row is all but covered by them.
 PROBE_REDRAWS = 1000
 
 # ``greedyrat verify`` draws its probes from default_rng([seed,
@@ -86,8 +87,8 @@ def draw_probe_points(sur, f_min, f_max, count, seed=0):
     while len(out) < count:
         for _ in range(PROBE_REDRAWS):
             z = 1j * math.exp(rng.uniform(math.log(f_min), math.log(f_max)))
-            d = np.abs(z - sur.support) / (1.0 + np.abs(sur.support))
-            if d.min() > NODE_REJECT:
+            # a product, so that a node at 0 divides nothing
+            if np.all(np.abs(z - sur.support) > NODE_REJECT * np.abs(sur.support)):
                 out.append(z)
                 break
         else:
@@ -162,13 +163,10 @@ def check_prop2(sys, sur, zs, delta, gsur=None):
     errs = []
     rhs = np.hstack([sys.B, btilde])
 
-    def outputs(z):
-        # one factorization per point serves both H(z) and the Delta
-        # numerator; a worker sends back these p-by-m products, not X
+    for z in zs:
+        # one factorization per point serves both H(z) and the Delta numerator
         X = sys.solve_pencil(complex(z), rhs)
-        return sys.C @ X[:, : sys.m], sys.C @ X[:, sys.m :]
-
-    for z, (H, phi_btilde) in zip(zs, map_points(outputs, zs)):
+        H, phi_btilde = sys.C @ X[:, : sys.m], sys.C @ X[:, sys.m :]
         d = float(np.linalg.norm(phi_btilde) / (np.linalg.norm(H) + delta))
         eps = adjusted_relative_error(H, sur.eval(z), delta)
         lhs = eps * abs(sur.eval_denominator(z))

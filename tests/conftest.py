@@ -19,16 +19,13 @@ from greedyrat import BarycentricSurrogate, DescriptorSystem  # noqa: E402
 
 
 def pin_workers(monkeypatch, workers):
-    """Make greedyrat.parallel.map_points split the points after the first
-    of any input of more than `workers` points over `workers` processes,
-    however cheap the calls; 1 keeps every call in-process.
+    """Make greedyrat.parallel.map_points split any input of at least
+    `workers` points over `workers` processes; 1 keeps every call in-process.
     """
     from greedyrat import parallel
 
     assert workers == 1 or parallel.fork_is_safe(), "this process runs threads: no worker can fork"
     monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(parallel, "FORK_SECONDS", 0.0)
-    monkeypatch.setattr(parallel, "RESULT_SECONDS", 0.0)
 
 
 @contextlib.contextmanager

@@ -549,6 +549,20 @@ def test_verify_on_a_range_within_node_reject_of_the_nodes_is_an_error(tmp_path,
     assert not (tmp_path / "out" / "verify.csv").exists()
 
 
+def test_verify_probes_a_low_frequency_range(tmp_path):
+    # every draw on [1e-12, 1e-10] lies within 1e-6 (1 + f_j) of a node, so
+    # only a node rule relative at every scale lets verify probe this range
+    prefix = str(tmp_path / "sys5")
+    make_synthetic([3e-12j, 5e-12j, 1e-11j, 3e-11j, 6e-11j], 1).save_matrix_market(prefix)
+    cfg = write_config(tmp_path, prefix, f_min=1e-12, f_max=1e-10, grid_size=2000)
+    assert main(["run", cfg]) == 0
+    with time_bound(30):
+        assert main(["verify", cfg]) == 0
+    rows = read_csv_body(tmp_path / "out" / "verify.csv")
+    f = np.array([float(r.split(",")[0]) for r in rows[1:]])
+    assert f.size == 100 and np.all((1e-12 <= f) & (f <= 1e-10))
+
+
 @pytest.mark.parametrize("case", ["exact-8-pole", "chain"])
 def test_verify_notes_an_exact_fit(tmp_path, capsys, case):
     # batch recovers the 8-pole system exactly, so its residual numerator
