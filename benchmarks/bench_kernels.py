@@ -37,11 +37,12 @@ sizes: ratbench/systems.py's line
 the geometric middle of its workload's band (f = 1e8 and 1e-2). Last,
 parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
 of the test chain's band [1e-2, 3]: held in-process (one usable CPU) and
-as map_points chooses (a worker per usable CPU wherever forking is safe),
-with the number of workers forked.
+as map_points chooses (wherever forking is safe, a chunk per usable CPU:
+this process maps the first and a forked child each other), with the
+number of children forked, one on 2 usable CPUs.
 Each timing reports the best of --repeats calls. Set OPENBLAS_NUM_THREADS=1
 to time the kernels as the benchmark runs them; with a BLAS thread pool
-running, map_points forks no worker.
+running, map_points forks no child.
 
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """

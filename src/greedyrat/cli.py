@@ -19,12 +19,13 @@ Subcommands:
 validate and verify read <output_dir>/surrogate.json, the file run wrote,
 unless they are given another path, and reject a surrogate whose blocks
 are not the system's p-by-m. validate's grid solves are independent, so
-they run through greedyrat.parallel.map_points, which forks a worker per
-usable CPU wherever forking is safe. verify's probe solves stay in this
-process, too few to pay for the fork, and so do run's, each pick depending
-on the fit before it. A grid point where the pencil is singular is a
-validation.csv row with resonance 1; at such a probe verify fails with
-the error.
+they run through greedyrat.parallel.map_points: wherever forking is safe,
+this process solves the first of one chunk per usable CPU and a forked
+process each other chunk. verify's probe solves stay in this process,
+since forking would cost small systems more than it saves, and so do
+run's, each pick depending on the fit before it. A grid point where the
+pencil is singular is a validation.csv row with resonance 1; at such a
+probe verify fails with the error.
 
 Config files are flat ``key = value`` text. The keys are the fields of
 ``GreedyConfig`` and of its ``TerminationRule`` (whose ``kind`` is spelled
@@ -215,13 +216,14 @@ def cmd_validate(args):
     estimate = estimate if _finite_real(estimate) else None
     if estimate is not None and isinstance(anchor, list) and len(anchor) == 2 and all(map(_finite_real, anchor)):
         eta = estimator_curve(sur, estimate, complex(*anchor), grid)
-    # map_points forks no worker in a process that runs threads, as an
-    # unpinned OpenBLAS thread pool makes it when numpy loads
+    # On Linux map_points forks no child in a process that runs threads, as
+    # an unpinned OpenBLAS thread pool makes it when numpy loads; elsewhere
+    # it never forks, and no setting would help
     cpus = parallel.usable_cpus()
-    if cpus > 1 and not parallel.fork_is_safe():
+    if _sys.platform == "linux" and cpus > 1 and not parallel.fork_is_safe():
         print(
             f"note: this process runs threads, so validate solves on one of {cpus} usable CPUs;"
-            " set OPENBLAS_NUM_THREADS=1 to let it fork a worker per CPU",
+            " set OPENBLAS_NUM_THREADS=1 to let it fork and solve on all of them",
             file=_sys.stderr,
         )
 

@@ -33,7 +33,8 @@ operand is converted to CSC once, in the system's dtype; the norms of E
 and A copy no indices and are taken before the pencil's scratch exists;
 and the band paths hold one scratch band at a time (see ``_PencilBand``).
 On the benchmark's line the build peaks at 1.21 times the 6.40 MiB it
-keeps (tracemalloc). A dense E or A costs one dense copy for its norm.
+keeps (tracemalloc). A dense E or A is normed a block of columns at a
+time, so its norm copies no more than about 2**17 entries at once.
 
 On the two band paths H(z) solves only the rows C reads. The window of
 rows runs from kl rows above the first RCM position that B or C touches
@@ -169,8 +170,14 @@ def _norm1(M):
         col_sums = np.add.reduceat(np.abs(M.data), starts)
     else:
         # a dense |M| is summed down contiguous columns: on a C-ordered
-        # complex 3000-by-2 array that takes 24 us against 68 us in place (x86)
-        col_sums = np.asfortranarray(abs(M)).sum(axis=0)
+        # complex 3000-by-2 array that takes 24 us against 68 us in place
+        # (x86). It is summed a block of about 2**17 entries at a time, so
+        # a dense E or A is not copied whole; a column's sum has the same
+        # bits in any block.
+        M = M[:, None] if M.ndim == 1 else M
+        step = max(1, 2**17 // max(1, len(M)))
+        blocks = range(0, max(1, M.shape[1]), step)
+        col_sums = np.concatenate([np.asfortranarray(abs(M[:, j : j + step])).sum(axis=0) for j in blocks])
     return float(col_sums.max(initial=0.0))
 
 

@@ -17,9 +17,12 @@ system matrices, which is why these diagnostics ship as a module.
 
 The module only computes: ``greedyrat verify`` writes the reports'
 per-point values to verify.csv. Its solves run in this process, one after
-another: about 100 probes are too few to pay for forking workers
-(greedyrat.parallel). A probe where the pencil is singular fails the
-check: ``check_prop2`` raises the first such probe's ResonanceError.
+another. Mapping its 100 probes over the CPUs (greedyrat.parallel) would
+gain on a large system (32 against 48 ms on the benchmark's n = 3000
+chain) but lose about 3x on small ones (10 against 3 ms on an 8-pole
+system), so moving them is left to a change that measures both. A probe
+where the pencil is singular fails the check: ``check_prop2`` raises the
+first such probe's ResonanceError.
 """
 import math
 from dataclasses import dataclass, field

@@ -20,7 +20,8 @@ from greedyrat import BarycentricSurrogate, DescriptorSystem  # noqa: E402
 
 def pin_workers(monkeypatch, workers):
     """Make greedyrat.parallel.map_points split any input of at least
-    `workers` points over `workers` processes; 1 keeps every call in-process.
+    `workers` points into `workers` chunks, the first mapped in this process
+    and each other in a forked child; 1 keeps every call in-process.
     """
     from greedyrat import parallel
 

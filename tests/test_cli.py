@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -334,7 +335,11 @@ def test_validate_notes_on_stderr_only_when_it_cannot_fork(synthetic_setup, monk
     assert main(["run", cfg]) == 0
     capsys.readouterr()
     outputs = set()
-    for cpus, safe, noted in ((2, False, True), (1, False, False), (2, True, False)):
+    # off Linux fork_is_safe is False by platform, and no setting helps
+    cases = [(platform, 2, False, False) for platform in ("darwin", "win32")]
+    cases += [("linux", 2, False, True), ("linux", 1, False, False), ("linux", 2, True, False)]
+    for platform, cpus, safe, noted in cases:
+        monkeypatch.setattr(sys, "platform", platform)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(parallel, "fork_is_safe", lambda: safe)
         assert main(["validate", cfg]) == 0

@@ -39,7 +39,6 @@ def time_bound():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
-    assert parallel._work is None
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -55,15 +54,16 @@ def test_results_keep_input_order(monkeypatch, workers):
 def test_each_chunk_runs_whole_in_one_worker(monkeypatch):
     pin_workers(monkeypatch, 2)
     pids = map_points(lambda z: os.getpid(), POINTS)
-    # 37 points go to 2 workers, bounds 0, 18, 37. Either worker may take
-    # either chunk, or both when the other starts late.
-    assert pids == [pids[0]] * 18 + [pids[-1]] * 19
-    assert os.getpid() not in pids
+    # 37 points in 2 chunks, bounds 0, 18, 37: this process maps the first,
+    # one forked child the second
+    assert pids[:18] == [os.getpid()] * 18
+    assert pids[18:] == [pids[-1]] * 19 and pids[-1] != os.getpid()
 
 
 def test_cheap_calls_fork_wherever_they_safely_can(monkeypatch):
-    # no stopwatch decides: the test chain's 0.07 ms solves go to workers on
-    # 2 usable CPUs, and stay here only on one CPU or beside another thread
+    # no stopwatch decides: half the test chain's 0.07 ms solves go to a
+    # child on 2 usable CPUs, and all stay here only on one CPU or beside
+    # another thread
     chain = spring_chain()
     grid = 1j * np.geomspace(1e-2, 3.0, 200)
     want = [chain.eval_transfer(z) for z in grid]
@@ -74,7 +74,8 @@ def test_cheap_calls_fork_wherever_they_safely_can(monkeypatch):
         return {pid for pid, _ in out}
 
     pin_workers(monkeypatch, 2)
-    assert os.getpid() not in solving_pids()
+    pids = solving_pids()
+    assert os.getpid() in pids and len(pids) == 2
     pin_workers(monkeypatch, 1)
     assert solving_pids() == {os.getpid()}
     pin_workers(monkeypatch, 2)
@@ -158,7 +159,8 @@ def test_back_to_back_pools_fork_without_a_warning(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(3):
-            assert os.getpid() not in map_points(lambda z: os.getpid(), POINTS)
+            pids = set(map_points(lambda z: os.getpid(), POINTS))
+            assert os.getpid() in pids and len(pids) == 2
     assert [str(w.message) for w in caught] == []
 
 
@@ -185,9 +187,45 @@ def test_other_errors_propagate(monkeypatch, workers, k):
             map_points(fn, list(range(37)))
         # the first failing point in point order, whichever worker ran it
         assert type(raised.value) is error and str(raised.value) == str(error(1j * k))
-        assert parallel._work is None
-        # a pool that raised has let its threads go, so the next call may fork
+        # every child has exited, and none started a thread here
+        assert multiprocessing.active_children() == []
         assert parallel.fork_is_safe()
+
+
+def test_a_forked_map_starts_no_thread(monkeypatch):
+    def no_thread(self):
+        raise RuntimeError("map_points started a thread")
+
+    pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    pids = set(map_points(lambda z: os.getpid(), POINTS))
+    assert os.getpid() in pids and len(pids) == 2
+    # no thread to wait for: the next map may fork at once
+    assert parallel.fork_is_safe()
+
+
+def test_a_child_that_exits_without_replying_raises(monkeypatch):
+    parent = os.getpid()
+
+    def fn(j):
+        if j == 30 and os.getpid() != parent:  # in the second chunk, 18-36
+            os._exit(3)
+        return j
+
+    pin_workers(monkeypatch, 2)
+    with pytest.raises(EOFError):
+        map_points(fn, list(range(37)))
+
+
+def test_an_unsafe_fork_takes_no_fork_context(monkeypatch):
+    # as on Windows, which has no fork context at all
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "fork_is_safe", lambda: False)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert map_points(lambda z: (os.getpid(), z), POINTS) == [(os.getpid(), z) for z in POINTS]
 
 
 @pytest.mark.parametrize(
