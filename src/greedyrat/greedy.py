@@ -52,6 +52,7 @@ where GreedyRun.n_random_solved counts the frozen randomized points that
 were solved; a resonant one is dropped and not charged.
 """
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +73,18 @@ TERMINATION_KINDS = (
 )
 
 
+def _require_integers(obj, names):
+    """Raise ValueError unless each named field of obj is an integer (a numpy one too).
+
+    A float count would pass every range check and fail, or be rounded,
+    only once the run reaches it.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TerminationRule:
     kind: str = "lookahead"
@@ -81,6 +94,7 @@ class TerminationRule:
     min_gap: float = 1e-3
 
     def __post_init__(self):
+        _require_integers(self, ("n_memory", "n_batch", "n_random"))
         if not math.isfinite(self.min_gap):
             raise ValueError("min_gap must be finite")
         if self.kind not in TERMINATION_KINDS:
@@ -111,6 +125,7 @@ class GreedyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, ("grid_size", "max_samples", "seed"))
         for name in ("f_min", "f_max", "tol", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -82,9 +82,10 @@ def map_points(fn, points):
 
     An exception from ``fn`` propagates, the one at the first failing point
     in point order, whether that point ran here or in a child; a child that
-    exits without a reply raises ``EOFError``. ``points`` must support
-    ``len`` and slicing (a list or a NumPy array). Every child has exited
-    when this returns or raises.
+    exits without a reply raises ``EOFError`` naming its first and last
+    point index and its exit code. ``points`` must support ``len`` and
+    slicing (a list or a NumPy array). Every child has exited when this
+    returns or raises.
     """
     workers = max(1, min(usable_cpus(), len(points))) if fork_is_safe() else 1
     bounds = [len(points) * w // workers for w in range(workers + 1)]
@@ -97,8 +98,14 @@ def map_points(fn, points):
                 child.start()
             children.append((child, receive))
         out = [fn(z) for z in points[: bounds[1]]]
-        for child, receive in children:
-            reply = receive.recv()
+        for (child, receive), lo, hi in zip(children, bounds[1:], bounds[2:]):
+            try:
+                reply = receive.recv()
+            except EOFError:
+                child.join()
+                raise EOFError(
+                    f"the child mapping points {lo} to {hi - 1} exited with code {child.exitcode}"
+                ) from None
             if isinstance(reply, Exception):
                 raise reply
             out += reply

@@ -8,20 +8,36 @@ the pencil zE - A; the explicit inverse is never formed.
 
 Everything about the pencil that does not depend on z is worked out once,
 when the system is built, and each frequency then only assembles zE - A
-from it, factors and solves. The path is fixed by the structure of E and A alone, read from CSC
-copies of dense arrays; each operand is kept in the storage it was given:
+from it, factors and solves. Every path does that by one protocol, whose
+shared part is written once in ``_Pencil``: a path factors the pencil in
+its order perm (``_factor(z)``) and solves with the factors' rows from a
+window start w on (``_solve(factors, b, w)``); ``_Pencil`` owns the
+order, the random column R, the window, and the two solves around those
+steps, which put the right-hand side beside R, gather it into the
+pencil's order, split the two solved blocks and scatter X back out. The
+dense and sparse paths keep the system's order as an identity perm.
+
+The path is chosen once, at build. Where the union pattern of E and A,
+read from CSC copies of dense arrays, has half-bandwidth at most
+BAND_MAX after a reverse Cuthill-McKee (RCM) ordering, its structure
+alone decides, whatever the storage. A wider pattern goes to SuperLU
+when E and A are both sparse and to getrf otherwise, so there the
+storage decides; and a dense operand with more nonzeros than any band of
+half-width BAND_MAX holds goes to getrf at once, with no CSC copy and no
+ordering. Each operand is kept in the storage it was given:
 
   tridiagonal
-           half-bandwidth at most 1 after a reverse Cuthill-McKee (RCM)
-           ordering of the union pattern of E and A, and n >= 3: E and
-           A are scattered once into three contiguous diagonals, and each
-           frequency costs the band assembly, gttrf and gttrs
+           half-bandwidth at most 1 after the RCM ordering, and n >= 3:
+           E and A are scattered once into three contiguous diagonals,
+           and each frequency costs the band assembly, gttrf and gttrs
   banded   half-bandwidth at most BAND_MAX after the RCM ordering: E and A
            are scattered once into LAPACK band storage, and each frequency
            costs the band assembly, gbtrf and gbtrs
   dense    a wider band with E or A dense: LAPACK getrf/getrs on the n-by-n
-           pencil, the only path that densifies a sparse operand
+           pencil in the system's order, the only path that densifies a
+           sparse operand
   sparse   a wider band with E and A sparse: SuperLU on the pencil zE - A
+           in the system's order
 
 The band assembly writes a fresh complex band of zE - A: z*e - a on each
 band row where E has an entry, and a cast copy of the fixed 0.0 - a,
@@ -36,25 +52,27 @@ On the benchmark's line the build peaks at 1.21 times the 6.40 MiB it
 keeps (tracemalloc). A dense E or A is normed a block of columns at a
 time, so its norm copies no more than about 2**17 entries at once.
 
-On the two band paths H(z) solves only the rows C reads. The window of
-rows runs from kl rows above the first RCM position that B or C touches
-to the end (kl is the lower half-bandwidth, 1 on the tridiagonal path),
-and B and C are stored once in the RCM order, cut to it. It starts kl
-rows early because step j of the forward substitution swaps row j with a
-row at most kl below it and updates the kl rows below it: every step
-above the window finds only zero rows, and the back substitution fills a
-row from the rows below it only. Each frequency then costs the band
-assembly, the full gttrf or gbtrf, and a gttrs or gbtrs on the trailing
-slices of the factors, whose rows are bit for bit those of the full
-solve. H is the window's C times them, summed in the RCM order: the same
-bits as C @ solve(z, B) where each row of C reads one state through a
-real entry, as at the benchmark's ports, and the same to rounding
-otherwise.
-A window of all n rows (ports at both ends of the ordering) is C times
-the full solve. Either way the window of B is kept gathered into the RCM
-order from the build on, so a frequency only casts it to complex. Solves
-with any other right-hand side (eval_state_transfer, verify), and H(z) on
-the dense and sparse paths, solve all n rows.
+H(z) solves only the rows C reads. The window of rows runs from kl rows
+above the first position, in the pencil's order, that B or C touches to
+the end, and B and C are stored once in that order, cut to it. kl is the
+most rows below a row that the factorization may bring up into it: the
+lower half-bandwidth on the band paths (1 on the tridiagonal path), and
+n - 1 on the dense and sparse paths, whose row pivoting may swap any two
+rows, so their window is all n rows. It starts kl rows early because
+step j of the forward substitution swaps row j with a row at most kl
+below it and updates the kl rows below it: every step above the window
+finds only zero rows, and the back substitution fills a row from the
+rows below it only. Each frequency then costs the band assembly, the
+full gttrf or gbtrf, and a gttrs or gbtrs on the trailing slices of the
+factors, whose rows are bit for bit those of the full solve. H is the
+window's C times them, summed in the RCM order: the same bits as
+C @ solve(z, B) where each row of C reads one state through a real
+entry, as at the benchmark's ports, and the same to rounding otherwise.
+A window of all n rows (ports at both ends of the ordering, or a dense
+or sparse path) is C times the full solve. Either way the window of B is
+kept gathered into the pencil's order from the build on, so a frequency
+only casts it to complex. Solves with any other right-hand side
+(eval_state_transfer, verify) solve all n rows.
 
 solve_pencil refuses a singular pencil by one rule on every path. Beside
 its right-hand side every solve solves for R, one fixed real Gaussian
@@ -86,10 +104,10 @@ only per frequency: in zE - A, in the copy of the right-hand side and in
 the results. numpy and scipy cast a real operand to x + 0j before any
 complex product, so every product, and with it H(z) and G(z), has the
 bits of the complex-typed twin from half the operands' bytes. The LAPACK
-routines are always the complex ones (z prefix), looked up from the
-complex128 type rather than from a band, whose d routines would drop the
-imaginary parts; the copy of B's window that gbtrs and gttrs overwrite is
-therefore complex128 too.
+routines are always the complex ones (z prefix), looked up once per
+system from the complex128 type rather than from an operand, whose d
+routines would drop the imaginary parts; the copy of B's window that the
+solves overwrite is therefore complex128 too.
 """
 import cmath
 import contextlib
@@ -197,65 +215,35 @@ def _split(x):
 class _Pencil:
     """A factorizer for one system: solve(z, rhs) gives X, window(z) the rows C reads.
 
-    Each also solves for R, the random column, and returns its solution
-    X_R apart: solve gives (X, X_R), X n-by-k, and window solves for the
-    system's own B and gives (X, X_R, the columns of C that read X). norm_r
-    and norm_r_w are the 1-norms of R and of the rows of it window solves
-    for. The base solves all n rows; the band paths' window is a trailing one.
+    Each path factors the pencil in its order perm, whose inverse is inv,
+    and defines two steps: ``_factor(z)`` factors the permuted pencil, and
+    ``_solve(factors, b, w)`` solves with the factors' rows from w on,
+    taking that window itself, and returns LAPACK's Fortran-ordered
+    solution. solve passes w = 0, window the window's w; both are written
+    here alone. A right-hand side is gathered into the pencil's order and
+    the solution back out of it by ``np.take``.
+
+    Each also solves for R, the random column, drawn in the pencil's order,
+    and returns its solution X_R apart: solve gives (X, X_R), X n-by-k, and
+    window solves for the system's own B and gives (X, X_R, the columns of
+    C that read X). norm_r and norm_r_w are the 1-norms of R and of the rows
+    of it window solves for, R[w:].
+
+    The window starts at row w, kl rows above the first position in the
+    pencil's order that B or C touches (see the module docstring); kl is
+    the most rows below a row that the factorization may bring up into it,
+    so a path whose pivoting may swap any two rows passes n - 1 and always
+    gets w = 0. The system's own B is kept gathered into that order and cut
+    to the window, in the system's dtype, so window(z) only casts it,
+    beside R's rows, to the complex128 copy the LAPACK solve overwrites; C
+    is cut to the same columns. When w is 0, C stays whole and window(z)
+    gathers the solution back, as solve(z, B) does.
     """
 
-    def __init__(self, B, C):
-        self.B, self.C = B, C
-        self.R = _frozen(np.random.default_rng(0).standard_normal(len(B)))
-        self.norm_r = self.norm_r_w = _norm1(self.R)
-
-    def window(self, z):
-        return *self.solve(z, self.B), self.C
-
-
-class _DensePencil(_Pencil):
-    """LAPACK getrf/getrs on the dense pencil."""
-
-    kind = "dense"
-
-    def __init__(self, E, A, B, C):
-        super().__init__(B, C)
-        self.E, self.A = (M.toarray() if sp.issparse(M) else M for M in (E, A))
-
-    def solve(self, z, rhs):
-        P = z * self.E - self.A
-        # LAPACK getrf directly rather than lu_factor: lu_factor warns on an
-        # exactly singular pencil, whose zero pivot _check_info reports as a
-        # ResonanceError, and silencing that warning per call would reset
-        # every once-per-location warning filter in the process.
-        getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (P,))
-        lu, piv, info = getrf(P, overwrite_a=True)
-        _check_info(info, "getrf", z)
-        b = _beside(rhs, self.R)
-        return _split(scipy.linalg.lu_solve((lu, piv), b, overwrite_b=True, check_finite=False))
-
-
-class _OrderedPencil(_Pencil):
-    """A pencil factored in the RCM order perm, whose inverse is inv.
-
-    Subclasses factor the permuted pencil (``_factor``) and solve with the
-    factors' rows from w on (``_solve(factors, b, w)``, which takes that
-    window itself and returns LAPACK's Fortran-ordered solution); solve
-    passes 0, window the window's w. A right-hand side is gathered into
-    the RCM order and the solution back out of it by ``np.take``; R, drawn
-    in the RCM order, never moves, and the window solves for its rows from
-    w on. The window starts at row w, kl rows above the first RCM position
-    that B or C touches (see the module docstring). The system's own B is
-    kept gathered into the RCM order and cut to the window, in the system's
-    dtype, so window(z) only casts it, beside R's rows, to the complex128
-    copy the LAPACK solve overwrites; C is cut to the same columns. When w
-    is 0, C stays whole and window(z) gathers the solution back, as
-    solve(z, B) does.
-    """
-
-    def __init__(self, B, C, perm, inv, kl, min_rows):
-        super().__init__(B, C)
+    def __init__(self, B, C, perm, inv, kl, min_rows=1):
         self.perm, self.inv = perm, inv
+        self.R = _frozen(np.random.default_rng(0).standard_normal(len(B)))
+        self.norm_r = _norm1(self.R)
         touched = inv[np.any(B != 0, axis=1) | np.any(C != 0, axis=0)]
         first = touched.min() if touched.size else 0
         # min_rows: the fewest rows the LAPACK solve wrapper accepts
@@ -283,7 +271,37 @@ class _OrderedPencil(_Pencil):
         return (X if w else self._unpermute(X)), X_R, self.c_w
 
 
-class _TridiagonalPencil(_OrderedPencil):
+class _DensePencil(_Pencil):
+    """LAPACK getrf/getrs on the dense pencil, in the system's order.
+
+    getrf's row swaps may bring any row up, so w is 0 and the window all n rows.
+    """
+
+    kind = "dense"
+
+    def __init__(self, E, A, B, C):
+        order = np.arange(len(B))  # the identity, its own inverse
+        super().__init__(B, C, order, order, kl=len(B) - 1)
+        self.E, self.A = (M.toarray() if sp.issparse(M) else M for M in (E, A))
+        # LAPACK getrf directly rather than lu_factor: lu_factor warns on an
+        # exactly singular pencil, whose zero pivot _check_info reports as a
+        # ResonanceError, and silencing that warning per call would reset
+        # every once-per-location warning filter in the process.
+        self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+    def _factor(self, z):
+        lu, piv, info = self.getrf(z * self.E - self.A, overwrite_a=True)
+        _check_info(info, "getrf", z)
+        return lu, piv
+
+    def _solve(self, factors, b, w):
+        lu, piv = factors
+        x, info = self.getrs(lu, piv, b, overwrite_b=True)
+        _check_info(info, "getrs")
+        return x
+
+
+class _TridiagonalPencil(_Pencil):
     """LAPACK gttrf/gttrs on the RCM-permuted pencil with half-bandwidth <= 1.
 
     The pencil's band is 3-by-n and C-ordered: the permuted entry (r, c)
@@ -300,9 +318,7 @@ class _TridiagonalPencil(_OrderedPencil):
         # scipy's gttrs wrapper, like its gttrf, rejects fewer than 3 rows
         super().__init__(B, C, perm, inv, kl=1, min_rows=3)
         self.band = _PencilBand(E, A, inv, rows=3, diag_row=1, order="C")
-        self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(
-            ("gttrf", "gttrs"), dtype=np.complex128
-        )
+        self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
 
     def _factor(self, z):
         t = self.band.assemble(z)
@@ -320,7 +336,7 @@ class _TridiagonalPencil(_OrderedPencil):
         return x
 
 
-class _BandedPencil(_OrderedPencil):
+class _BandedPencil(_Pencil):
     """LAPACK gbtrf/gbtrs on the RCM-permuted pencil in band storage.
 
     The pencil's band has LAPACK's full 2*kl + ku + 1 rows, Fortran-ordered,
@@ -336,9 +352,7 @@ class _BandedPencil(_OrderedPencil):
         self.kl, self.ku = kl, ku
         rows = 2 * kl + ku + 1
         self.band = _PencilBand(E, A, inv, rows=rows, diag_row=kl + ku, order="F")
-        self.gbtrf, self.gbtrs = scipy.linalg.get_lapack_funcs(
-            ("gbtrf", "gbtrs"), dtype=np.complex128
-        )
+        self.gbtrf, self.gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
 
     def _factor(self, z):
         kl, ku = self.kl, self.ku
@@ -378,22 +392,28 @@ def _stdout_to_stderr():
 
 
 class _SparsePencil(_Pencil):
-    """SuperLU on the pencil zE - A."""
+    """SuperLU on the pencil zE - A, in the system's order.
+
+    SuperLU's row pivoting may bring any row up, so w is 0 and the window all n rows.
+    """
 
     kind = "sparse"
 
     def __init__(self, E, A, B, C):
-        super().__init__(B, C)
+        order = np.arange(len(B))  # the identity, its own inverse
+        super().__init__(B, C, order, order, kl=len(B) - 1)
         self.E, self.A = E, A
 
-    def solve(self, z, rhs):
+    def _factor(self, z):
         pencil = (z * self.E - self.A).tocsc()
         try:
             with _stdout_to_stderr():
-                lu = spla.splu(pencil)
+                return spla.splu(pencil)
         except RuntimeError as exc:
             raise ResonanceError(z, f"sparse LU failed at z = {z}: {exc}") from exc
-        return _split(lu.solve(_beside(rhs, self.R)))
+
+    def _solve(self, lu, b, w):
+        return lu.solve(b)
 
 
 def _pattern(M):
@@ -488,11 +508,12 @@ def _ordering(E, A):
 
 
 def _analyse_pencil(E, A, B, C):
-    """The pencil factorizer for E and A, chosen by their structure alone.
+    """The pencil factorizer for E and A: by their structure where a band holds it.
 
-    A pattern too wide for the band paths goes to SuperLU when E and A
-    are both sparse and to getrf otherwise. B and C are the system's own,
-    which the factorizer's window(z) solves for and returns.
+    A pattern too wide for the band paths goes, by storage, to SuperLU when
+    E and A are both sparse and to getrf otherwise; a dense operand too
+    full for any band goes to getrf before any ordering. B and C are the
+    system's own, which the factorizer's window(z) solves for and returns.
     """
     sparse = sp.issparse(E) and sp.issparse(A)
     if not sparse:
@@ -519,11 +540,10 @@ class DescriptorSystem:
     B, C, E and A are private read-only copies (a sparse operand's data,
     indices and indptr arrays), so neither a caller who changes the arrays
     it passed in nor an in-place write to ``sys.A.data`` changes the
-    system or its transfer function. The pencil's structure, not its
-    storage, is analysed once, here, so solve_pencil only assembles,
-    factors and solves at each frequency (see ``pencil_path``); on the
-    band paths the assembly recomputes only the band rows in which E has
-    an entry.
+    system or its transfer function. The pencil is analysed once, here, so
+    solve_pencil only assembles, factors and solves at each frequency (see
+    ``pencil_path``); on the band paths the assembly recomputes only the
+    band rows in which E has an entry.
 
     The copies are float64 when none of the operands given has a complex
     type and complex128 otherwise (see the module docstring): a real
@@ -577,7 +597,9 @@ class DescriptorSystem:
     def pencil_path(self):
         """How solve_pencil factors: "tridiagonal", "banded", "sparse" or "dense".
 
-        Fixed at construction by the structure of E and A alone.
+        Fixed at construction: by the structure of E and A where their RCM
+        band is at most BAND_MAX wide, and otherwise by their storage, getrf
+        unless both are sparse (see the module docstring).
         """
         return self._pencil.kind
 

@@ -157,7 +157,7 @@ def spring_chain(masses=100, seed=0):
 
 
 def densified(sys):
-    """sys with E and A stored as dense arrays; the pencil path stays the structure's."""
+    """sys with E and A stored as dense arrays: a band path stays, a wider pattern goes to getrf."""
     return DescriptorSystem(sys.E.toarray(), sys.A.toarray(), sys.B, sys.C)
 
 

@@ -44,8 +44,8 @@ def mass_0_port(sys):
     return DescriptorSystem(sys.E, sys.A, C.T, C)
 
 
-# case id: (system, frequency range, the path its structure selects); a
-# "-dense" id stores E and A as dense arrays
+# case id: (system, frequency range, the path it takes); a "-dense" id
+# stores E and A as dense arrays, which changes only a wide pattern's path
 PATH_CASES = {
     "line-tridiagonal": (rlc_line, LINE, "tridiagonal"),
     "chain-banded": (spring_chain, CHAIN, "banded"),
@@ -98,11 +98,34 @@ def test_eval_transfer_is_the_full_solve_bit_for_bit(case):
         ("chain-banded", 200),
         # kl = 2 rows above the last position
         ("chain-banded-window", 3),
+        # SuperLU's and getrf's row swaps may bring any row up: all n rows
+        ("line-sparse", 400),
+        ("chain-sparse", 200),
+        ("line-wide-dense", 400),
+        ("chain-wide-dense", 200),
     ],
 )
 def test_transfer_window_lengths(case, rows):
     sys = PATH_CASES[case][0]()
     assert sys.n - sys._pencil.w == rows
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_a_solve_looks_up_no_lapack_routine(monkeypatch, case):
+    # every path finds its LAPACK routines once, when the system is built
+    make, (_, f_min, f_max), _ = PATH_CASES[case]
+    sys = make()
+    zs = 1j * np.geomspace(f_min, f_max, 3)
+    before = [(sys.eval_transfer(z), sys.solve_pencil(z, sys.B)) for z in zs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve looked up a LAPACK routine")
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", refuse)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+    for z, (H, X) in zip(zs, before):
+        assert sys.eval_transfer(z).tobytes() == H.tobytes()
+        assert sys.solve_pencil(z, sys.B).tobytes() == X.tobytes()
 
 
 def test_wide_band_goes_to_superlu():

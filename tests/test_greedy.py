@@ -106,6 +106,27 @@ def test_rule_rejects_out_of_range_values(kind, name, value):
         TerminationRule(kind=kind, **{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_memory", 1.5),
+        ("n_batch", 2.5),
+        ("n_random", 2.5),
+        ("grid_size", 500.5),
+        ("max_samples", 3.5),
+        ("seed", 1.5),
+    ],
+)
+def test_config_rejects_non_integral_counts(name, value):
+    # each passed every range check and raised TypeError, or ran as if
+    # rounded up, only once the run reached it
+    kind = {"n_memory": "lookahead_memory", "n_batch": "batch"}.get(name, "randomized")
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cfg_with(kind, **{"f_max": 30.0, "grid_size": 500, name: value})
+    # a numpy integer is an integer
+    cfg_with(kind, **{"f_max": 30.0, "grid_size": 500, name: np.int64(math.ceil(value))})
+
+
 @pytest.mark.parametrize("kind", greedy.TERMINATION_KINDS)
 def test_config_rejects_a_range_the_grid_cannot_resolve(kind):
     # on [1, 1 + 1e-13] all 1000 grid points lie within the snap tolerance
