@@ -19,22 +19,27 @@ it, on SampleArrays in the order the samples joined (here a random one),
 and on a shuffled list of FrequencySample, which fit stacks first; fit
 sorts both.
 The oracle kernel is timed in ms per call on each of its four paths on
-the test tier's small descriptor systems (tests/conftest.py): an RLC line
-of 200 sections with singular E (tridiagonal) and a mass-spring chain of
-100 masses (banded), each also densified (which keeps the structure's
-path), with random long-range couplings (SuperLU), and with both (dense:
-getrf). Each system has two columns: DescriptorSystem.solve_pencil(z, B),
-which solves all n rows, and eval_transfer(z), which on the band paths
-solves only the trailing window of rows that B and C touch (the line's
-last 42 of 400; the chain's ports at both ends need all n). Beside them
-stand the MiB the system holds after its build and the most MiB its build
-held at once (tracemalloc). The test systems are real, so each is also
-built from complex128 copies of its operands, the twin that returns the
-same bits from twice the bytes. The same four columns, solve_pencil(z, B),
-eval_transfer, held and peak MiB, are then taken at the benchmark's own
-sizes: ratbench/systems.py's line
-(n = 50000, tridiagonal) and chain (n = 3000, banded) at seed 0, each at
-the geometric middle of its workload's band (f = 1e8 and 1e-2). Last,
+the small descriptor systems of greedyrat.testsystems, which the tests
+use too: an RLC line of 200 sections with singular E (tridiagonal) and a
+mass-spring chain of 100 masses (banded), each also densified (which
+keeps the structure's path), with random long-range couplings (SuperLU),
+and with both (dense: getrf). Each system has two columns:
+DescriptorSystem.solve_pencil(z, B), which solves all n rows, and
+eval_transfer(z), which on the band paths solves only the trailing window
+of rows that B and C touch (the line's last 42 of 400; the chain's ports
+at both ends need all n). Beside them stand the MiB the system holds
+after its build and the most MiB its build held at once (tracemalloc).
+The test systems are real, so each is also built from complex128 copies
+of its operands, the twin that returns the same bits from twice the
+bytes. The same four columns, solve_pencil(z, B), eval_transfer, held and
+peak MiB, are then taken at the benchmark's own sizes, from the same
+generators: rlc_line(sections=25_000, ports=(0, 20)) (n = 50000,
+tridiagonal) and spring_chain(masses=1500) (n = 3000, banded) at seed 0,
+bit for bit ratbench/systems.py's line and chain, each at the geometric
+middle of its workload's band (f = 1e8 and 1e-2). As for the test
+systems, held and peak are taken on a second build from the generated
+system's operands, so they count DescriptorSystem's build alone: the
+generator's own sparse assembly would double the line's peak. Last,
 parallel.map_points(chain.eval_transfer, points) is timed over 1000 points
 of the test chain's band [1e-2, 3]: held in-process (one usable CPU) and
 as map_points chooses (wherever forking is safe, a chunk per usable CPU:
@@ -47,9 +52,7 @@ running, map_points forks no child.
 Usage: python3 benchmarks/bench_kernels.py [--grid 10000] [--repeats 20]
 """
 import argparse
-import importlib.util
 import os
-import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -58,18 +61,7 @@ import numpy as np
 
 from greedyrat import BarycentricSurrogate, DescriptorSystem, FrequencySample, kernels, parallel
 from greedyrat.fitters import SampleArrays, _smallest_right_singular_vector, fit
-
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-sys.path.insert(0, os.path.join(ROOT, "tests"))
-from conftest import densified, long_range, rlc_line, spring_chain  # noqa: E402
-
-
-def benchmark_systems():
-    """ratbench/systems.py, loaded from its file (ratbench is not a package)."""
-    spec = importlib.util.spec_from_file_location("systems", os.path.join(ROOT, "ratbench", "systems.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from greedyrat.testsystems import densified, long_range, rlc_line, spring_chain
 
 
 def timeit(fn, repeats):
@@ -181,11 +173,14 @@ def main():
                     f"{1e3 * t_solve:>14.3f}{1e3 * t_transfer:>15.3f}{held:>9.3f}{peak:>9.3f}"
                 )
 
-    systems = benchmark_systems()
     head = f"{'benchmark pencil, seed 0':<34}{'path':>12}{'n':>6}{'solve_pencil':>14}{'eval_transfer':>15}{'held':>9}{'peak':>9}"
     print(f"\n{head}\n{'':<52}{'[ms]':>14}{'[ms]':>15}{'[MiB]':>9}{'[MiB]':>9}")
-    for name, z in (("line", 1e8j), ("chain", 1e-2j)):
-        system, held, peak = build_held(systems.GENERATORS[name](0))
+    for name, bench, z in (
+        ("line", rlc_line(sections=25_000, seed=0, ports=(0, 20)), 1e8j),
+        ("chain", spring_chain(masses=1500, seed=0), 1e-2j),
+    ):
+        # rebuilt under tracemalloc, as the test systems above are
+        system, held, peak = build_held((bench.E, bench.A, bench.B, bench.C))
         t_solve = timeit(lambda: system.solve_pencil(z, system.B), args.repeats)
         t_transfer = timeit(lambda: system.eval_transfer(z), args.repeats)
         print(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Count the inexact transfer values that solve_pencil returns at poles its ports do not reach.
 
-tests/test_descriptor.py's triangular_system(200, ...) has E = I and an
+greedyrat.testsystems' triangular_system(200, ...) has E = I and an
 upper-triangular A with diagonal 1j*(1..200), so its pencil is exactly
 singular at z = 1j*k. With one port at state s, B = C.T = e_s, the
 transfer function reduces to 1/(z - a_ss): the other 199 exact poles are
@@ -24,6 +24,10 @@ them, run it on two source trees and compare the lines,
   python3 benchmarks/hidden_poles.py > new.txt
   python3 benchmarks/hidden_poles.py --src ../old/src > old.txt
 
+An older checkout need not have greedyrat.testsystems: the script loads
+this tree's src/greedyrat/testsystems.py from its file, as a module of
+the package under --src, whose DescriptorSystem builds every system.
+
 It pins one BLAS thread before numpy loads, as a reply's bits can depend
 on the thread count. On the sparse path OpenBLAS, called by SuperLU,
 writes two "illegal value" lines to stderr at each exactly singular
@@ -41,6 +45,7 @@ os.environ["MKL_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
@@ -51,11 +56,9 @@ KINDS = ["tridiagonal", "banded", "sparse", "dense"]
 N = 200
 
 
-def probe(kind):
+def probe(kind, triangular_system):
     """(inexact (state, k) pairs, raises, worst relative error) on one path."""
     from greedyrat import DescriptorSystem, ResonanceError
-
-    from test_descriptor import triangular_system
 
     full = triangular_system(N, kind in ("sparse", "dense"), kind)
     inexact, raises, worst = [], 0, 0.0
@@ -92,13 +95,15 @@ def main():
     if unknown:
         parser.error(f"unknown path(s) {', '.join(unknown)}; choose from {', '.join(KINDS)}")
     sys.path.insert(0, os.path.abspath(args.src))
-    import greedyrat  # noqa: F401  (loaded from --src before conftest adds the repository's src)
-
-    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    # this tree's testsystems.py as a module of the package under --src (see above)
+    path = os.path.join(ROOT, "src", "greedyrat", "testsystems.py")
+    spec = importlib.util.spec_from_file_location("greedyrat.testsystems", path)
+    testsystems = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(testsystems)
     t0 = time.perf_counter()
     any_inexact = False
     for kind in kinds:
-        inexact, raises, worst = probe(kind)
+        inexact, raises, worst = probe(kind, testsystems.triangular_system)
         any_inexact = any_inexact or bool(inexact)
         pairs = hashlib.sha256(repr(inexact).encode()).hexdigest()
         print(f"{kind:<12}inexact {len(inexact):>4}  raises {raises:>5}  worst {worst:.3g}  sha256 {pairs}")

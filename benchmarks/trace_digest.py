@@ -6,9 +6,10 @@ artifact bit for bit as it was.
 The configurations are the six termination rules x {loewner, mri} x three
 systems x tol {1e-3, 1e-6}, grid 2000, max_samples 200: 72 runs. The
 systems are the 8-pole 2x2 make_synthetic system (poles i*{2, 5, 11, 19,
-37, 53, 71, 90}, residue seed 1) on f in [1, 100], and tests/conftest.py's
-RLC line on [1e7, 1e10] and spring chain on [1e-2, 3]. The rules take
-density min_gap 0.05, lookahead_memory 3, batch 5 and randomized 20.
+37, 53, 71, 90}, residue seed 1) on f in [1, 100], rlc_line() on [1e7,
+1e10] and spring_chain() on [1e-2, 3]. Every system here comes from
+greedyrat.testsystems, which the tests use too. The rules take density
+min_gap 0.05, lookahead_memory 3, batch 5 and randomized 20.
 
 Each line gives the samples, the oracle calls and the stop, then a sha256
 over every surrogate's support, values and q bytes, every IterationRecord
@@ -25,7 +26,10 @@ independent one.
 
 The script reads only what run_greedy's result has offered since the
 sample store was introduced, so it runs unchanged against an older
-checkout's package: diff its output for two source trees,
+checkout's package, also one without greedyrat.testsystems: it loads
+this tree's src/greedyrat/testsystems.py from its file, as a module of
+the package under --src, whose DescriptorSystem builds every system.
+Diff its output for two source trees,
 
   python3 benchmarks/trace_digest.py > new.txt
   python3 benchmarks/trace_digest.py --src ../old/src > old.txt
@@ -35,22 +39,23 @@ depend on the thread count. The digests also depend on the BLAS build,
 so none is stored here to compare against.
 
 The pencils section prints one line per descriptor system: each case of
-tests/test_descriptor.py's PATH_CASES (the four solve paths on the RLC
-line and the spring chain), ratbench/systems.py's line and chain at seed
-0 (loaded from that file, not edited, on their workloads' ranges [1e7,
-1e9] and [1e-3, 0.1]), and the complex twin of each, built from
-complex128 copies of its operands. A line gives the sha256 over the bytes
-of eval_transfer(z) and over those of eval_state_transfer(z) at 12
+testsystems.PATH_CASES (the four solve paths on the RLC line and the
+spring chain), the benchmark's line and chain at seed 0
+(rlc_line(sections=25_000, ports=(0, 20)) and spring_chain(masses=1500),
+bit for bit ratbench/systems.py's, on their workloads' ranges [1e7, 1e9]
+and [1e-3, 0.1]), and the complex twin of each, built from complex128
+copies of its operands. A line gives the sha256 over the bytes of
+eval_transfer(z) and over those of eval_state_transfer(z) at 12
 geometrically spaced z = i*f on the case's range, and the indices of the
 z at which either raises ResonanceError.
 
 The CLI section then runs `greedyrat run`, `validate` and `verify`, each
 in a child process on the package under --src, on three configurations:
-the cli_roundtrip workload's (ratbench/systems.py's chain at seed 0 on f
-in [1e-3, 0.03], grid 1000, randomized with n_random 100), the conftest
-line with lookahead and the conftest chain with batch, n_batch 5, both on
-the ranges above with grid 2000; tol 1e-3 and delta 1e-8 throughout. The
-systems go to Matrix Market files first. It prints one line per command
+the cli_roundtrip workload's (the benchmark's chain at seed 0 on f in
+[1e-3, 0.03], grid 1000, randomized with n_random 100), rlc_line() with
+lookahead and spring_chain() with batch, n_batch 5, both on the ranges
+above with grid 2000; tol 1e-3 and delta 1e-8 throughout. The systems
+go to Matrix Market files first. It prints one line per command
 (exit code, sha256 of its stdout and of its stderr) and one per artifact
 (sha256 of everything below its `# generated` line).
 
@@ -65,6 +70,7 @@ os.environ["MKL_NUM_THREADS"] = "1"
 import argparse  # noqa: E402
 import collections  # noqa: E402
 import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import subprocess  # noqa: E402
@@ -87,44 +93,40 @@ RULES = [
 ]
 
 
+@functools.cache
+def testsystems():
+    """This tree's greedyrat/testsystems.py, loaded from its file as a module of
+    the greedyrat package already imported from --src, whose DescriptorSystem it
+    builds: an older checkout has no testsystems module."""
+    path = os.path.join(ROOT, "src", "greedyrat", "testsystems.py")
+    spec = importlib.util.spec_from_file_location("greedyrat.testsystems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def systems():
     """(name, system, f_min, f_max) for the three systems."""
-    from greedyrat import make_synthetic
-
-    from conftest import rlc_line, spring_chain
-
+    ts = testsystems()
     poles = [1j * f for f in (2, 5, 11, 19, 37, 53, 71, 90)]
     return [
-        ("8-pole", make_synthetic(poles, 1, m=2, p=2), 1.0, 100.0),
-        ("line", rlc_line(), 1e7, 1e10),
-        ("chain", spring_chain(), 1e-2, 3.0),
+        ("8-pole", ts.make_synthetic(poles, 1, m=2, p=2), 1.0, 100.0),
+        ("line", ts.rlc_line(), 1e7, 1e10),
+        ("chain", ts.spring_chain(), 1e-2, 3.0),
     ]
-
-
-def ratbench_systems():
-    """ratbench/systems.py, loaded from its file (ratbench is not a package)."""
-    path = os.path.join(ROOT, "ratbench", "systems.py")
-    spec = importlib.util.spec_from_file_location("ratbench_systems", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
 
 
 def cli_systems():
     """(name, system, config lines) for the CLI section's three configurations."""
-    from greedyrat import DescriptorSystem
-
-    from conftest import rlc_line, spring_chain
-
-    bench = ratbench_systems()
+    ts = testsystems()
     return [
         (
             "roundtrip",
-            DescriptorSystem(*bench.chain_matrices(0)),
+            ts.spring_chain(masses=1500, seed=0),
             "f_min = 1e-3\nf_max = 0.03\ngrid_size = 1000\ntermination = randomized\nn_random = 100\n",
         ),
-        ("line", rlc_line(), "f_min = 1e7\nf_max = 1e10\ngrid_size = 2000\ntermination = lookahead\n"),
-        ("chain", spring_chain(), "f_min = 1e-2\nf_max = 3\ngrid_size = 2000\ntermination = batch\nn_batch = 5\n"),
+        ("line", ts.rlc_line(), "f_min = 1e7\nf_max = 1e10\ngrid_size = 2000\ntermination = lookahead\n"),
+        ("chain", ts.spring_chain(), "f_min = 1e-2\nf_max = 3\ngrid_size = 2000\ntermination = batch\nn_batch = 5\n"),
     ]
 
 
@@ -136,13 +138,11 @@ def pencil_systems():
     """(name, system, f_min, f_max) for the pencils section, twins included."""
     from greedyrat import DescriptorSystem
 
-    from test_descriptor import PATH_CASES
-
-    bench = ratbench_systems()
-    cases = [(name, make(), f_min, f_max) for name, (make, (_, f_min, f_max), _) in PATH_CASES.items()]
+    ts = testsystems()
+    cases = [(name, make(), f_min, f_max) for name, (make, (_, f_min, f_max), _) in ts.PATH_CASES.items()]
     cases += [
-        ("bench line", DescriptorSystem(*bench.line_matrices(0)), 1e7, 1e9),
-        ("bench chain", DescriptorSystem(*bench.chain_matrices(0)), 1e-3, 0.1),
+        ("bench line", ts.rlc_line(sections=25_000, seed=0, ports=(0, 20)), 1e7, 1e9),
+        ("bench chain", ts.spring_chain(masses=1500, seed=0), 1e-3, 0.1),
     ]
     for name, system, f_min, f_max in cases:
         yield name, system, f_min, f_max
@@ -225,10 +225,6 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from greedyrat import GreedyConfig, TerminationRule, run_greedy
-
-    # conftest puts the repository's src/ on sys.path, but greedyrat is
-    # already loaded by then, from --src
-    sys.path.insert(0, os.path.join(ROOT, "tests"))
 
     # output-only MRI warns once its samples outnumber p*m; not a failure here
     warnings.simplefilter("ignore")

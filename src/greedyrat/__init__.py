@@ -21,12 +21,8 @@ from .greedy import (
     random_test_points,
     run_greedy,
 )
-from .system_model import (
-    DescriptorSystem,
-    FrequencySample,
-    load_matrix_market,
-    make_synthetic,
-)
+from .system_model import DescriptorSystem, FrequencySample, load_matrix_market
+from .testsystems import make_synthetic
 from .verify import check_prop1, check_prop2, residual_norm, state_surrogate
 
 __version__ = "0.1.0"

@@ -668,23 +668,3 @@ def load_matrix_market(prefix):
     Am, Bm, Cm = (_read_mtx(f"{prefix}.{name}.mtx") for name in "ABC")
     Bm, Cm = (M.toarray() if sp.issparse(M) else M for M in (Bm, Cm))
     return DescriptorSystem(Em, Am, Bm, Cm)
-
-
-def make_synthetic(poles, residue_seed, m=1, p=1):
-    """Diagonal system with prescribed poles and seeded random B, C.
-
-    E = I, A = diag(poles); B and C get unit-scale complex Gaussian
-    entries from a seeded generator, so the same seed reproduces the
-    system bitwise. The transfer function is rational with poles exactly
-    at the given (distinct) locations.
-    """
-    poles = np.asarray(list(poles), dtype=np.complex128)
-    if poles.size == 0:
-        raise ValueError("at least one pole is required")
-    if len(set(poles.tolist())) != poles.size:
-        raise ValueError("poles must be distinct")
-    rng = np.random.default_rng(residue_seed)
-    n = poles.size
-    B = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-    C = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
-    return DescriptorSystem(np.eye(n), np.diag(poles), B, C)

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import pin_workers, spring_chain, time_bound
+from conftest import pin_workers, time_bound
 from greedyrat import (
     DescriptorSystem,
     GreedyConfig,
@@ -19,6 +19,7 @@ from greedyrat import (
     run_greedy,
 )
 from greedyrat.cli import CONFIG_KEYS, build_greedy_config, main, parse_config, ConfigError
+from greedyrat.testsystems import spring_chain
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 

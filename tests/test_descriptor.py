@@ -1,9 +1,9 @@
 """Sparse descriptor systems: the pencil paths and the paper's identities.
 
 After a reverse Cuthill-McKee ordering the RLC line (singular E) from
-conftest is tridiagonal and the mass-spring chain is banded, whether E and
-A are stored sparse or dense; long-range couplings push one onto SuperLU,
-or onto the dense path when stored dense.
+greedyrat.testsystems is tridiagonal and the mass-spring chain is
+banded, whether E and A are stored sparse or dense; long-range couplings
+push one onto SuperLU, or onto the dense path when stored dense.
 """
 import tracemalloc
 import warnings
@@ -13,7 +13,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import densified, long_range, random_pairs, rlc_line, spring_chain
 from greedyrat import (
     DescriptorSystem,
     ResonanceError,
@@ -26,37 +25,17 @@ from greedyrat import (
     system_model,
 )
 from greedyrat.system_model import BAND_MAX, _band, _norm1
+from greedyrat.testsystems import (
+    CHAIN,
+    LINE,
+    PATH_CASES,
+    densified,
+    long_range,
+    rlc_line,
+    spring_chain,
+    triangular_system,
+)
 from greedyrat.verify import draw_probe_points
-
-# (system, f_min, f_max) with frequencies z = i*f spanning the response
-LINE = (rlc_line, 1e8, 1e10)
-CHAIN = (spring_chain, 1e-2, 1.0)
-
-
-
-def mass_0_port(sys):
-    """sys with one port, B = C.T, at the position of mass 0 of the chain.
-
-    RCM puts that state last, so the banded transfer window is 3 rows.
-    """
-    C = np.zeros((1, sys.n))
-    C[0, 0] = 1.0
-    return DescriptorSystem(sys.E, sys.A, C.T, C)
-
-
-# case id: (system, frequency range, the path it takes); a "-dense" id
-# stores E and A as dense arrays, which changes only a wide pattern's path
-PATH_CASES = {
-    "line-tridiagonal": (rlc_line, LINE, "tridiagonal"),
-    "chain-banded": (spring_chain, CHAIN, "banded"),
-    "chain-banded-window": (lambda: mass_0_port(spring_chain()), CHAIN, "banded"),
-    "line-dense": (lambda: densified(rlc_line()), LINE, "tridiagonal"),
-    "chain-dense": (lambda: densified(spring_chain()), CHAIN, "banded"),
-    "line-sparse": (lambda: long_range(rlc_line()), LINE, "sparse"),
-    "chain-sparse": (lambda: long_range(spring_chain()), CHAIN, "sparse"),
-    "line-wide-dense": (lambda: densified(long_range(rlc_line())), LINE, "dense"),
-    "chain-wide-dense": (lambda: densified(long_range(spring_chain())), CHAIN, "dense"),
-}
 
 
 @pytest.mark.parametrize("case", list(PATH_CASES))
@@ -166,29 +145,6 @@ def test_banded_path_bandwidth_is_the_structures():
     assert max(shuffled._pencil.kl, shuffled._pencil.ku) <= 2 <= BAND_MAX
     ref = sys.eval_transfer(0.37j)
     assert np.linalg.norm(shuffled.eval_transfer(0.37j) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def triangular_system(n, wide, kind):
-    """E = I and upper-triangular A with diagonal 1j*(1..n): exact poles at 1j*k.
-
-    A is bidiagonal, plus a second superdiagonal for the banded kind (the
-    bidiagonal alone is tridiagonal), and entries at random pairs above the
-    diagonal if wide.
-    """
-    rng = np.random.default_rng(3)
-    A = sp.diags(1j * np.arange(1.0, n + 1), format="csc")
-    i = np.arange(n - 1)
-    A = A + sp.csc_matrix((rng.uniform(0.5, 2.0, n - 1), (i, i + 1)), shape=(n, n))
-    if kind == "banded":
-        i = np.arange(n - 2)
-        A = A + sp.csc_matrix((rng.uniform(0.5, 2.0, n - 2), (i, i + 2)), shape=(n, n))
-    if wide:
-        i, j = random_pairs(n, n // 2, rng)
-        A = A + sp.csc_matrix((rng.uniform(0.5, 2.0, i.size), (i, j)), shape=(n, n))
-    B, C = np.ones((n, 1)), np.ones((1, n))
-    if kind == "dense":
-        return DescriptorSystem(np.eye(n), A.toarray(), B, C)
-    return DescriptorSystem(sp.identity(n, format="csc"), A, B, C)
 
 
 @pytest.mark.parametrize(

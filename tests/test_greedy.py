@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_surrogate, rational_11, rlc_line, spring_chain
+from conftest import random_surrogate, rational_11
 from greedyrat import (
     BarycentricSurrogate,
     GreedyConfig,
@@ -24,6 +24,7 @@ from greedyrat import (
     run_greedy,
 )
 from greedyrat import greedy, kernels
+from greedyrat.testsystems import rlc_line, spring_chain
 
 
 def order4_system(seed=0):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import pin_workers, spring_chain
+from conftest import pin_workers
 from greedyrat import (
     GridExhaustedError,
     ResonanceError,
@@ -18,6 +18,7 @@ from greedyrat import (
     parallel,
 )
 from greedyrat.parallel import map_points
+from greedyrat.testsystems import spring_chain
 
 POINTS = list(1j * np.geomspace(1.0, 100.0, 37))
 
@@ -215,6 +216,22 @@ def test_a_child_that_exits_without_replying_raises(monkeypatch):
     pin_workers(monkeypatch, 2)
     with pytest.raises(EOFError, match="points 18 to 36 exited with code 3$"):
         map_points(fn, list(range(37)))
+
+
+def test_a_child_error_chains_the_child_traceback(monkeypatch):
+    def fn(j):
+        if j == 30:  # in the second chunk, 18-36, mapped by the child
+            raise ValueError(f"boom at {j}")
+        return j
+
+    pin_workers(monkeypatch, 2)
+    with pytest.raises(ValueError, match="^boom at 30$") as raised:
+        map_points(fn, list(range(37)))
+    cause = str(raised.value.__cause__)
+    assert "in fn\n" in cause and 'raise ValueError(f"boom at {j}")' in cause
+    assert cause.rstrip().endswith('ValueError: boom at 30\n"""')
+    assert multiprocessing.active_children() == []
+    assert parallel.fork_is_safe()
 
 
 def test_an_unsafe_fork_takes_no_fork_context(monkeypatch):
