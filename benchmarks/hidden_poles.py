@@ -27,6 +27,9 @@ them, run it on two source trees and compare the lines,
 An older checkout need not have greedyrat.testsystems: the script loads
 this tree's src/greedyrat/testsystems.py from its file, as a module of
 the package under --src, whose DescriptorSystem builds every system.
+When greedyrat imports from anywhere but --src (an installed copy, say,
+or a PYTHONPATH entry, where --src holds no package), the script exits
+with an error naming both paths before any work.
 
 It pins one BLAS thread before numpy loads, as a reply's bits can depend
 on the thread count. On the sparse path OpenBLAS, called by SuperLU,
@@ -94,7 +97,13 @@ def main():
     unknown = sorted(set(kinds) - set(KINDS))
     if unknown:
         parser.error(f"unknown path(s) {', '.join(unknown)}; choose from {', '.join(KINDS)}")
-    sys.path.insert(0, os.path.abspath(args.src))
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import greedyrat
+    # an installed greedyrat or a PYTHONPATH entry would otherwise stand in
+    # for a --src that holds no package
+    if not os.path.abspath(greedyrat.__file__).startswith(src + os.sep):
+        sys.exit(f"imported greedyrat from {greedyrat.__file__}, not from --src {src}")
     # this tree's testsystems.py as a module of the package under --src (see above)
     path = os.path.join(ROOT, "src", "greedyrat", "testsystems.py")
     spec = importlib.util.spec_from_file_location("greedyrat.testsystems", path)

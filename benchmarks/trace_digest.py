@@ -29,6 +29,9 @@ sample store was introduced, so it runs unchanged against an older
 checkout's package, also one without greedyrat.testsystems: it loads
 this tree's src/greedyrat/testsystems.py from its file, as a module of
 the package under --src, whose DescriptorSystem builds every system.
+When greedyrat imports from anywhere but --src (an installed copy, say,
+or a PYTHONPATH entry, where --src holds no package), the script exits
+with an error naming both paths before any work.
 Diff its output for two source trees,
 
   python3 benchmarks/trace_digest.py > new.txt
@@ -223,7 +226,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds greedyrat")
     args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import greedyrat
+    # an installed greedyrat or a PYTHONPATH entry would otherwise stand in
+    # for a --src that holds no package
+    if not os.path.abspath(greedyrat.__file__).startswith(src + os.sep):
+        sys.exit(f"imported greedyrat from {greedyrat.__file__}, not from --src {src}")
     from greedyrat import GreedyConfig, TerminationRule, run_greedy
 
     # output-only MRI warns once its samples outnumber p*m; not a failure here
@@ -250,7 +259,7 @@ def main():
                     )
     for line in pencil_lines():
         print(line)
-    for line in cli_lines(os.path.abspath(args.src)):
+    for line in cli_lines(src):
         print(line)
     print(f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
 

@@ -27,6 +27,19 @@ COEFF_WARN = 1e-14
 INF_EIG_FACTOR = 1e13
 
 
+def _canonical_order(z, what):
+    """The order that sorts frequencies z by imaginary, then real part.
+
+    Raises ValueError naming ``what`` when two of z are equal, which
+    sorting puts side by side.
+    """
+    order = np.lexsort((z.real, z.imag))
+    z = z[order]
+    if np.any(z[1:] == z[:-1]):
+        raise ValueError(f"{what} must be pairwise distinct")
+    return order
+
+
 class BarycentricSurrogate:
     def __init__(self, support, values, coeffs):
         support = np.asarray(support, dtype=np.complex128).ravel()
@@ -38,11 +51,7 @@ class BarycentricSurrogate:
             raise ValueError("one coefficient per support point is required")
         if not all(np.isfinite(a).all() for a in (support, coeffs, values)):
             raise ValueError("support points, coefficients and values must be finite")
-        if support.size > 1:
-            d = np.abs(support[:, None] - support[None, :])
-            np.fill_diagonal(d, np.inf)
-            if d.min() == 0.0:
-                raise ValueError("support points must be pairwise distinct")
+        _canonical_order(support, "support points")
         nq = np.linalg.norm(coeffs)
         if abs(nq - 1.0) > 1e-12:
             raise ValueError(f"coefficients must have unit 2-norm, got {nq}")

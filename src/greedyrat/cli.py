@@ -33,6 +33,7 @@ Config files are flat ``key = value`` text. The keys are the fields of
 Frequencies are serialized as the positive real f of z = i*f.
 """
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import parallel, verify as verify_mod
 from .barycentric import BarycentricSurrogate
-from .errors import GreedyratError, ResonanceError
+from .errors import GreedyratError, ResonanceError, SupportCollisionError
 from .greedy import (
     GreedyConfig,
     TerminationRule,
@@ -212,10 +213,12 @@ def cmd_validate(args):
     eta = np.full(grid.size, math.nan)
     estimate, anchor = meta.get("estimator_value"), meta.get("estimator_anchor")
     # a file from elsewhere may hold null, a string or nan: no estimate then,
-    # and no eta curve without an anchor of two finite reals
+    # and no eta curve without an anchor of two finite reals off the support,
+    # where |Q| has no finite value to scale by
     estimate = estimate if _finite_real(estimate) else None
     if estimate is not None and isinstance(anchor, list) and len(anchor) == 2 and all(map(_finite_real, anchor)):
-        eta = estimator_curve(sur, estimate, complex(*anchor), grid)
+        with contextlib.suppress(SupportCollisionError):
+            eta = estimator_curve(sur, estimate, complex(*anchor), grid)
     # On Linux map_points forks no child in a process that runs threads, as
     # an unpinned OpenBLAS thread pool makes it when numpy loads; elsewhere
     # it never forks, and no setting would help

@@ -13,16 +13,18 @@ invariant under rescaling of q).
 `fit(samples, method)` is the one entry point. It sorts and checks every
 input: the samples, a list of FrequencySample stacked first or SampleArrays,
 are gathered into canonical order (ascending imaginary, then real part) as a
-frequency array and a (S, p, m) value array, and a repeated frequency is an
-error. Loewner takes the even rows as support and the odd ones as test
-points, MRI every row.
+frequency array and a (S, p, m) value array, and a repeated frequency, side
+by side once sorted, is an error. The sort and that rule are
+``barycentric._canonical_order``, which also rejects a surrogate's repeated
+support point. Loewner takes the even rows as support and the odd ones as
+test points, MRI every row.
 """
 import warnings
 from collections.abc import Sequence
 
 import numpy as np
 
-from .barycentric import BarycentricSurrogate
+from .barycentric import BarycentricSurrogate, _canonical_order
 from .system_model import FrequencySample
 
 
@@ -46,11 +48,8 @@ def _sorted_arrays(samples):
     if not isinstance(samples, SampleArrays):
         samples = list(samples)  # any iterable, read once
         samples = SampleArrays(np.array([s.z for s in samples]), np.array([s.value for s in samples]))
-    order = np.lexsort((samples.z.real, samples.z.imag))
-    z = samples.z[order]
-    if np.any(z[1:] == z[:-1]):  # sorting puts equal frequencies side by side
-        raise ValueError("sample frequencies must be pairwise distinct")
-    return z, samples.values.take(order, axis=0)
+    order = _canonical_order(samples.z, "sample frequencies")
+    return samples.z[order], samples.values.take(order, axis=0)
 
 
 def _smallest_right_singular_vector(M, ncols):

@@ -40,17 +40,18 @@ ordering. Each operand is kept in the storage it was given:
            in the system's order
 
 The band assembly writes a fresh complex band of zE - A: z*e - a on each
-band row where E has an entry, and a cast copy of the fixed 0.0 - a,
+band row where E stores an entry, and a cast copy of the fixed 0.0 - a,
 kept at build time, on every other row (see ``_PencilBand``). On the
 benchmark's RLC line, whose E is diagonal, that is one z row of three.
 
 The build holds little scratch beside what the system keeps. A sparse
 operand is converted to CSC once, in the system's dtype; the norms of E
 and A copy no indices and are taken before the pencil's scratch exists;
-and the band paths hold one scratch band at a time (see ``_PencilBand``).
-On the benchmark's line the build peaks at 1.21 times the 6.40 MiB it
-keeps (tracemalloc). A dense E or A is normed a block of columns at a
-time, so its norm copies no more than about 2**17 entries at once.
+and the band paths scatter E's entries straight into its z rows, with no
+full band of E (see ``_PencilBand``). On the benchmark's line the build
+peaks at 1.21 times the 6.40 MiB it keeps (tracemalloc). A dense E or A
+is normed a block of columns at a time, so its norm copies no more than
+about 2**17 entries at once.
 
 H(z) solves only the rows C reads. The window of rows runs from kl rows
 above the first position, in the pencil's order, that B or C touches to
@@ -429,54 +430,46 @@ def _permuted_entries(M, inv):
     return offsets, c
 
 
-def _band(M, inv, rows, diag_row):
-    """M[perm][:, perm] in band storage; M is canonical CSC, inv inverts perm.
+def _band(M, inv, diag_row, rows=None):
+    """Band rows of M[perm][:, perm] as (indices, rows); M is canonical CSC, inv inverts perm.
 
-    Entry (r, c) of the permuted matrix goes to row diag_row + r - c of
-    column c in a zero C-ordered rows-by-n array of M's dtype.
+    Entry (r, c) of the permuted matrix goes to band row diag_row + r - c
+    of column c, in a zero C-ordered array of M's dtype: all rows of the
+    band when rows is given, and otherwise only the rows in which M stores
+    an entry, ascending.
     """
     offsets, c = _permuted_entries(M, inv)
     offsets += diag_row
-    band = np.zeros((rows, inv.size), dtype=M.dtype)
+    kept, offsets = np.unique(offsets, return_inverse=True) if rows is None else (np.arange(rows), offsets)
+    band = np.zeros((kept.size, inv.size), dtype=M.dtype)
     band[offsets, c] = M.data
-    return band
-
-
-def _plus_zero(row):
-    """True when every entry of a band row is +0, in real and imaginary part."""
-    return not any(part.any() or np.signbit(part).any() for part in (row.real, row.imag))
+    return kept, band
 
 
 class _PencilBand:
     """zE - A in band storage, assembled per frequency from rows kept once.
 
-    E and A are scattered into rows-by-n bands (see ``_band``) in the
-    system's dtype, one after the other. A row in which E has an entry is
-    a z row: it keeps E's and A's rows, and ``assemble(z)`` forms it as
-    z*e - a with np.multiply and np.subtract, the operations and bits of
+    A band row in which E stores an entry is a z row: it keeps E's row,
+    scattered straight from E's entries, and A's (see ``_band``) in the
+    system's dtype, and ``assemble(z)`` forms it as z*e - a with
+    np.multiply and np.subtract, the operations and bits of
     z*band_e - band_a. Every other row, including the zero padding and
-    gbtrf's fill rows, is fixed: it keeps 0.0 - A's row and is cast-copied,
-    and E's all-zero rows are not stored. For Re z >= +0, z*0 is +0+0j, so
-    a fixed row has the bits of z*band_e - band_a too, and so does H(z) on
-    every grid. For Re z < 0 (or -0), z*0 may carry signed zeros, so only
-    the sign of a zero may differ from z*band_e - band_a (a structurally
-    zero entry, or the zero imaginary part of a real one), and no value
-    does. A -0 entry of E would change a sign even for Re z >= +0, so it
-    makes its row a z row.
+    gbtrf's fill rows, is fixed: it keeps 0.0 - A's row and is cast-copied.
+    For Re z >= +0, z*0 is +0+0j, so a fixed row has the bits of
+    z*band_e - band_a too, and so does H(z) on every grid. For Re z < 0
+    (or -0), z*0 may carry signed zeros, so only the sign of a zero may
+    differ from z*band_e - band_a (a structurally zero entry, or the zero
+    imaginary part of a real one), and no value does.
 
-    The build holds one band at a time: E's z rows are copied out of E's
-    band, which is freed before A's is scattered, and A's band is kept
-    whole, each C-contiguous row a z row's a or, negated in place, a fixed
-    row. So it peaks at what it keeps plus the larger of E's band and A's
-    scatter indices.
+    A's band is kept whole, each C-contiguous row a z row's a or, negated
+    in place, a fixed row. So the build peaks at what it keeps plus the
+    larger of E's and A's scatter indices.
     """
 
     def __init__(self, E, A, inv, rows, diag_row, order):
-        band_e = _band(E, inv, rows, diag_row)
-        z = [i for i in range(rows) if not _plus_zero(band_e[i])]
-        e = band_e[z]  # a copy, contiguous
-        del band_e
-        a = _band(A, inv, rows, diag_row)
+        z, e = _band(E, inv, diag_row)
+        z = z.tolist()
+        _, a = _band(A, inv, diag_row, rows)
         self.shape, self.order = a.shape, order
         self.z_rows = [(i, e_i, a[i]) for i, e_i in zip(z, e)]
         self.fixed_rows = [(i, np.subtract(0.0, a[i], out=a[i])) for i in range(rows) if i not in z]
@@ -543,7 +536,7 @@ class DescriptorSystem:
     system or its transfer function. The pencil is analysed once, here, so
     solve_pencil only assembles, factors and solves at each frequency (see
     ``pencil_path``); on the band paths the assembly recomputes only the
-    band rows in which E has an entry.
+    band rows in which E stores an entry.
 
     The copies are float64 when none of the operands given has a complex
     type and complex128 otherwise (see the module docstring): a real

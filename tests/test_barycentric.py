@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,28 @@ def test_root_consistency_and_degree_bound(seed):
 def test_rejects_duplicate_support():
     with pytest.raises(ValueError, match="distinct"):
         BarycentricSurrogate([1.0, 1.0], np.zeros((2, 1, 1)), np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("support", [[3j, 1j, 2j, 1j], [1 + 1j, 1j, 1 + 1j], [0.0, 1j, complex(-0.0, -0.0)]])
+def test_rejects_a_repeated_support_point_in_any_order(support):
+    n = len(support)
+    with pytest.raises(ValueError, match="support points must be pairwise distinct"):
+        BarycentricSurrogate(support, np.zeros((n, 1, 1)), np.ones(n) / np.sqrt(n))
+
+
+def test_a_1000_node_surrogate_builds_in_under_1_mib():
+    # the repeat check sorts the support: no S-by-S array of distances
+    n = 1000
+    support = 1j * np.arange(1.0, n + 1)
+    values = np.ones((n, 1, 1), dtype=np.complex128)
+    coeffs = np.full(n, 1 / np.sqrt(n), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        BarycentricSurrogate(support, values, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -479,6 +479,27 @@ def test_validate_draws_no_eta_for_a_malformed_estimator_anchor(synthetic_setup,
     assert all(np.isnan(float(r.split(",")[2])) for r in rows[1:])
 
 
+def test_validate_draws_no_eta_for_an_anchor_on_a_support_point(synthetic_setup, capsys):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    assert main(["validate", cfg]) == 0
+    out = capsys.readouterr().out
+    rows = [r.split(",") for r in read_csv_body(tmp_path / "out" / "validation.csv")]
+    path = tmp_path / "out" / "surrogate.json"
+    meta = json.loads(path.read_text())
+    meta["estimator_anchor"] = meta["support"][1]  # |Q| is infinite there
+    path.write_text(json.dumps(meta))
+    assert main(["validate", cfg]) == 0
+    assert capsys.readouterr().out == out
+    colliding = [r.split(",") for r in read_csv_body(tmp_path / "out" / "validation.csv")]
+    assert colliding[0] == rows[0] and len(colliding) == len(rows)
+    for row, was in zip(colliding[1:], rows[1:]):
+        assert not math.isnan(float(was[2])) and math.isnan(float(row[2]))
+        assert row[:2] + row[3:] == was[:2] + was[3:]
+
+
 def test_validate_on_a_grid_of_resonances_prints_nan_and_exits_1(tmp_path, capsys):
     # both points of the grid f in {1, 2} are poles, so no error can be measured
     sys = make_synthetic([1j, 2j, 3j], 0)

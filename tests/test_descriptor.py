@@ -593,14 +593,23 @@ def handed_band(sys, z):
     return np.stack([np.concatenate([[0], du]), d, np.concatenate([dl, [0]])])
 
 
-def reference_band(sys, z):
-    """z*band_e - band_a from the bands of E and A, as the pencil lays them out."""
+def band_layout(sys):
+    """The rows and the diagonal's row of sys's band storage."""
     pencil = sys._pencil
     if sys.pencil_path == "tridiagonal":
-        rows, diag_row = 3, 1
-    else:
-        rows, diag_row = 2 * pencil.kl + pencil.ku + 1, pencil.kl + pencil.ku
-    band_e, band_a = (_band(sp.csc_matrix(M), pencil.inv, rows, diag_row) for M in (sys.E, sys.A))
+        return 3, 1
+    return 2 * pencil.kl + pencil.ku + 1, pencil.kl + pencil.ku
+
+
+def full_bands(sys):
+    """The whole rows-by-n bands of E and A, as sys's band path lays them out."""
+    rows, diag_row = band_layout(sys)
+    return [_band(sp.csc_matrix(M), sys._pencil.inv, diag_row, rows)[1] for M in (sys.E, sys.A)]
+
+
+def reference_band(sys, z):
+    """z*band_e - band_a from the bands of E and A, as the pencil lays them out."""
+    band_e, band_a = full_bands(sys)
     return z * band_e - band_a
 
 
@@ -646,6 +655,49 @@ def test_a_negative_zero_in_e_keeps_its_row_a_z_row():
     assert sys.pencil_path == "tridiagonal"
     z = 1j * LINE[1]
     assert handed_band(sys, z).tobytes() == np.ascontiguousarray(reference_band(sys, z)).tobytes()
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_z_rows_are_the_band_rows_e_stores_entries_in(case):
+    sys = PATH_CASES[case][0]()
+    twin = DescriptorSystem(*(M.astype(np.complex128) for M in (sys.E, sys.A, sys.B, sys.C)))
+    for s in (sys, twin):
+        band_e, _ = full_bands(s)
+        # E's stored pattern, scattered as ones into the same layout
+        E = sp.csc_matrix(s.E)
+        ones = sp.csc_matrix((np.ones(E.nnz), E.indices, E.indptr), E.shape)
+        rows, diag_row = band_layout(s)
+        (stored,) = np.nonzero(_band(ones, s._pencil.inv, diag_row, rows)[1].any(axis=1))
+        band = s._pencil.band
+        assert [i for i, _, _ in band.z_rows] == stored.tolist()
+        assert sorted([i for i, _, _ in band.z_rows] + [i for i, _ in band.fixed_rows]) == list(range(len(band_e)))
+        for i, e, _ in band.z_rows:
+            assert e.dtype == band_e.dtype and e.tobytes() == band_e[i].tobytes()
+
+
+def test_an_explicit_plus_zero_in_e_makes_its_row_a_z_row():
+    # +0 stored in E at A's off-diagonal entries: the pattern stays A's,
+    # and band rows 0 and 2, where E holds no value but +0, become z rows
+    line = rlc_line()
+    E, A = line.E.tocoo(), line.A.tocoo()
+    off = A.row != A.col
+    rows, cols = np.r_[E.row, A.row[off]], np.r_[E.col, A.col[off]]
+    E = sp.csc_matrix((np.r_[E.data, np.zeros(off.sum())], (rows, cols)), E.shape)
+    sys = DescriptorSystem(E, line.A, line.B, line.C)
+    assert sys.pencil_path == line.pencil_path == "tridiagonal"
+    assert [i for i, _, _ in sys._pencil.band.z_rows] == [0, 1, 2]
+    assert [i for i, _, _ in line._pencil.band.z_rows] == [1]
+    # Re z = +0, as on every grid, also with a negative imaginary part
+    for z in [1j * f for f in np.geomspace(LINE[1], LINE[2], 4)] + [complex(0.0, -LINE[2])]:
+        assert handed_band(sys, z).tobytes() == np.ascontiguousarray(reference_band(sys, z)).tobytes()
+        h = sys.eval_transfer(z)
+        # the same bytes as from the reference band, and as with fixed rows
+        assert h.tobytes() == line.eval_transfer(z).tobytes()
+        sys._pencil.band.assemble = lambda z: reference_band(sys, z)
+        try:
+            assert sys.eval_transfer(z).tobytes() == h.tobytes()
+        finally:
+            del sys._pencil.band.assemble
 
 
 @pytest.mark.parametrize("case", list(PATH_CASES))

@@ -1,4 +1,5 @@
-"""greedyrat.testsystems: the seeded systems keep their bits, and no tool reads tests/.
+"""greedyrat.testsystems: the seeded systems keep their bits, and no tool reads tests/
+or measures a tree other than the one it is pointed at.
 
 The digests were taken from the generators as they stood before they
 moved here (tests/conftest.py, tests/test_descriptor.py and
@@ -13,6 +14,8 @@ import hashlib
 import os
 import re
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,3 +156,18 @@ def test_no_tool_reads_from_the_tests():
                 if lines:
                     offending[f"{folder}/{name}"] = lines
     assert offending == {}
+
+
+@pytest.mark.parametrize("tool, args", [("hidden_poles.py", ["--paths", "tridiagonal"]), ("trace_digest.py", [])])
+def test_a_tool_refuses_a_src_that_holds_no_package(tmp_path, tool, args):
+    # this tree's src on PYTHONPATH would otherwise stand in for the empty --src
+    src = os.path.abspath(os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "benchmarks", tool), "--src", str(tmp_path), *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert os.path.join(src, "greedyrat") in proc.stderr and str(tmp_path) in proc.stderr
