@@ -147,11 +147,14 @@ class BarycentricSurrogate:
         return cls(support, values, coeffs)
 
     def save(self, path, extra=None):
-        d = self.to_dict()
-        if extra:
-            d.update(extra)
+        """Write the surrogate and the extra keys beside it as strict JSON.
+
+        A non-finite number among the extra keys raises ValueError before
+        the file is opened: JSON has no NaN or Infinity.
+        """
+        text = json.dumps({**self.to_dict(), **(extra or {})}, indent=1, allow_nan=False)
         with open(path, "w") as f:
-            json.dump(d, f, indent=1)
+            f.write(text)
 
     @classmethod
     def load(cls, path):

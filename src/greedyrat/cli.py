@@ -30,7 +30,10 @@ probe verify fails with the error.
 Config files are flat ``key = value`` text. The keys are the fields of
 ``GreedyConfig`` and of its ``TerminationRule`` (whose ``kind`` is spelled
 ``termination``), plus ``system`` and ``output_dir``; see ``CONFIG_KEYS``.
-Frequencies are serialized as the positive real f of z = i*f.
+A relative ``system`` or ``output_dir`` is read against the working
+directory, not the config file's; without ``output_dir`` the artifacts go
+to the config file's directory. Frequencies are serialized as the
+positive real f of z = i*f, and an estimate a run did not draw as null.
 """
 import argparse
 import contextlib
@@ -181,10 +184,14 @@ def write_run_artifacts(trace, outdir):
     header = ["iteration", "samples", "test_calls", "cumulative_oracle_calls"]
     _write_csv(os.path.join(outdir, "ledger.csv"), header, ledger)
     last = trace.records[-1]
+    # a rule that draws no estimate (max_count, density, or randomized where
+    # every frozen point resonates) leaves it nan, which JSON spells null
+    estimate = (last.estimator, last.anchor.real, last.anchor.imag)
+    value, *anchor = (x if math.isfinite(x) else None for x in estimate)
     extra = {
         "termination_reason": trace.termination_reason,
-        "estimator_anchor": [last.anchor.real, last.anchor.imag],
-        "estimator_value": last.estimator,
+        "estimator_anchor": anchor,
+        "estimator_value": value,
         "sampled_f": [z.imag for z in trace.sampled_frequencies],
     }
     trace.surrogate.save(os.path.join(outdir, "surrogate.json"), extra=extra)

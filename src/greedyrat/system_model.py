@@ -12,10 +12,13 @@ from it, factors and solves. Every path does that by one protocol, whose
 shared part is written once in ``_Pencil``: a path factors the pencil in
 its order perm (``_factor(z)``) and solves with the factors' rows from a
 window start w on (``_solve(factors, b, w)``); ``_Pencil`` owns the
-order, the random column R, the window, and the two solves around those
-steps, which put the right-hand side beside R, gather it into the
-pencil's order, split the two solved blocks and scatter X back out. The
-dense and sparse paths keep the system's order as an identity perm.
+order, the random column R, the window, and the one solve around those
+steps, ``solve(z, rhs=None)``, which puts the right-hand side (the
+window's B when rhs is None) beside R, gathers it into the pencil's
+order, splits the two solved blocks and scatters X back out when the
+window starts at row 0. The dense and sparse paths have no order (perm
+None): they factor in the system's order, so nothing is gathered or
+scattered there, and their window is all n rows.
 
 The path is chosen once, at build. Where the union pattern of E and A,
 read from CSC copies of dense arrays, has half-bandwidth at most
@@ -53,13 +56,14 @@ peaks at 1.21 times the 6.40 MiB it keeps (tracemalloc). A dense E or A
 is normed a block of columns at a time, so its norm copies no more than
 about 2**17 entries at once.
 
-H(z) solves only the rows C reads. The window of rows runs from kl rows
-above the first position, in the pencil's order, that B or C touches to
-the end, and B and C are stored once in that order, cut to it. kl is the
-most rows below a row that the factorization may bring up into it: the
-lower half-bandwidth on the band paths (1 on the tridiagonal path), and
-n - 1 on the dense and sparse paths, whose row pivoting may swap any two
-rows, so their window is all n rows. It starts kl rows early because
+H(z) solves only the rows C reads. On the band paths the window of rows
+runs from kl rows above the first position, in the pencil's order, that
+B or C touches to the end (and holds at least the 3 rows gttrs takes on
+the tridiagonal path), and B and C are stored once in that order, cut to
+it. kl is the most rows below a row that the factorization may bring up
+into it, the lower half-bandwidth (1 on the tridiagonal path). The dense
+and sparse paths' row pivoting may swap any two rows, so their window is
+all n rows, in the system's order. A window starts kl rows early because
 step j of the forward substitution swaps row j with a row at most kl
 below it and updates the kl rows below it: every step above the window
 finds only zero rows, and the back substitution fills a row from the
@@ -70,10 +74,11 @@ window's C times them, summed in the RCM order: the same bits as
 C @ solve(z, B) where each row of C reads one state through a real
 entry, as at the benchmark's ports, and the same to rounding otherwise.
 A window of all n rows (ports at both ends of the ordering, or a dense
-or sparse path) is C times the full solve. Either way the window of B is
-kept gathered into the pencil's order from the build on, so a frequency
-only casts it to complex. Solves with any other right-hand side
-(eval_state_transfer, verify) solve all n rows.
+or sparse path) is C times the full solve. On the band paths the window
+of B is kept gathered into the pencil's order from the build on, and on
+the dense and sparse paths it is B itself, so a frequency only casts it
+to complex. Solves with any other right-hand side (eval_state_transfer,
+verify) solve all n rows.
 
 solve_pencil refuses a singular pencil by one rule on every path. Beside
 its right-hand side every solve solves for R, one fixed real Gaussian
@@ -214,75 +219,77 @@ def _split(x):
 
 
 class _Pencil:
-    """A factorizer for one system: solve(z, rhs) gives X, window(z) the rows C reads.
+    """A factorizer for one system: solve(z, rhs) gives X, solve(z) the rows C reads.
 
     Each path factors the pencil in its order perm, whose inverse is inv,
     and defines two steps: ``_factor(z)`` factors the permuted pencil, and
     ``_solve(factors, b, w)`` solves with the factors' rows from w on,
     taking that window itself, and returns LAPACK's Fortran-ordered
-    solution. solve passes w = 0, window the window's w; both are written
-    here alone. A right-hand side is gathered into the pencil's order and
-    the solution back out of it by ``np.take``.
+    solution. ``solve`` is written here alone. The dense and sparse paths
+    pass no order (perm and inv None): they factor in the system's order,
+    so a right-hand side is used as given and X is LAPACK's solution, a
+    view beside R's column; otherwise a right-hand side is gathered into
+    the pencil's order and the solution back out of it by ``np.take``.
 
-    Each also solves for R, the random column, drawn in the pencil's order,
-    and returns its solution X_R apart: solve gives (X, X_R), X n-by-k, and
-    window solves for the system's own B and gives (X, X_R, the columns of
-    C that read X). norm_r and norm_r_w are the 1-norms of R and of the rows
-    of it window solves for, R[w:].
+    solve also solves for R, the random column, drawn in the pencil's
+    order, and returns its solution X_R apart: solve(z, rhs) gives (X,
+    X_R), X n-by-k, solving every row; solve(z) solves for the system's own
+    B from row w on and gives X for the columns c_w of C. norm_r and
+    norm_r_w are the 1-norms of R and of the rows of it solve(z) solves
+    for, R[w:].
 
     The window starts at row w, kl rows above the first position in the
-    pencil's order that B or C touches (see the module docstring); kl is
-    the most rows below a row that the factorization may bring up into it,
-    so a path whose pivoting may swap any two rows passes n - 1 and always
-    gets w = 0. The system's own B is kept gathered into that order and cut
-    to the window, in the system's dtype, so window(z) only casts it,
-    beside R's rows, to the complex128 copy the LAPACK solve overwrites; C
-    is cut to the same columns. When w is 0, C stays whole and window(z)
-    gathers the solution back, as solve(z, B) does.
+    pencil's order that B or C touches (see the module docstring), and at
+    least min_rows above the end, the fewest rows the path's LAPACK solve
+    wrapper accepts; kl is the most rows below a row that the
+    factorization may bring up into it. With no order the window is all n
+    rows, w is 0, and b_w and c_w are B and C themselves. Otherwise B is
+    kept gathered into the pencil's order and cut to the window, in the
+    system's dtype, so solve(z) only casts it, beside R's rows, to the
+    complex128 copy the LAPACK solve overwrites; C is cut to the same
+    columns. When w is 0, C stays whole and solve(z) scatters the solution
+    back, as solve(z, B) does.
     """
 
-    def __init__(self, B, C, perm, inv, kl, min_rows=1):
+    min_rows = 1
+
+    def __init__(self, B, C, perm=None, inv=None, kl=None):
         self.perm, self.inv = perm, inv
         self.R = _frozen(np.random.default_rng(0).standard_normal(len(B)))
         self.norm_r = _norm1(self.R)
-        touched = inv[np.any(B != 0, axis=1) | np.any(C != 0, axis=0)]
-        first = touched.min() if touched.size else 0
-        # min_rows: the fewest rows the LAPACK solve wrapper accepts
-        self.w = int(min(max(first - kl, 0), perm.size - min_rows))
-        rows = perm[self.w :]
-        self.b_w = B[rows]
-        self.c_w = np.ascontiguousarray(C[:, rows]) if self.w else C
+        self.w, self.b_w, self.c_w = 0, B, C
+        if perm is not None:
+            touched = inv[np.any(B != 0, axis=1) | np.any(C != 0, axis=0)]
+            first = touched.min() if touched.size else 0
+            self.w = int(min(max(first - kl, 0), perm.size - self.min_rows))
+            self.b_w = B[perm[self.w :]]
+            self.c_w = np.ascontiguousarray(C[:, perm[self.w :]]) if self.w else C
         self.norm_r_w = _norm1(self.R[self.w :])
 
-    def _unpermute(self, x):
-        # x.T is C-contiguous, so this gathers whole rows and returns x's
-        # Fortran order; np.take(x, inv, axis=0) reads strided (0.5 against
-        # 0.22 ms on an n = 50000 line with two columns, 2-core x86)
-        return np.take(x.T, self.inv, axis=1).T
-
-    def solve(self, z, rhs):
+    def solve(self, z, rhs=None):
         factors = self._factor(z)
-        b = np.take(rhs, self.perm, axis=0)
-        X, X_R = _split(self._solve(factors, _beside(b, self.R), 0))
-        return self._unpermute(X), X_R
-
-    def window(self, z):
-        w = self.w
-        X, X_R = _split(self._solve(self._factor(z), _beside(self.b_w, self.R[w:]), w))
-        return (X if w else self._unpermute(X)), X_R, self.c_w
+        if rhs is None:
+            w, b = self.w, self.b_w
+        else:
+            w, b = 0, rhs if self.perm is None else np.take(rhs, self.perm, axis=0)
+        X, X_R = _split(self._solve(factors, _beside(b, self.R[w:]), w))
+        # X.T is C-contiguous, so the scatter gathers whole rows and returns
+        # X's Fortran order; np.take(X, inv, axis=0) reads strided (0.5
+        # against 0.22 ms on an n = 50000 line with two columns, 2-core x86)
+        return (X if w or self.perm is None else np.take(X.T, self.inv, axis=1).T), X_R
 
 
 class _DensePencil(_Pencil):
     """LAPACK getrf/getrs on the dense pencil, in the system's order.
 
-    getrf's row swaps may bring any row up, so w is 0 and the window all n rows.
+    getrf's row swaps may bring any row up, so the pencil has no order and
+    its window is all n rows.
     """
 
     kind = "dense"
 
     def __init__(self, E, A, B, C):
-        order = np.arange(len(B))  # the identity, its own inverse
-        super().__init__(B, C, order, order, kl=len(B) - 1)
+        super().__init__(B, C)
         self.E, self.A = (M.toarray() if sp.issparse(M) else M for M in (E, A))
         # LAPACK getrf directly rather than lu_factor: lu_factor warns on an
         # exactly singular pencil, whose zero pivot _check_info reports as a
@@ -314,10 +321,11 @@ class _TridiagonalPencil(_Pencil):
     """
 
     kind = "tridiagonal"
+    # scipy's gttrs wrapper, like its gttrf, rejects fewer than 3 rows
+    min_rows = 3
 
     def __init__(self, E, A, B, C, perm, inv):
-        # scipy's gttrs wrapper, like its gttrf, rejects fewer than 3 rows
-        super().__init__(B, C, perm, inv, kl=1, min_rows=3)
+        super().__init__(B, C, perm, inv, kl=1)
         self.band = _PencilBand(E, A, inv, rows=3, diag_row=1, order="C")
         self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
 
@@ -349,7 +357,7 @@ class _BandedPencil(_Pencil):
     kind = "banded"
 
     def __init__(self, E, A, B, C, perm, inv, kl, ku):
-        super().__init__(B, C, perm, inv, kl=kl, min_rows=1)
+        super().__init__(B, C, perm, inv, kl)
         self.kl, self.ku = kl, ku
         rows = 2 * kl + ku + 1
         self.band = _PencilBand(E, A, inv, rows=rows, diag_row=kl + ku, order="F")
@@ -395,14 +403,14 @@ def _stdout_to_stderr():
 class _SparsePencil(_Pencil):
     """SuperLU on the pencil zE - A, in the system's order.
 
-    SuperLU's row pivoting may bring any row up, so w is 0 and the window all n rows.
+    SuperLU's row pivoting may bring any row up, so the pencil has no order
+    and its window is all n rows.
     """
 
     kind = "sparse"
 
     def __init__(self, E, A, B, C):
-        order = np.arange(len(B))  # the identity, its own inverse
-        super().__init__(B, C, order, order, kl=len(B) - 1)
+        super().__init__(B, C)
         self.E, self.A = E, A
 
     def _factor(self, z):
@@ -506,7 +514,7 @@ def _analyse_pencil(E, A, B, C):
     A pattern too wide for the band paths goes, by storage, to SuperLU when
     E and A are both sparse and to getrf otherwise; a dense operand too
     full for any band goes to getrf before any ordering. B and C are the
-    system's own, which the factorizer's window(z) solves for and returns.
+    system's own, which the factorizer's solve(z) solves for.
     """
     sparse = sp.issparse(E) and sp.issparse(A)
     if not sparse:
@@ -517,8 +525,8 @@ def _analyse_pencil(E, A, B, C):
             return _DensePencil(E, A, B, C)
     Ec, Ac = (M if sp.issparse(M) else sp.csc_matrix(M) for M in (E, A))
     perm, inv, kl, ku = _ordering(Ec, Ac)
-    # scipy's gttrf wrapper rejects n < 3, so such pencils stay banded
-    if max(kl, ku) <= 1 and perm.size >= 3:
+    # smaller ones, which scipy's gttrf wrapper rejects, stay banded
+    if max(kl, ku) <= 1 and perm.size >= _TridiagonalPencil.min_rows:
         return _TridiagonalPencil(Ec, Ac, B, C, perm, inv)
     if max(kl, ku) <= BAND_MAX:
         return _BandedPencil(Ec, Ac, B, C, perm, inv, kl, ku)
@@ -611,12 +619,11 @@ class DescriptorSystem:
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"z = {z} is not finite")
+        rhs = None if rhs is None else np.asarray(rhs)
+        X, X_R = self._pencil.solve(z, rhs)
         if rhs is None:
-            X, X_R, C = self._pencil.window(z)
             bounds = self._norm_b, self._pencil.norm_r_w
         else:
-            rhs = np.asarray(rhs)
-            X, X_R = self._pencil.solve(z, rhs)
             bounds = self._norm_b if rhs is self.B else _norm1(rhs), self._pencil.norm_r
         scale = abs(z) * self._norm_e + self._norm_a
         # written so that a NaN on the left fails it
@@ -624,7 +631,7 @@ class DescriptorSystem:
             raise ResonanceError(z)
         # a band window sums C X over its rows in the RCM order; all n rows
         # come back in the system's order, so C X is summed as C @ solve(z, B)
-        return C @ X if rhs is None else X.reshape(rhs.shape)
+        return self._pencil.c_w @ X if rhs is None else X.reshape(rhs.shape)
 
     def eval_transfer(self, z):
         """H(z) = C (zE - A)^{-1} B as a dense p-by-m array."""

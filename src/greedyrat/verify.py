@@ -62,7 +62,10 @@ EXACT_FIT_RATIO = 1e-12
 
 def state_surrogate(sur, sys):
     """Surrogate over n-by-m state blocks with the same support and coefficients."""
-    values = np.array([sys.eval_state_transfer(z) for z in sur.support])
+    # filled in place, in support order: a stack of a list would hold every block twice
+    values = np.empty((sur.n_support, sys.n, sys.m), dtype=np.complex128)
+    for block, z in zip(values, sur.support):
+        block[...] = sys.eval_state_transfer(z)
     return BarycentricSurrogate(sur.support, values, sur.coeffs)
 
 

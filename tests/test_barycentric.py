@@ -220,6 +220,16 @@ def test_serialization_round_trip(tmp_path):
     assert np.array_equal(back.values, sur.values)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_save_refuses_a_non_finite_extra_before_writing(tmp_path, value):
+    # JSON has no NaN or Infinity, so save raises rather than write a file
+    # a strict parser rejects
+    path = tmp_path / "sur.json"
+    with pytest.raises(ValueError):
+        random_surrogate(4, 9).save(path, extra={"estimator_value": value})
+    assert not path.exists()
+
+
 def test_eval_grid_matches_scalar_eval():
     sur = random_surrogate(5, 10, p=2, m=2)
     grid = np.linspace(-2, 2, 64) + 0.5j

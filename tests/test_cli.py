@@ -79,6 +79,50 @@ def test_run_exit_code_on_safety_cap(synthetic_setup):
     assert main(["run", cfg]) == 2
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# density stops at the sample cap here, which run reports with exit 2
+@pytest.mark.parametrize("termination, code", [("max_count", 0), ("density", 2)])
+def test_surrogate_json_is_strict_json_without_an_estimate(synthetic_setup, capsys, termination, code):
+    # these rules draw no estimate; run writes null for it, not NaN, and
+    # validate reads null as no estimate
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, grid_size=500, termination=termination, max_samples=6)
+    assert main(["run", cfg]) == code
+    text = (tmp_path / "out" / "surrogate.json").read_text()
+    meta = json.loads(text, parse_constant=refuse_constant)
+    assert meta["estimator_value"] is None and meta["estimator_anchor"] == [None, None]
+    capsys.readouterr()
+    assert main(["validate", cfg]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("max adjusted relative error over the grid: ")
+    rows = read_csv_body(tmp_path / "out" / "validation.csv")
+    assert all(np.isnan(float(r.split(",")[2])) for r in rows[1:])
+
+
+def test_relative_paths_resolve_against_the_working_directory(synthetic_setup, monkeypatch, capsys):
+    # system and output_dir are read against the working directory, not the
+    # config file's; a missing output_dir is the config file's directory
+    tmp_path, _ = synthetic_setup
+    (tmp_path / "cfg").mkdir()
+    rule = {"termination": "max_count", "max_samples": 6}
+    given = write_config(tmp_path, "sys", name="cfg/given.cfg", output_dir="rel", **rule)
+    default = write_config(tmp_path, "sys", name="cfg/default.cfg", output_dir=None, **rule)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", os.path.relpath(given)]) == 0
+    assert main(["run", os.path.relpath(default)]) == 0
+    assert (tmp_path / "rel" / "surrogate.json").exists()
+    assert (tmp_path / "cfg" / "surrogate.json").exists()
+    # from the config's own directory, "sys" names no system
+    monkeypatch.chdir(tmp_path / "cfg")
+    capsys.readouterr()
+    assert main(["run", "given.cfg"]) == 1
+    assert "sys.A.mtx" in capsys.readouterr().err
+    assert not (tmp_path / "cfg" / "rel").exists()
+
+
 def test_invalid_termination_kind_names_key(tmp_path, synthetic_setup, capsys):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix, termination="bogus")

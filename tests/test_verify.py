@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from greedyrat import (
     run_greedy,
     state_surrogate,
 )
+from greedyrat.testsystems import spring_chain
 from greedyrat.verify import NODE_REJECT, PROBE_STREAM, draw_probe_points
 
 
@@ -60,6 +62,31 @@ def test_state_surrogate_single_node_is_constant():
     sur = BarycentricSurrogate([10j], np.array([sys.eval_transfer(10j)]), [1.0])
     gsur = state_surrogate(sur, sys)
     assert np.allclose(gsur.eval(33j), sys.eval_state_transfer(10j), rtol=1e-13)
+
+
+def test_state_surrogate_holds_its_blocks_once():
+    # the benchmark's chain (n = 3000, m = 2) with 20 support points, as many
+    # as its run/validate/verify round trip fits: 1.83 MiB of state blocks,
+    # which stacking a list of them held twice (3.67 MiB peak above entry)
+    sys = spring_chain(masses=1500, seed=0)
+    support = 1j * np.geomspace(1e-3, 0.03, 20)
+    sur = BarycentricSurrogate(support, np.zeros((20, sys.p, sys.m)), np.full(20, 20**-0.5))
+    blocks = support.size * sys.n * sys.m * np.dtype(np.complex128).itemsize
+    sys.eval_state_transfer(support[0])  # nothing first-call is counted below
+    tracemalloc.start()
+    try:
+        sys.eval_state_transfer(support[0])
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        gsur = state_surrogate(sur, sys)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert gsur.values.shape == (20, sys.n, sys.m)
+    assert all(np.array_equal(g, sys.eval_state_transfer(z)) for g, z in zip(gsur.values, support))
+    # the blocks, one solve's scratch and 256 KiB of slack
+    assert peak <= blocks + one + 2**18
 
 
 def test_residual_zero_for_exact_state():
