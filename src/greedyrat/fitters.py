@@ -27,6 +27,9 @@ import numpy as np
 from .barycentric import BarycentricSurrogate, _canonical_order
 from .system_model import FrequencySample
 
+# the methods fit accepts, and with them GreedyConfig's fitter
+_FITTERS = ("loewner", "mri")
+
 
 class SampleArrays(Sequence):
     """Samples as arrays, z and (S, p, m) values; a sequence of FrequencySample."""
@@ -124,6 +127,6 @@ def _fit_sorted(z, values, method):
 def fit(samples, method):
     """Fit with 'loewner' or 'mri': FrequencySamples or SampleArrays with
     distinct frequencies, in any order."""
-    if method not in ("loewner", "mri"):
+    if method not in _FITTERS:
         raise ValueError(f"unknown fitter {method!r}")
     return _fit_sorted(*_sorted_arrays(samples), method)

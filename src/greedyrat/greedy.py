@@ -60,7 +60,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GreedyratError, GridExhaustedError, ResonanceError
-from .fitters import SampleArrays, fit
+from .fitters import _FITTERS, SampleArrays, fit
 from .system_model import DescriptorSystem
 
 TERMINATION_KINDS = (
@@ -141,7 +141,7 @@ class GreedyConfig:
             raise ValueError("max_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.fitter not in ("loewner", "mri"):
+        if self.fitter not in _FITTERS:
             raise ValueError(f"unknown fitter {self.fitter!r}")
         # a geometric grid steps by one ratio and the snap tolerance is
         # relative, so its first two points stand for every neighbouring

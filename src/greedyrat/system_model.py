@@ -12,13 +12,16 @@ from it, factors and solves. Every path does that by one protocol, whose
 shared part is written once in ``_Pencil``: a path factors the pencil in
 its order perm (``_factor(z)``) and solves with the factors' rows from a
 window start w on (``_solve(factors, b, w)``); ``_Pencil`` owns the
-order, the random column R, the window, and the one solve around those
-steps, ``solve(z, rhs=None)``, which puts the right-hand side (the
-window's B when rhs is None) beside R, gathers it into the pencil's
-order, splits the two solved blocks and scatters X back out when the
-window starts at row 0. The dense and sparse paths have no order (perm
-None): they factor in the system's order, so nothing is gathered or
-scattered there, and their window is all n rows.
+order, the random column R, the window, the norms of the resonance rule
+below, and the one solve around those steps, ``solve(z, rhs=None)``. It
+puts the right-hand side (the window's B when rhs is None) beside R,
+gathers it into the pencil's order, splits the two solved blocks,
+scatters X back out when the window starts at row 0, judges both blocks
+by the growth test below and answers: C X without rhs, X in rhs's shape
+with it. DescriptorSystem.solve_pencil, the entry every solve goes
+through, only refuses a non-finite z and calls it. The dense and sparse
+paths have no order (perm None): they factor in the system's order, so
+nothing is gathered or scattered there, and their window is all n rows.
 
 The path is chosen once, at build. Where the union pattern of E and A,
 read from CSC copies of dense arrays, has half-bandwidth at most
@@ -80,14 +83,14 @@ the dense and sparse paths it is B itself, so a frequency only casts it
 to complex. Solves with any other right-hand side (eval_state_transfer,
 verify) solve all n rows.
 
-solve_pencil refuses a singular pencil by one rule on every path. Beside
-its right-hand side every solve solves for R, one fixed real Gaussian
-column per system kept in the order the pencil factors in. It raises
-ResonanceError at an exactly zero pivot (info > 0 from getrf, gttrf or
-gbtrf, or SuperLU's "exactly singular"; the band paths factor the full
-band, so above the window too), and where either block fails the growth
-test ||Y||_1 (|z| ||E||_1 + ||A||_1) RCOND_MIN <= ||b||_1, as non-finite
-rows do: Y is the rows of X solved (H's window, or all n) with b = B (or
+``_Pencil.solve`` refuses a singular pencil by one rule on every path.
+Beside its right-hand side every solve solves for R, one fixed real
+Gaussian column per system kept in the order the pencil factors in. It
+raises ResonanceError at an exactly zero pivot (info > 0 from getrf,
+gttrf or gbtrf, or SuperLU's "exactly singular"; the band paths factor
+the full band, so above the window too), and where either block fails
+the growth test ||Y||_1 (|z| ||E||_1 + ||A||_1) RCOND_MIN <= ||b||_1, as
+non-finite rows do: Y is the rows of X solved (H's window, or all n) with b = B (or
 rhs), or R's block with b = R. On a band window that block is the
 trailing factors' solve for R's window rows R[w:] alone, not rows w: of
 the solve with R (R is dense above w); those factors are a Schur
@@ -101,6 +104,14 @@ a pole that B and C do not reach, where B can lie in the singular pencil's
 range and X stay bounded and wrong. R's window block cannot see a
 singular block wholly above the window; there H is bit for bit the full
 solve's rows, and benchmarks/hidden_poles.py found no inexact reply.
+
+The 1-norms of E, A and B are taken once, at build, on the operands as
+the system holds them (a CSC copy of a dense one may differ in the last
+bit), and those of R and R[w:] when the pencil is built; a solve then
+norms only its solved blocks and rhs. The operands must be finite, and
+so must rhs: a NaN or infinite entry, or a 1-norm that overflows, raises
+ValueError, at build or before the pencil is factored, where it would
+otherwise fail the growth test at every z and read as a resonance.
 
 A real system stays real. When none of E, A, B and C has a complex type,
 all four are kept as float64 (int and float32 input is promoted), and the
@@ -205,21 +216,8 @@ def _norm1(M):
     return float(col_sums.max(initial=0.0))
 
 
-def _beside(b, r):
-    """[b, r] as the complex128 Fortran-ordered copy a LAPACK solve may overwrite."""
-    b = b.reshape(len(b), -1)
-    out = np.empty((len(b), b.shape[1] + 1), dtype=np.complex128, order="F")
-    out[:, :-1], out[:, -1] = b, r
-    return out
-
-
-def _split(x):
-    """The solution of [b, r] (see ``_beside``) as b's columns and r's column."""
-    return x[:, :-1], x[:, -1]
-
-
 class _Pencil:
-    """A factorizer for one system: solve(z, rhs) gives X, solve(z) the rows C reads.
+    """A factorizer for one system: solve(z) gives H(z), solve(z, rhs) gives X.
 
     Each path factors the pencil in its order perm, whose inverse is inv,
     and defines two steps: ``_factor(z)`` factors the permuted pencil, and
@@ -232,11 +230,14 @@ class _Pencil:
     the pencil's order and the solution back out of it by ``np.take``.
 
     solve also solves for R, the random column, drawn in the pencil's
-    order, and returns its solution X_R apart: solve(z, rhs) gives (X,
-    X_R), X n-by-k, solving every row; solve(z) solves for the system's own
-    B from row w on and gives X for the columns c_w of C. norm_r and
-    norm_r_w are the 1-norms of R and of the rows of it solve(z) solves
-    for, R[w:].
+    order, and judges both solved blocks by the module docstring's growth
+    test, with the 1-norms of E, A and B that the system took at build
+    (``norms``) and those of R, R[w:] and rhs; a block that fails raises
+    ResonanceError. Only then does it answer: solve(z, rhs) solves every
+    row and gives X in rhs's shape, and solve(z) solves for the system's
+    own B from row w on and gives C X, formed from the columns c_w of C.
+    An rhs whose 1-norm is not finite raises ValueError before the pencil
+    is factored.
 
     The window starts at row w, kl rows above the first position in the
     pencil's order that B or C touches (see the module docstring), and at
@@ -253,8 +254,9 @@ class _Pencil:
 
     min_rows = 1
 
-    def __init__(self, B, C, perm=None, inv=None, kl=None):
+    def __init__(self, B, C, norms, perm=None, inv=None, kl=None):
         self.perm, self.inv = perm, inv
+        self.norm_e, self.norm_a, norm_b = norms
         self.R = _frozen(np.random.default_rng(0).standard_normal(len(B)))
         self.norm_r = _norm1(self.R)
         self.w, self.b_w, self.c_w = 0, B, C
@@ -264,19 +266,35 @@ class _Pencil:
             self.w = int(min(max(first - kl, 0), perm.size - self.min_rows))
             self.b_w = B[perm[self.w :]]
             self.c_w = np.ascontiguousarray(C[:, perm[self.w :]]) if self.w else C
-        self.norm_r_w = _norm1(self.R[self.w :])
+        # the growth test's bounds for solve(z): the norms of B and R[w:]
+        self.bounds_w = norm_b, _norm1(self.R[self.w :])
 
     def solve(self, z, rhs=None):
-        factors = self._factor(z)
         if rhs is None:
-            w, b = self.w, self.b_w
+            w, b, bounds = self.w, self.b_w, self.bounds_w
         else:
+            bounds = _norm1(rhs), self.norm_r
+            if not np.isfinite(bounds[0]):
+                raise ValueError("the right-hand side is not finite")
             w, b = 0, rhs if self.perm is None else np.take(rhs, self.perm, axis=0)
-        X, X_R = _split(self._solve(factors, _beside(b, self.R[w:]), w))
+        factors = self._factor(z)
+        b = b.reshape(len(b), -1)
+        # [b, R[w:]], the complex128 Fortran-ordered block LAPACK overwrites
+        x = np.empty((len(b), b.shape[1] + 1), dtype=np.complex128, order="F")
+        x[:, :-1], x[:, -1] = b, self.R[w:]
+        x = self._solve(factors, x, w)
+        X, X_R = x[:, :-1], x[:, -1]
         # X.T is C-contiguous, so the scatter gathers whole rows and returns
         # X's Fortran order; np.take(X, inv, axis=0) reads strided (0.5
         # against 0.22 ms on an n = 50000 line with two columns, 2-core x86)
-        return (X if w or self.perm is None else np.take(X.T, self.inv, axis=1).T), X_R
+        X = X if w or self.perm is None else np.take(X.T, self.inv, axis=1).T
+        scale = abs(z) * self.norm_e + self.norm_a
+        # written so that a NaN on the left fails it
+        if not all(_norm1(Y) * scale * RCOND_MIN <= bound for Y, bound in zip((X, X_R), bounds)):
+            raise ResonanceError(z)
+        # a band window sums C X over its rows in the RCM order; all n rows
+        # come back in the system's order, so C X is summed as C @ solve(z, B)
+        return self.c_w @ X if rhs is None else X.reshape(rhs.shape)
 
 
 class _DensePencil(_Pencil):
@@ -288,8 +306,8 @@ class _DensePencil(_Pencil):
 
     kind = "dense"
 
-    def __init__(self, E, A, B, C):
-        super().__init__(B, C)
+    def __init__(self, E, A, B, C, norms):
+        super().__init__(B, C, norms)
         self.E, self.A = (M.toarray() if sp.issparse(M) else M for M in (E, A))
         # LAPACK getrf directly rather than lu_factor: lu_factor warns on an
         # exactly singular pencil, whose zero pivot _check_info reports as a
@@ -324,8 +342,8 @@ class _TridiagonalPencil(_Pencil):
     # scipy's gttrs wrapper, like its gttrf, rejects fewer than 3 rows
     min_rows = 3
 
-    def __init__(self, E, A, B, C, perm, inv):
-        super().__init__(B, C, perm, inv, kl=1)
+    def __init__(self, E, A, B, C, norms, perm, inv):
+        super().__init__(B, C, norms, perm, inv, kl=1)
         self.band = _PencilBand(E, A, inv, rows=3, diag_row=1, order="C")
         self.gttrf, self.gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
 
@@ -356,8 +374,8 @@ class _BandedPencil(_Pencil):
 
     kind = "banded"
 
-    def __init__(self, E, A, B, C, perm, inv, kl, ku):
-        super().__init__(B, C, perm, inv, kl)
+    def __init__(self, E, A, B, C, norms, perm, inv, kl, ku):
+        super().__init__(B, C, norms, perm, inv, kl)
         self.kl, self.ku = kl, ku
         rows = 2 * kl + ku + 1
         self.band = _PencilBand(E, A, inv, rows=rows, diag_row=kl + ku, order="F")
@@ -409,8 +427,8 @@ class _SparsePencil(_Pencil):
 
     kind = "sparse"
 
-    def __init__(self, E, A, B, C):
-        super().__init__(B, C)
+    def __init__(self, E, A, B, C, norms):
+        super().__init__(B, C, norms)
         self.E, self.A = E, A
 
     def _factor(self, z):
@@ -514,23 +532,32 @@ def _analyse_pencil(E, A, B, C):
     A pattern too wide for the band paths goes, by storage, to SuperLU when
     E and A are both sparse and to getrf otherwise; a dense operand too
     full for any band goes to getrf before any ordering. B and C are the
-    system's own, which the factorizer's solve(z) solves for.
+    system's own, which the factorizer's solve(z) solves for. E, A, B and C
+    must be finite: a NaN or infinite entry, or a 1-norm of E, A or B that
+    overflows, raises ValueError naming the operand.
     """
+    # the growth test's norms, taken on the operands as the system holds
+    # them: a CSC copy of a dense one may differ in the last bit, and the
+    # norms' scratch comes before the pencil's, not on top of it
+    norms = tuple(_norm1(M) for M in (E, A, B))
+    for name, finite in zip("EABC", [*np.isfinite(norms), np.isfinite(C).all()]):
+        if not finite:
+            raise ValueError(f"{name} is not finite")
     sparse = sp.issparse(E) and sp.issparse(A)
     if not sparse:
         # no ordering bands more entries than a band of half-width BAND_MAX
         # holds, so such pencils skip the CSC copies and the ordering
         band_nnz = A.shape[0] * (2 * BAND_MAX + 1)
         if any((M.nnz if sp.issparse(M) else np.count_nonzero(M)) > band_nnz for M in (A, E)):
-            return _DensePencil(E, A, B, C)
+            return _DensePencil(E, A, B, C, norms)
     Ec, Ac = (M if sp.issparse(M) else sp.csc_matrix(M) for M in (E, A))
     perm, inv, kl, ku = _ordering(Ec, Ac)
     # smaller ones, which scipy's gttrf wrapper rejects, stay banded
     if max(kl, ku) <= 1 and perm.size >= _TridiagonalPencil.min_rows:
-        return _TridiagonalPencil(Ec, Ac, B, C, perm, inv)
+        return _TridiagonalPencil(Ec, Ac, B, C, norms, perm, inv)
     if max(kl, ku) <= BAND_MAX:
-        return _BandedPencil(Ec, Ac, B, C, perm, inv, kl, ku)
-    return _SparsePencil(E, A, B, C) if sparse else _DensePencil(E, A, B, C)
+        return _BandedPencil(Ec, Ac, B, C, norms, perm, inv, kl, ku)
+    return (_SparsePencil if sparse else _DensePencil)(E, A, B, C, norms)
 
 
 class DescriptorSystem:
@@ -571,8 +598,6 @@ class DescriptorSystem:
         self.n = n
         self.m = B.shape[1]
         self.p = C.shape[0]
-        # the norms' scratch comes before the pencil's, not on top of it
-        self._norm_e, self._norm_a, self._norm_b = (_norm1(M) for M in (E, A, B))
         self._pencil = _analyse_pencil(E, A, B, C)
 
     @staticmethod
@@ -612,26 +637,17 @@ class DescriptorSystem:
         module docstring). z is taken as complex, so X is complex128 on a
         real system too. A z with an infinite or NaN part raises
         ValueError before any arithmetic: the band paths keep the rows of
-        zE - A that z does not touch, which would stay finite. The rows
-        solved, and those of the random column's solution, must pass the
-        module docstring's growth test before C X is formed.
+        zE - A that z does not touch, which would stay finite. Everything
+        else is the pencil's one solve, ``_Pencil.solve``: it refuses a
+        non-finite rhs with ValueError, judges the solved rows and those of
+        the random column's solution by the module docstring's growth test,
+        and only then forms C X. Every solve of the system comes through
+        here.
         """
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"z = {z} is not finite")
-        rhs = None if rhs is None else np.asarray(rhs)
-        X, X_R = self._pencil.solve(z, rhs)
-        if rhs is None:
-            bounds = self._norm_b, self._pencil.norm_r_w
-        else:
-            bounds = self._norm_b if rhs is self.B else _norm1(rhs), self._pencil.norm_r
-        scale = abs(z) * self._norm_e + self._norm_a
-        # written so that a NaN on the left fails it
-        if not all(_norm1(Y) * scale * RCOND_MIN <= bound for Y, bound in zip((X, X_R), bounds)):
-            raise ResonanceError(z)
-        # a band window sums C X over its rows in the RCM order; all n rows
-        # come back in the system's order, so C X is summed as C @ solve(z, B)
-        return self._pencil.c_w @ X if rhs is None else X.reshape(rhs.shape)
+        return self._pencil.solve(z, None if rhs is None else np.asarray(rhs))
 
     def eval_transfer(self, z):
         """H(z) = C (zE - A)^{-1} B as a dense p-by-m array."""

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.io import mmread, mmwrite
 
 from conftest import pin_workers, time_bound
 from greedyrat import (
@@ -306,6 +307,20 @@ def test_malformed_input_file_exits_1(synthetic_setup, capsys, command, bad_file
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load ")
     assert (prefix if bad_file.endswith(".mtx") else sur_path) in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list("EABC"))
+def test_a_non_finite_matrix_file_exits_1(synthetic_setup, capsys, name, bad):
+    tmp_path, prefix = synthetic_setup
+    path = f"{prefix}.{name}.mtx"
+    M = mmread(path)
+    M.flat[np.flatnonzero(M)[0]] = bad
+    mmwrite(path, M)
+    assert main(["run", write_config(tmp_path, prefix)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load {prefix}: ") and f"{name} is not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, artifact", [("run", "samples.csv"), ("verify", "verify.csv")])

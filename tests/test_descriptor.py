@@ -735,6 +735,56 @@ def test_non_finite_z_raises_before_any_arithmetic(case):
                     solve(z)
 
 
+@pytest.mark.parametrize("complex_twin", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_pencil_solve_is_the_judged_reply(case, complex_twin):
+    # the pencil's one solve gives H without a right-hand side and X with
+    # one, the bytes solve_pencil returns, which only checks z first
+    make, (_, f_min, f_max), _ = PATH_CASES[case]
+    sys = make()
+    if complex_twin:
+        sys = DescriptorSystem(*(M.astype(np.complex128) for M in (sys.E, sys.A, sys.B, sys.C)))
+    for z in 1j * np.geomspace(f_min, f_max, 4):
+        assert sys._pencil.solve(z).tobytes() == sys.eval_transfer(z).tobytes()
+        assert sys._pencil.solve(z, sys.B).tobytes() == sys.eval_state_transfer(z).tobytes()
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_a_non_finite_right_hand_side_raises_before_any_factoring(monkeypatch, case):
+    # its 1-norm, the growth test's bound, is not finite: a bad argument,
+    # not a pencil singular at z
+    make, (_, f_min, _), _ = PATH_CASES[case]
+    sys = make()
+
+    def refuse(z):
+        raise AssertionError("the pencil was factored")
+
+    monkeypatch.setattr(sys._pencil, "_factor", refuse)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        for shape in ((sys.n, 2), (sys.n,)):
+            rhs = np.ones(shape, dtype=np.complex128)
+            rhs[sys.n // 2] = bad
+            with pytest.raises(ValueError, match="right-hand side is not finite"):
+                sys.solve_pencil(1j * f_min, rhs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+@pytest.mark.parametrize("name", list("EABC"))
+def test_a_non_finite_operand_is_refused_at_build(name, storage, bad):
+    # a NaN stored in A would fail the growth test at every z and read as a
+    # resonance everywhere, and an infinite entry of B would pass unseen
+    base = rlc_line() if storage == "sparse" else densified(rlc_line())
+    operands = dict(zip("EABC", (M.copy() for M in (base.E, base.A, base.B, base.C))))
+    M = operands[name]
+    # the middle nonzero: data and the flat view write into the copy
+    data = M.data if sp.issparse(M) else M.reshape(-1)
+    nonzero = np.flatnonzero(data)
+    data[nonzero[nonzero.size // 2]] = bad
+    with pytest.raises(ValueError, match=f"^{name} is not finite$"):
+        DescriptorSystem(*operands.values())
+
+
 def test_matrix_market_round_trip_keeps_a_real_system_real(tmp_path):
     sys = rlc_line()
     prefix = str(tmp_path / "line")
