@@ -24,12 +24,10 @@ them, run it on two source trees and compare the lines,
   python3 benchmarks/hidden_poles.py > new.txt
   python3 benchmarks/hidden_poles.py --src ../old/src > old.txt
 
-An older checkout need not have greedyrat.testsystems: the script loads
-this tree's src/greedyrat/testsystems.py from its file, as a module of
-the package under --src, whose DescriptorSystem builds every system.
-When greedyrat imports from anywhere but --src (an installed copy, say,
-or a PYTHONPATH entry, where --src holds no package), the script exits
-with an error naming both paths before any work.
+An older checkout need not have greedyrat.testsystems: source_tree.py
+beside this script imports the package from --src, or exits naming both
+paths when greedyrat comes from elsewhere, and loads this tree's
+testsystems.py as a module of that package.
 
 It pins one BLAS thread before numpy loads, as a reply's bits can depend
 on the thread count. On the sparse path OpenBLAS, called by SuperLU,
@@ -48,22 +46,22 @@ os.environ["MKL_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
-import importlib.util  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+from source_tree import SRC, import_greedyrat, testsystems  # noqa: E402
+
 KINDS = ["tridiagonal", "banded", "sparse", "dense"]
 N = 200
 
 
-def probe(kind, triangular_system):
+def probe(kind):
     """(inexact (state, k) pairs, raises, worst relative error) on one path."""
     from greedyrat import DescriptorSystem, ResonanceError
 
-    full = triangular_system(N, kind in ("sparse", "dense"), kind)
+    full = testsystems().triangular_system(N, kind in ("sparse", "dense"), kind)
     inexact, raises, worst = [], 0, 0.0
     for s in range(N):
         port = np.zeros((N, 1))
@@ -90,29 +88,18 @@ def probe(kind, triangular_system):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds greedyrat")
+    parser.add_argument("--src", default=SRC, help="directory that holds greedyrat")
     parser.add_argument("--paths", default=",".join(KINDS), help="comma-separated solve paths to probe")
     args = parser.parse_args()
     kinds = args.paths.split(",")
     unknown = sorted(set(kinds) - set(KINDS))
     if unknown:
         parser.error(f"unknown path(s) {', '.join(unknown)}; choose from {', '.join(KINDS)}")
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    import greedyrat
-    # an installed greedyrat or a PYTHONPATH entry would otherwise stand in
-    # for a --src that holds no package
-    if not os.path.abspath(greedyrat.__file__).startswith(src + os.sep):
-        sys.exit(f"imported greedyrat from {greedyrat.__file__}, not from --src {src}")
-    # this tree's testsystems.py as a module of the package under --src (see above)
-    path = os.path.join(ROOT, "src", "greedyrat", "testsystems.py")
-    spec = importlib.util.spec_from_file_location("greedyrat.testsystems", path)
-    testsystems = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(testsystems)
+    import_greedyrat(args.src)
     t0 = time.perf_counter()
     any_inexact = False
     for kind in kinds:
-        inexact, raises, worst = probe(kind, testsystems.triangular_system)
+        inexact, raises, worst = probe(kind)
         any_inexact = any_inexact or bool(inexact)
         pairs = hashlib.sha256(repr(inexact).encode()).hexdigest()
         print(f"{kind:<12}inexact {len(inexact):>4}  raises {raises:>5}  worst {worst:.3g}  sha256 {pairs}")

@@ -13,8 +13,10 @@ min_gap 0.05, lookahead_memory 3, batch 5 and randomized 20.
 
 Each line gives the samples, the oracle calls and the stop, then a sha256
 over every surrogate's support, values and q bytes, every IterationRecord
-field except elapsed, the sampled sequence, the resonances,
-n_random_solved and the solves in their order (frequency and iteration).
+field, the sampled sequence, the resonances, n_random_solved and the
+solves in their order (frequency and iteration). An older checkout's
+IterationRecord also has a wall-clock field, elapsed, which the digest
+leaves out so that its lines match this tree's.
 Each run must also keep the ledger identity
 
   oracle_calls == samples + sum(test_calls) + n_random_solved
@@ -26,13 +28,10 @@ independent one.
 
 The script reads only what run_greedy's result has offered since the
 sample store was introduced, so it runs unchanged against an older
-checkout's package, also one without greedyrat.testsystems: it loads
-this tree's src/greedyrat/testsystems.py from its file, as a module of
-the package under --src, whose DescriptorSystem builds every system.
-When greedyrat imports from anywhere but --src (an installed copy, say,
-or a PYTHONPATH entry, where --src holds no package), the script exits
-with an error naming both paths before any work.
-Diff its output for two source trees,
+checkout's package, also one without greedyrat.testsystems: source_tree.py
+beside it imports the package from --src, or exits naming both paths when
+greedyrat comes from elsewhere, and loads this tree's testsystems.py as a
+module of that package. Diff its output for two source trees,
 
   python3 benchmarks/trace_digest.py > new.txt
   python3 benchmarks/trace_digest.py --src ../old/src > old.txt
@@ -73,9 +72,7 @@ os.environ["MKL_NUM_THREADS"] = "1"
 import argparse  # noqa: E402
 import collections  # noqa: E402
 import dataclasses  # noqa: E402
-import functools  # noqa: E402
 import hashlib  # noqa: E402
-import importlib.util  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -84,7 +81,7 @@ import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+from source_tree import SRC, import_greedyrat, testsystems  # noqa: E402
 
 RULES = [
     ("max_count", {}),
@@ -94,18 +91,6 @@ RULES = [
     ("batch", {"n_batch": 5}),
     ("randomized", {"n_random": 20}),
 ]
-
-
-@functools.cache
-def testsystems():
-    """This tree's greedyrat/testsystems.py, loaded from its file as a module of
-    the greedyrat package already imported from --src, whose DescriptorSystem it
-    builds: an older checkout has no testsystems module."""
-    path = os.path.join(ROOT, "src", "greedyrat", "testsystems.py")
-    spec = importlib.util.spec_from_file_location("greedyrat.testsystems", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def systems():
@@ -224,15 +209,8 @@ def digest(run):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds greedyrat")
-    args = parser.parse_args()
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    import greedyrat
-    # an installed greedyrat or a PYTHONPATH entry would otherwise stand in
-    # for a --src that holds no package
-    if not os.path.abspath(greedyrat.__file__).startswith(src + os.sep):
-        sys.exit(f"imported greedyrat from {greedyrat.__file__}, not from --src {src}")
+    parser.add_argument("--src", default=SRC, help="directory that holds greedyrat")
+    src = import_greedyrat(parser.parse_args().src)
     from greedyrat import GreedyConfig, TerminationRule, run_greedy
 
     # output-only MRI warns once its samples outnumber p*m; not a failure here

@@ -40,6 +40,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 import sys as _sys
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
@@ -92,7 +93,9 @@ def parse_config(path):
     raw, lines = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
+            # a '#' starts a comment only at the start or after whitespace,
+            # so a path such as /data/sys#1 keeps its '#'
+            line = re.sub(r"(^|\s)#.*", "", line).strip()
             if not line:
                 continue
             if "=" not in line:

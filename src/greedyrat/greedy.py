@@ -53,7 +53,6 @@ were solved; a resonant one is dropped and not charged.
 """
 import math
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,7 +164,6 @@ class IterationRecord:
     n_memory: int
     test_calls: int
     oracle_calls: int
-    elapsed: float
 
 
 class SampleStore:
@@ -364,7 +362,6 @@ class GreedyRun:
         if self.termination_reason or not self.store.z.size or len(self.records) != self.iteration:
             raise GreedyratError("step() on a run that has no first sample, has stopped or has raised")
         cfg, rule, store = self.cfg, self.cfg.termination, self.store
-        t0 = time.perf_counter()
         calls = self.oracle_calls
         self.iteration += 1
         n_samples = store.z.size
@@ -430,7 +427,6 @@ class GreedyRun:
             n_memory=n_memory,
             test_calls=self.oracle_calls - calls,  # until _take claims one
             oracle_calls=self.oracle_calls,
-            elapsed=time.perf_counter() - t0,
         )
         self.records.append(record)
         self.termination_reason = reason

@@ -657,9 +657,6 @@ class DescriptorSystem:
         """G(z) = (zE - A)^{-1} B as a dense n-by-m array."""
         return self.solve_pencil(z, self.B)
 
-    def sample(self, z):
-        return FrequencySample(z, self.eval_transfer(z))
-
     def save_matrix_market(self, prefix):
         """Write <prefix>.E.mtx / .A.mtx / .B.mtx / .C.mtx."""
         for name, M in (("E", self.E), ("A", self.A), ("B", self.B), ("C", self.C)):

@@ -15,6 +15,11 @@ Delta is the frequency-dependent factor separating the computable
 indicator from the true output error; it cannot be observed without the
 system matrices, which is why these diagnostics ship as a module.
 
+Both checks take G~ as an argument: ``state_surrogate(sur, sys)`` costs
+one state solve per support point, so a caller builds it once and hands
+the same one to each check (``greedyrat verify`` also reads it to match
+the support values against the system).
+
 The module only computes: ``greedyrat verify`` writes the reports'
 per-point values to verify.csv. Its solves run in this process, one after
 another. Mapping its 100 probes over the CPUs (greedyrat.parallel) would
@@ -130,9 +135,13 @@ def _coeff_state_sum(sys, sur, gsur):
     return sys.E @ acc
 
 
-def check_prop1(sys, sur, zs, gsur=None):
-    """Constancy of rho * |Q| plus the underlying vector identity."""
-    gsur = gsur or state_surrogate(sur, sys)
+def check_prop1(sys, sur, zs, gsur):
+    """Constancy of rho * |Q| plus the underlying vector identity.
+
+    ``gsur`` is ``state_surrogate(sur, sys)``; ``zs`` must not be empty.
+    """
+    if not len(zs):
+        raise ValueError("check_prop1: the probe list zs is empty")
     rhs = _coeff_state_sum(sys, sur, gsur)
     rhs_norm = np.linalg.norm(rhs)
     b_norm = np.linalg.norm(sys.B)
@@ -160,9 +169,13 @@ def check_prop1(sys, sur, zs, gsur=None):
     )
 
 
-def check_prop2(sys, sur, zs, delta, gsur=None):
-    """eps * |Q| = Delta pointwise; also reports max Delta over zs."""
-    gsur = gsur or state_surrogate(sur, sys)
+def check_prop2(sys, sur, zs, delta, gsur):
+    """eps * |Q| = Delta pointwise; also reports max Delta over zs.
+
+    ``gsur`` is ``state_surrogate(sur, sys)``; ``zs`` must not be empty.
+    """
+    if not len(zs):
+        raise ValueError("check_prop2: the probe list zs is empty")
     btilde = _coeff_state_sum(sys, sur, gsur)
     deltas = []
     residuals = []

@@ -61,7 +61,7 @@ def test_criterion_01_residual_proportionality():
                 if sur.n_support < 2:
                     continue
                 pts = draw_probe_points(sur, 1.0, 100.0, 100, seed=it)
-                rep = check_prop1(sys, sur, pts)
+                rep = check_prop1(sys, sur, pts, state_surrogate(sur, sys))
                 assert rep.max_relative_spread <= 1e-8
                 assert abs(rep.gamma_estimate - rep.gamma_formula) <= 1e-10 * rep.gamma_formula
                 checked += 1
@@ -74,7 +74,7 @@ def test_criterion_02_error_identity():
     for sys in synthetic_suite():
         for it, sur in enumerate(greedy_surrogates(sys, "loewner")):
             pts = draw_probe_points(sur, 1.0, 100.0, 100, seed=100 + it)
-            rep = check_prop2(sys, sur, pts, 1e-8)
+            rep = check_prop2(sys, sur, pts, 1e-8, state_surrogate(sur, sys))
             assert max(rep.identity_residuals) <= 1e-10
             checked += len(pts)
     report(2, f"eps*|Q| = Delta to 1e-10 at {checked} probe points")

@@ -187,6 +187,20 @@ def test_malformed_config_is_rejected(tmp_path, text, message):
         parse_config(str(path))
 
 
+def test_a_hash_starts_a_comment_only_at_the_start_or_after_whitespace(tmp_path):
+    path = tmp_path / "hash.cfg"
+    path.write_text("# a comment\nsystem = a#b\nf_min = 1\t# lower\nf_max = 100  # upper\noutput_dir = c#d #e\n")
+    assert parse_config(str(path)) == {"system": "a#b", "f_min": 1.0, "f_max": 100.0, "output_dir": "c#d"}
+
+
+def test_run_writes_into_an_output_dir_holding_a_hash(synthetic_setup):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, output_dir=str(tmp_path / "out#1"), termination="max_count", max_samples=6)
+    assert main(["run", cfg]) == 0
+    assert (tmp_path / "out#1" / "surrogate.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_keys_are_the_dataclass_fields(synthetic_setup):
     tmp_path, prefix = synthetic_setup
     cfg_keys = {f.name for f in fields(GreedyConfig)} - {"termination"}

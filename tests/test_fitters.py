@@ -177,7 +177,7 @@ def test_mri_objective_matches_svd_oracle(seed):
 
     sys = make_synthetic([1j, 4j, 9j], seed, m=3, p=3)  # p*m = 9 >= S
     zs = 1j * np.array([2.0, 3.0, 6.0, 8.0, 12.0])
-    samples = [sys.sample(z) for z in zs]
+    samples = samples_at(zs, sys.eval_transfer)
     sur = fit(samples, "mri")
     objective = np.linalg.norm(np.tensordot(sur.coeffs, np.array([s.value for s in samples]), 1))
     M = np.column_stack([s.value.ravel() for s in samples])

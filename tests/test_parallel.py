@@ -165,6 +165,33 @@ def test_back_to_back_pools_fork_without_a_warning(monkeypatch):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("count, usable", [(5, 5), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask_is_the_cpu_count(monkeypatch, count, usable):
+    # as on macOS and Windows, whose os has no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert parallel.usable_cpus() == usable
+
+
+def test_fork_is_unsafe_off_linux(monkeypatch):
+    assert parallel.fork_is_safe()
+    monkeypatch.setattr(parallel.sys, "platform", "darwin")
+    assert not parallel.fork_is_safe()
+
+
+def test_fork_is_unsafe_when_the_thread_list_cannot_be_read(monkeypatch):
+    listdir = os.listdir
+
+    def unreadable(path):
+        if path == "/proc/self/task":
+            raise PermissionError(13, "Permission denied", path)
+        return listdir(path)
+
+    assert parallel.fork_is_safe()
+    monkeypatch.setattr(os, "listdir", unreadable)
+    assert not parallel.fork_is_safe()
+
+
 def test_one_usable_cpu_stays_in_process(monkeypatch):
     pin_workers(monkeypatch, 1)
     assert set(map_points(lambda z: os.getpid(), POINTS)) == {os.getpid()}

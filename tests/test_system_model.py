@@ -10,6 +10,7 @@ from greedyrat import (
     load_matrix_market,
     make_synthetic,
 )
+from greedyrat.system_model import _check_info
 
 
 def scalar_system():
@@ -73,6 +74,13 @@ def test_resonance_error_carries_frequency():
     with pytest.raises(ResonanceError) as err:
         sys.eval_transfer(1j)
     assert err.value.z == 1j
+
+
+def test_an_illegal_lapack_argument_is_a_value_error():
+    # LAPACK's info < 0 names a bad argument, a bug rather than a resonance
+    with pytest.raises(ValueError, match=r"^illegal value in argument 3 of LAPACK gttrf$"):
+        _check_info(-3, "gttrf", 2j)
+    _check_info(0, "gttrs")
 
 
 def test_dimension_mismatch_rejected():

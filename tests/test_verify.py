@@ -26,9 +26,9 @@ from greedyrat.verify import NODE_REJECT, PROBE_STREAM, draw_probe_points
 
 
 def fitted_state(sys, zs, sur=None):
-    from greedyrat import fit
+    from greedyrat import FrequencySample, fit
 
-    sur = sur or fit([sys.sample(z) for z in zs], "loewner")
+    sur = sur or fit([FrequencySample(z, sys.eval_transfer(z)) for z in zs], "loewner")
     return sur, state_surrogate(sur, sys)
 
 
@@ -154,6 +154,24 @@ def test_prop2_identity(seed):
     rep = check_prop2(sys, sur, pts, 1e-8, gsur=gsur)
     assert max(rep.identity_residuals) <= 1e-10
     assert np.isfinite(rep.delta_max)
+
+
+@pytest.mark.parametrize("name", ["check_prop1", "check_prop2"])
+def test_an_empty_probe_list_is_refused_before_any_work(monkeypatch, name):
+    from greedyrat import verify
+
+    sys = probe_system(0)
+    sur, gsur = fitted_state(sys, 1j * np.geomspace(1.0, 100.0, 9))
+
+    def no_work(*args):
+        raise AssertionError("the check started on an empty probe list")
+
+    monkeypatch.setattr(verify, "_coeff_state_sum", no_work)
+    check = getattr(verify, name)
+    extra = () if name == "check_prop1" else (1e-8,)
+    for zs in ([], np.array([], dtype=complex)):
+        with pytest.raises(ValueError, match=f"^{name}: the probe list zs is empty$"):
+            check(sys, sur, zs, *extra, gsur)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
