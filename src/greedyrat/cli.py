@@ -25,7 +25,15 @@ process each other chunk. verify's probe solves stay in this process,
 since forking would cost small systems more than it saves, and so do
 run's, each pick depending on the fit before it. A grid point where the
 pencil is singular is a validation.csv row with resonance 1; at such a
-probe verify fails with the error.
+probe verify fails with the error. A forked child that dies without
+replying (killed for memory, say) ends validate with
+``error: the child mapping points i to j exited with code k`` and exit
+status 1, as any other OSError does.
+
+greedyrat.parallel, and with it ``multiprocessing``, is imported inside
+cmd_validate, not at the top of this module, so that a process which
+imports the CLI and never validates does not load the fork machinery;
+tests/test_imports.py fails when an import of greedyrat.cli loads it again.
 
 Config files are flat ``key = value`` text. The keys are the fields of
 ``GreedyConfig`` and of its ``TerminationRule`` (whose ``kind`` is spelled
@@ -47,7 +55,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import parallel, verify as verify_mod
+from . import verify as verify_mod
 from .barycentric import BarycentricSurrogate
 from .errors import GreedyratError, ResonanceError, SupportCollisionError
 from .greedy import (
@@ -216,6 +224,8 @@ def _finite_real(x):
 
 
 def cmd_validate(args):
+    from . import parallel  # deferred: see the module docstring
+
     cfg, system, outdir = _prepare(args)
     _, sur, meta = _load_surrogate(args, system, outdir)
     grid = build_test_grid(cfg)

@@ -48,6 +48,13 @@ Only work whose calls are independent and have no effect outside their
 result belongs here: a call made in a child leaves no trace in this
 process (a ``GreedyRun``'s store, or a user oracle counting its
 calls, would not see it).
+
+A child that exits without replying, killed for memory say, raises
+``ChildProcessError``: an ``OSError``, so ``greedyrat validate`` reports
+it as one line and exits 1. This module imports ``multiprocessing`` at
+its top, and no module of the package imports this one at its top:
+``greedyrat.cli`` imports it inside ``cmd_validate``, so a process that
+never maps loads neither.
 """
 import multiprocessing
 import os
@@ -94,10 +101,10 @@ def map_points(fn, points):
     An exception from ``fn`` propagates, the one at the first failing point
     in point order, whether that point ran here or in a child, where its
     traceback comes along as the text of its ``__cause__``; a child that
-    exits without a reply raises ``EOFError`` naming its first and last
-    point index and its exit code. ``points`` must support ``len`` and
-    slicing (a list or a NumPy array). Every child has exited when this
-    returns or raises.
+    exits without a reply raises ``ChildProcessError``, an ``OSError``,
+    naming its first and last point index and its exit code. ``points``
+    must support ``len`` and slicing (a list or a NumPy array). Every child
+    has exited when this returns or raises.
     """
     workers = max(1, min(usable_cpus(), len(points))) if fork_is_safe() else 1
     bounds = [len(points) * w // workers for w in range(workers + 1)]
@@ -115,7 +122,7 @@ def map_points(fn, points):
                 reply = receive.recv()
             except EOFError:
                 child.join()
-                raise EOFError(
+                raise ChildProcessError(
                     f"the child mapping points {lo} to {hi - 1} exited with code {child.exitcode}"
                 ) from None
             if isinstance(reply, tuple):

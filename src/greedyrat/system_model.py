@@ -125,6 +125,14 @@ routines are always the complex ones (z prefix), looked up once per
 system from the complex128 type rather than from an operand, whose d
 routines would drop the imaginary parts; the copy of B's window that the
 solves overwrite is therefore complex128 too.
+
+The Matrix Market reader and writer are imported where they are called,
+in ``_read_mtx`` and ``DescriptorSystem.save_matrix_market``, not at the
+top of this module: ``scipy.io`` brings its fast_matrix_market extension
+and every other file format with it, about 1.7 MB and 20 ms at import and
+3.4 MB more at the first read (x86, scipy 1.17), which a process that
+builds its systems from arrays never uses. tests/test_imports.py fails
+when an import of greedyrat loads ``scipy.io`` again.
 """
 import cmath
 import contextlib
@@ -137,7 +145,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.io import mmread, mmwrite
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ResonanceError
@@ -577,6 +584,10 @@ class DescriptorSystem:
     type and complex128 otherwise (see the module docstring): a real
     system holds about half the bytes of its complex-typed twin and returns
     the same bits, always complex128, from every solve.
+
+    A 1-D B of n entries is one input column, n-by-1, and a 1-D C of n
+    entries one output row, 1-by-n: each is the port vector of a
+    single-input or single-output system.
     """
 
     def __init__(self, E, A, B, C):
@@ -587,7 +598,10 @@ class DescriptorSystem:
         if E is None:
             E = sp.identity(n, format="csc")
         E = self._as_square(E, "E", dtype)
-        B, C = (_frozen(np.atleast_2d(np.array(M, dtype=dtype))) for M in (B, C))
+        B, C = (np.array(M, dtype=dtype) for M in (B, C))
+        if B.ndim == 1:
+            B = B[:, None]  # one input column, as a 1-D C is one output row
+        B, C = (_frozen(np.atleast_2d(M)) for M in (B, C))
         if E.shape != (n, n):
             raise ValueError(f"E is {E.shape}, expected {(n, n)}")
         if B.shape[0] != n:
@@ -659,6 +673,8 @@ class DescriptorSystem:
 
     def save_matrix_market(self, prefix):
         """Write <prefix>.E.mtx / .A.mtx / .B.mtx / .C.mtx."""
+        from scipy.io import mmwrite  # deferred: see the module docstring
+
         for name, M in (("E", self.E), ("A", self.A), ("B", self.B), ("C", self.C)):
             mmwrite(f"{prefix}.{name}.mtx", sp.coo_matrix(M) if sp.issparse(M) else M)
 
@@ -666,6 +682,8 @@ class DescriptorSystem:
 def _read_mtx(path):
     if not os.path.exists(path):
         raise FileNotFoundError(f"matrix file not found: {path}")
+    from scipy.io import mmread  # deferred: see the module docstring
+
     try:
         return mmread(path)
     except ValueError as exc:

@@ -496,6 +496,30 @@ def test_validate_and_verify_write_the_same_bytes_with_and_without_workers(tmp_p
     assert [r[3] for r in rows[1:]].count("1") == 1
 
 
+def test_validate_reports_a_child_that_dies_and_exits_1(synthetic_setup, monkeypatch, capsys):
+    tmp_path, prefix = synthetic_setup
+    cfg = write_config(tmp_path, prefix, termination="max_count", max_samples=6)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    parent = os.getpid()
+    eval_transfer = DescriptorSystem.eval_transfer
+
+    def dies_in_a_child(self, z):
+        if os.getpid() != parent:  # as a child killed for memory would
+            os._exit(3)
+        return eval_transfer(self, z)
+
+    monkeypatch.setattr(DescriptorSystem, "eval_transfer", dies_in_a_child)
+    pin_workers(monkeypatch, 2)
+    with time_bound(60):
+        assert main(["validate", cfg]) == 1
+    out, err = capsys.readouterr()
+    # 1000 grid points in 2 chunks: the child maps points 500 to 999
+    assert err == "error: the child mapping points 500 to 999 exited with code 3\n"
+    assert out == ""
+    assert not (tmp_path / "out" / "validation.csv").exists()
+
+
 def test_validate_prints_the_effectivity_after_the_grid_maximum(synthetic_setup, capsys):
     tmp_path, prefix = synthetic_setup
     cfg = write_config(tmp_path, prefix)

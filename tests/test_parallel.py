@@ -241,7 +241,7 @@ def test_a_child_that_exits_without_replying_raises(monkeypatch):
         return j
 
     pin_workers(monkeypatch, 2)
-    with pytest.raises(EOFError, match="points 18 to 36 exited with code 3$"):
+    with pytest.raises(ChildProcessError, match="^the child mapping points 18 to 36 exited with code 3$"):
         map_points(fn, list(range(37)))
 
 

@@ -94,6 +94,22 @@ def test_dimension_mismatch_rejected():
         DescriptorSystem(None, np.ones((3, 2)), np.ones((3, 1)), np.ones((1, 3)))
 
 
+def test_a_1d_b_is_one_input_column():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((5, 5)) - 5 * np.eye(5)
+    b, c = rng.standard_normal(5), rng.standard_normal(5)
+    column = DescriptorSystem(None, A, b[:, None], c)
+    vector = DescriptorSystem(None, A, b, c)
+    assert vector.B.shape == (5, 1) and vector.m == 1 and vector.p == 1
+    for z in (0.3j, 2.0 + 1j, 7j):
+        assert vector.eval_transfer(z).tobytes() == column.eval_transfer(z).tobytes()
+        assert vector.eval_state_transfer(z).tobytes() == column.eval_state_transfer(z).tobytes()
+    # a 2-D B still has to have n rows, and a 1-D one n entries
+    for B, rows in ((b[None, :], 1), (np.ones((4, 1)), 4), (np.ones(4), 4)):
+        with pytest.raises(ValueError, match=f"B has {rows} rows, expected 5"):
+            DescriptorSystem(None, A, B, c)
+
+
 def test_frequency_sample_rejects_nonfinite():
     with pytest.raises(ValueError):
         FrequencySample(1j, np.array([[np.inf]]))
